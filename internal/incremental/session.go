@@ -38,18 +38,19 @@
 // that makes the Session safe for one writer plus any number of
 // concurrent readers: verdict and witness report are computed under
 // the writer lock and stored behind one atomic pointer, so Violated,
-// Satisfied, Report and Snapshot never block, never observe torn
-// refcounts, and a reader that pins a Snapshot mid-transaction keeps
-// reading the pre-commit state. The verdict is read off the conflicted
+// Satisfied, Report and Snapshot never block (bar the first Snapshot
+// or Report call, below), never observe torn refcounts, and a reader
+// that pins a Snapshot mid-transaction keeps reading the pre-commit
+// state. The verdict is read off the conflicted
 // counters in O(Σ); witness REPORTS are re-derived per epoch by a
 // sequential pass restricted to the violated FDs
 // (xfd.CheckerSet.WitnessReport) — which is what makes Snapshot.Report
 // bit-identical, same FDs, same order, same witness tuples, to what a
 // from-scratch CheckerSet.Violations would return on the committed
-// tree — but only once some caller has asked for a report: the first
-// Report call puts the Session in sticky reporting mode, and until
-// then commits skip the witness pass entirely, so verdict-only
-// workloads re-validate at pure delta cost.
+// tree — but only once some caller may ask for a report: the first
+// Snapshot or Report call puts the Session in sticky reporting mode,
+// and until then commits skip the witness pass entirely, so workloads
+// reading only Violated and Satisfied re-validate at pure delta cost.
 //
 // This is layer 5 of the checking spine — ARCHITECTURE.md at the repo
 // root — hosted by xnf watch (as a REPL) and xnf serve (over HTTP).
@@ -137,10 +138,10 @@ type Session struct {
 	seq     uint64     // epoch counter, writer-owned
 	snap    atomic.Pointer[Snapshot]
 
-	// reporting flips true (sticky) at the first Report call; from then
-	// on every violated epoch's witness report is sealed at publish.
-	// Until then publishes stay O(Σ) — verdict-only workloads never pay
-	// the witness pass. See Snapshot.Report.
+	// reporting flips true (sticky) at the first Snapshot or Report
+	// call; from then on every violated epoch's witness report is
+	// sealed at publish. Until then publishes stay O(Σ) — verdict-only
+	// workloads never pay the witness pass. See Session.Snapshot.
 	reporting atomic.Bool
 }
 
@@ -218,18 +219,19 @@ func (s *Session) violatedNow() []int {
 // Violated returns the indices (Σ order, as CheckerSet.FDAt addresses
 // them) of the FDs violated as of the last committed transaction. Safe
 // for concurrent use; never blocks on a writer.
-func (s *Session) Violated() []int { return s.Snapshot().Violated() }
+func (s *Session) Violated() []int { return s.snap.Load().Violated() }
 
 // Satisfied reports T ⊨ Σ as of the last committed transaction, in
-// O(1). Safe for concurrent use; never blocks on a writer.
-func (s *Session) Satisfied() bool { return s.Snapshot().Satisfied() }
+// O(1). Safe for concurrent use; never blocks on a writer. Like
+// Violated, it leaves the Session out of reporting mode.
+func (s *Session) Satisfied() bool { return s.snap.Load().Satisfied() }
 
 // Report returns the full violation report as of the last committed
 // transaction — bit-identical (FDs, order, witness tuples) to what a
 // from-scratch CheckerSet.Violations pass returned on that tree. The
 // report is computed at most once per epoch and shared by every
 // reader; the first call ever puts the Session in reporting mode (see
-// Snapshot.Report). Safe for concurrent use; treat the returned slice
+// Snapshot). Safe for concurrent use; treat the returned slice
 // as read-only.
 func (s *Session) Report() []xfd.Violated { return s.Snapshot().Report() }
 

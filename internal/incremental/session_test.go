@@ -162,6 +162,27 @@ func TestSessionTextEdit(t *testing.T) {
 	checkAgainstFull(t, cs, s, "after restore")
 }
 
+// TestPinnedSnapshotKeepsItsReport pins a violated epoch before the
+// session has produced any report, lets a healing commit displace it,
+// and asks the pinned snapshot for its report afterwards: it must be
+// that epoch's own, not the satisfied successor's.
+func TestPinnedSnapshotKeepsItsReport(t *testing.T) {
+	cs, s := newSession(t, coursesDoc)
+	name := findNode(s.Tree(), func(n *xmltree.Node) bool { return n.Label == "name" })
+	if err := s.SetText(name.ID, "Doe"); err != nil {
+		t.Fatal(err)
+	}
+	want := cs.Violations(s.Tree())
+	pinned := s.Snapshot()
+	if err := s.SetText(name.ID, "Deere"); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Satisfied() || pinned.Satisfied() {
+		t.Fatal("want a violated pinned epoch displaced by a satisfied one")
+	}
+	sameReports(t, want, pinned.Report(), "pinned epoch after a healing commit")
+}
+
 func TestSessionInsertDeleteRoundTrip(t *testing.T) {
 	cs, s := newSession(t, coursesDoc)
 	// Insert a second st1 under csc258 with a different name: breaks

@@ -14,13 +14,13 @@ import (
 // published Snapshot's verdict, it swaps in a new one.
 //
 // The witness REPORT of a violated epoch is sealed into the Snapshot
-// either at publish (once the Session is in reporting mode, see
-// Report) or on the first Report call while the epoch is current;
-// after sealing, reading it is a lock-free pointer load. Verdict-only
-// consumers therefore never pay the witness pass, and report consumers
-// pay it once per epoch.
+// before any caller can hold it: at publish once the Session is in
+// reporting mode, or, for the epoch current when the Session enters
+// it, at that transition (see Session.Snapshot). Reading it is a
+// lock-free pointer load. Verdict-only consumers (Session.Violated,
+// Session.Satisfied) therefore never pay the witness pass, and report
+// consumers pay it once per epoch.
 type Snapshot struct {
-	s        *Session
 	seq      uint64
 	total    int   // len(Σ) of the checker set
 	violated []int // Σ indices, sorted; nil when satisfied
@@ -54,47 +54,14 @@ func (sn *Snapshot) Violated() []int {
 // order, witness tuples) to a from-scratch CheckerSet.Violations pass
 // over the epoch's tree — or nil when satisfied. Treat the slice and
 // its witnesses as read-only: every reader of the epoch shares them.
-//
-// The first Report call puts the Session in REPORTING MODE, sticky for
-// its lifetime: from then on every commit seals the new epoch's report
-// at publish, and Report is a lock-free read. The transition call
-// itself seals under the writer lock (briefly blocking, and blocked by
-// an open transaction). One boundary is unreconstructible: a Snapshot
-// pinned before the Session ever entered reporting mode and displaced
-// by a later commit has lost its tree, and Report falls back to the
-// current epoch's report.
+// Report never blocks: Session.Snapshot hands out only sealed epochs,
+// so this is one atomic load however many commits have displaced the
+// epoch since.
 func (sn *Snapshot) Report() []xfd.Violated {
-	if len(sn.violated) == 0 {
-		return nil
-	}
 	if r := sn.report.Load(); r != nil {
 		return *r
 	}
-	return sn.sealSlow()
-}
-
-// sealSlow is the out-of-line path of Report: enter reporting mode and
-// seal this epoch if it is still current.
-func (sn *Snapshot) sealSlow() []xfd.Violated {
-	s := sn.s
-	s.reporting.Store(true)
-	s.writeMu.Lock()
-	if r := sn.report.Load(); r != nil { // sealed while we waited
-		s.writeMu.Unlock()
-		return *r
-	}
-	if s.snap.Load() == sn {
-		// Holding writeMu with sn current means the tree is exactly sn's
-		// committed state (any transaction since either committed — and
-		// displaced sn — or rolled the tree back).
-		rep := s.sealLocked(sn)
-		s.writeMu.Unlock()
-		return rep
-	}
-	s.writeMu.Unlock()
-	// Displaced before reporting mode began: this epoch's tree is gone.
-	// Reporting mode is on now, so the current epoch resolves promptly.
-	return s.Snapshot().Report()
+	return nil
 }
 
 // sealLocked computes sn's witness report from the live tree and
@@ -102,20 +69,44 @@ func (sn *Snapshot) sealSlow() []xfd.Violated {
 // committed state. The pass is restricted to the violated FDs and
 // short-circuits per FD at the first conflict
 // (xfd.CheckerSet.WitnessReport).
-func (s *Session) sealLocked(sn *Snapshot) []xfd.Violated {
+func (s *Session) sealLocked(sn *Snapshot) {
 	bad := make(map[int]bool, len(sn.violated))
 	for _, fi := range sn.violated {
 		bad[fi] = true
 	}
 	rep := s.cs.WitnessReport(s.ix.Tree(), bad)
 	sn.report.Store(&rep)
-	return rep
 }
 
 // Snapshot returns the last published epoch. Safe for concurrent use;
-// never blocks on a writer, and never observes a transaction that has
-// not committed.
-func (s *Session) Snapshot() *Snapshot { return s.snap.Load() }
+// never observes a transaction that has not committed.
+//
+// The first call puts the Session in REPORTING MODE, sticky for its
+// lifetime: it waits out an open transaction (so never make it from
+// inside one), seals the current epoch's witness report under the
+// writer lock, and from then on every commit seals the new epoch's
+// report at publish. Every Snapshot a caller holds therefore keeps its
+// own report, however many commits displace it. Later calls are one
+// atomic load and never block on a writer.
+func (s *Session) Snapshot() *Snapshot {
+	if !s.reporting.Load() {
+		s.enterReporting()
+	}
+	return s.snap.Load()
+}
+
+// enterReporting seals the current epoch and then turns reporting mode
+// on, both under the writer lock: a caller that sees the mode on only
+// ever loads sealed epochs, and no commit can displace the current one
+// in between.
+func (s *Session) enterReporting() {
+	s.writeMu.Lock()
+	if sn := s.snap.Load(); len(sn.violated) > 0 && sn.report.Load() == nil {
+		s.sealLocked(sn)
+	}
+	s.reporting.Store(true)
+	s.writeMu.Unlock()
+}
 
 // publishLocked seals the current fold state into a fresh Snapshot and
 // swaps it in. Writer-side: the caller holds writeMu (or, in New, owns
@@ -124,7 +115,7 @@ func (s *Session) Snapshot() *Snapshot { return s.snap.Load() }
 // witness pass runs only in reporting mode and only when violated.
 func (s *Session) publishLocked() {
 	s.seq++
-	sn := &Snapshot{s: s, seq: s.seq, total: s.cs.Len(), violated: s.violatedNow()}
+	sn := &Snapshot{seq: s.seq, total: s.cs.Len(), violated: s.violatedNow()}
 	if len(sn.violated) > 0 && s.reporting.Load() {
 		s.sealLocked(sn)
 	}

@@ -102,14 +102,6 @@ type attrEdit struct {
 // Rollback, or the Session's writer lock is held forever.
 func (s *Session) Begin() *Txn {
 	s.writeMu.Lock()
-	// In reporting mode the outgoing epoch must be sealed before the
-	// tree moves: a reader that pinned it can then keep reading its
-	// report lock-free for as long as it likes. This only ever pays for
-	// the one epoch published just before the session entered reporting
-	// mode — every later epoch is sealed at publish.
-	if sn := s.snap.Load(); s.reporting.Load() && len(sn.violated) > 0 && sn.report.Load() == nil {
-		s.sealLocked(sn)
-	}
 	t := &Txn{
 		s:       s,
 		dirty:   make([]map[xmltree.NodeID]bool, len(s.clusters)),

@@ -1,8 +1,9 @@
 package tuples
 
 // Token-fused tuple enumeration: the streaming enumerators of stream.go
-// rebuilt to run straight off an encoding/xml token walk, so checking
-// never needs the materialized tree at all. The projection streamer
+// rebuilt to run straight off an xmltree.WalkTokens token walk (the
+// package's own windowed XML scanner), so checking never needs the
+// materialized tree at all. The projection streamer
 // (Projector.StreamTokens / StartTokens) is the constant-memory path:
 // elements on the current spine whose enclosing sibling groups are
 // single-choice-point chains are "live" — their assignments go directly

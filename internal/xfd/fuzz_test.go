@@ -36,7 +36,10 @@ func FuzzParse(f *testing.F) {
 // it must never panic, must reject exactly the inputs xmltree.Parse
 // rejects (with typed errors and identical messages, modulo the depth
 // guard), and must reproduce the tree checker's canonical violation
-// report whenever the input parses.
+// report whenever the input parses. Both paths read through
+// xmltree.WalkTokens, so the acceptance half only guards the wiring;
+// xmltree's FuzzWalkTokens holds the tokenizer itself to encoding/xml.
+// The report agreement is what this target is for.
 func FuzzCheckReader(f *testing.F) {
 	sigma := []FD{
 		MustParse("courses.course.@cno -> courses.course.title.S"),

@@ -2,17 +2,15 @@ package xmltree
 
 import (
 	"bytes"
-	"encoding/xml"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // This file is the streaming (SAX-style) front end of the data model:
-// WalkTokens drives encoding/xml over a reader and delivers the
-// document as Open/Text/Close callbacks, enforcing exactly the same
-// structural rules as Parse — one root, no mixed content, no character
-// data outside the root, balanced tags. Parse itself is a WalkTokens
+// WalkTokens drives the tokenizer of scan.go over a reader and
+// delivers the document as Open/Text/Close callbacks, enforcing
+// exactly the same structural rules as Parse — one root, no mixed
+// content, no character data outside the root, balanced tags. Parse itself is a WalkTokens
 // client that materializes a Tree; the tuple streamer (internal/tuples)
 // is a client that never does, which is what makes constant-memory
 // validation of arbitrarily large documents possible.
@@ -70,116 +68,107 @@ type TokenCallbacks struct {
 	Close func(label string) error
 }
 
-// wtFrame is one open element during a walk.
-type wtFrame struct {
-	label       string
-	hasChildren bool
-}
-
 // WalkTokens streams the XML document from r through cb. It accepts
 // exactly the documents Parse accepts and rejects the rest with a
 // *MalformedError carrying the same message Parse reports, except that
 // a positive maxDepth additionally rejects nesting beyond it with a
 // *DepthError (maxDepth <= 0 means unlimited). Memory use is bounded
-// by the nesting depth plus the largest single text node — nothing
+// by the nesting depth plus the largest single token — nothing
 // proportional to the document is retained.
+//
+// The tokenizer (scan.go) accepts, bit for bit and with the same error
+// messages, what the strict decoder of Go 1.24's encoding/xml accepts
+// (the oracle tests compare it with the decoder of whichever toolchain
+// runs them; agreement was established on Go 1.24.0):
+//   - the five predefined entities and decimal or hexadecimal
+//     character references; a surrogate such as &#xD800; becomes
+//     U+FFFD, and a reference to a character XML excludes, such as
+//     &#0;, is rejected;
+//   - CDATA sections;
+//   - comments, skipped; "--" inside a comment is rejected;
+//   - processing instructions, skipped;
+//   - a DOCTYPE, skipped with its internal subset, so entities declared
+//     there are not expanded and using one is an error;
+//   - XML declarations, wherever they stand: a version other than 1.0
+//     or an encoding other than UTF-8 is rejected;
+//   - line ends: "\r\n" and "\r" become "\n" in text and in
+//     attribute values;
+//   - white space: a chunk of character data (text between markup, or
+//     one CDATA section) made only of unicode.IsSpace characters, such
+//     as non-breaking spaces, is dropped;
+//   - a UTF-8 byte order mark, rejected as character data outside the
+//     root element;
+//   - repeated attributes, delivered as written;
+//   - names with two or more colons, rejected;
+//   - namespace prefixes: a declared prefix, or the default namespace
+//     on an element name, becomes its URI followed by ':' (so
+//     <r xmlns="urn:x"/> is the element "urn:x:r"), "xml:" becomes
+//     the XML namespace URI, and an undeclared prefix stays as written.
 func WalkTokens(r io.Reader, maxDepth int, cb TokenCallbacks) error {
-	dec := xml.NewDecoder(r)
-	var stack []wtFrame
-	var text []byte  // pending character data of the innermost element
-	var attrs []Attr // reused per StartElement
+	return newScanner(r).walk(maxDepth, cb)
+}
+
+// walk is WalkTokens over a scanner: it applies the data model's
+// structural rules to the scanner's tokens and delivers the events.
+func (s *scanner) walk(maxDepth int, cb TokenCallbacks) error {
 	rootSeen := false
-	// flushText delivers and clears the pending character data of the
-	// innermost element; Parse's rules guarantee only the innermost
-	// open element can be holding text.
-	flushText := func() error {
-		if len(text) == 0 {
-			return nil
-		}
-		var err error
-		if cb.Text != nil {
-			err = cb.Text(text)
-		}
-		text = text[:0]
-		return err
-	}
 	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
+		tok, err := s.next()
 		if err != nil {
-			return &MalformedError{Err: fmt.Errorf("xmltree: %v", err)}
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			label := elemName(t.Name)
-			if len(stack) == 0 {
+		switch tok {
+		case tokEOF:
+			if !rootSeen {
+				return malformedf("no root element")
+			}
+			return nil
+		case tokStart:
+			depth := len(s.stack) // the start tag pushed its element
+			if depth == 1 {
 				if rootSeen {
 					return malformedf("multiple root elements")
 				}
 				rootSeen = true
 			} else {
-				top := &stack[len(stack)-1]
-				if len(text) > 0 {
-					return malformedf("mixed content under <%s>", top.label)
+				parent := &s.stack[depth-2]
+				if len(s.text) > 0 {
+					return malformedf("mixed content under <%s>", parent.label)
 				}
-				top.hasChildren = true
+				parent.hasChildren = true
 			}
-			if maxDepth > 0 && len(stack)+1 > maxDepth {
-				return &DepthError{Depth: len(stack) + 1, Limit: maxDepth}
-			}
-			attrs = attrs[:0]
-			for _, a := range t.Attr {
-				name := elemName(a.Name)
-				if name == "xmlns" || strings.HasPrefix(name, "xmlns:") {
-					continue
-				}
-				attrs = append(attrs, Attr{Name: name, Value: a.Value})
+			if maxDepth > 0 && depth > maxDepth {
+				return &DepthError{Depth: depth, Limit: maxDepth}
 			}
 			if cb.Open != nil {
-				if err := cb.Open(label, attrs); err != nil {
+				if err := cb.Open(s.stack[depth-1].label, s.attrs); err != nil {
 					return err
 				}
 			}
-			stack = append(stack, wtFrame{label: label})
-		case xml.EndElement:
-			if len(stack) == 0 {
-				// Unreachable with encoding/xml's strict decoder, which
-				// reports stray end tags itself; kept as a defensive rule.
-				return malformedf("unbalanced end tag </%s>", elemName(t.Name))
+		case tokEnd:
+			if len(s.text) > 0 && cb.Text != nil {
+				if err := cb.Text(s.text); err != nil {
+					return err
+				}
 			}
-			if err := flushText(); err != nil {
-				return err
-			}
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+			s.text = s.text[:0]
+			top := s.pop()
 			if cb.Close != nil {
 				if err := cb.Close(top.label); err != nil {
 					return err
 				}
 			}
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) == 0 {
+		case tokText:
+			if len(bytes.TrimSpace(s.text[s.chunk:])) == 0 {
+				s.text = s.text[:s.chunk]
 				continue
 			}
-			if len(stack) == 0 {
+			if len(s.stack) == 0 {
 				return malformedf("character data outside the root element")
 			}
-			top := &stack[len(stack)-1]
-			if top.hasChildren {
+			if top := &s.stack[len(s.stack)-1]; top.hasChildren {
 				return malformedf("mixed content under <%s>", top.label)
 			}
-			text = append(text, t...)
-		case xml.Comment, xml.ProcInst, xml.Directive:
-			// Ignored.
 		}
 	}
-	if !rootSeen {
-		return malformedf("no root element")
-	}
-	if len(stack) != 0 {
-		return malformedf("unbalanced document")
-	}
-	return nil
 }

@@ -43,8 +43,8 @@ func TestWalkTokensParseAgreement(t *testing.T) {
 }
 
 // TestWalkTokensEvents pins the event protocol: text concatenated and
-// delivered once before Close, whitespace dropped, xmlns filtered,
-// namespace prefixes kept verbatim.
+// delivered once before Close, whitespace dropped, xmlns filtered, and
+// a declared namespace prefix replaced by its URI (p:a is u:a).
 func TestWalkTokensEvents(t *testing.T) {
 	src := "<r xmlns:p=\"u\">\n  <p:a k=\"1\" k=\"2\">one&amp;two</p:a>\n  <b/>\n</r>"
 	var events []string

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -11,7 +10,10 @@ import (
 // data between elements is ignored; any other character data becomes the
 // node's string content. Mixed content (text next to element children)
 // is rejected, since the paper's data model (Definition 2) excludes it.
-// Namespaces are not interpreted; prefixed names are kept verbatim.
+// Namespace prefixes are interpreted as WalkTokens describes: a
+// declared prefix, or the default namespace on an element name, is
+// replaced by its URI, so the label of <p:a xmlns:p="u"/> is "u:a";
+// undeclared prefixes are kept as written.
 //
 // Parse is a WalkTokens client with no depth limit, so it accepts
 // exactly the documents the streaming checkers accept; rejections are
@@ -67,13 +69,6 @@ func MustParseString(s string) *Tree {
 		panic(err)
 	}
 	return t
-}
-
-func elemName(n xml.Name) string {
-	if n.Space != "" {
-		return n.Space + ":" + n.Local
-	}
-	return n.Local
 }
 
 // String serializes the tree as indented XML. Attributes print in

@@ -335,7 +335,8 @@ func ViolationsCtx(ctx context.Context, t *Tree, sigma []FD, eo EngineOptions) (
 //
 // Concurrency: one writer at a time (Begin serializes), while
 // Violated, Satisfied, Report and Snapshot are safe from any number
-// of goroutines and never block on a writer. Sessions over the same Σ
+// of goroutines and never block on a writer, except that the first
+// Snapshot or Report call waits out an open transaction. Sessions over the same Σ
 // share one compiled checker through the process-global registry, so
 // a server hosting many documents under one spec compiles it once.
 func NewSession(s Spec, doc *Tree) (*Session, error) {
