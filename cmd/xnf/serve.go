@@ -379,8 +379,8 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	// fresh=1: a from-scratch sharded pass over the hosted tree under
 	// the request context — the client's deadline (and the server's
-	// shutdown) cancels queued shards promptly. Takes the document's
-	// writer lock so the tree cannot move under the fold.
+	// shutdown) stops every fragment fold at its next tuple. Takes the
+	// document's writer lock so the tree cannot move under the fold.
 	d.mu.Lock()
 	sn := d.session().Snapshot()
 	report, err := xmlnorm.ViolationsCtx(r.Context(), d.session().Tree(), s.spec.FDs, engOpts)

@@ -11,8 +11,6 @@ import (
 
 	"xmlnorm/internal/corpus"
 	"xmlnorm/internal/engine"
-	"xmlnorm/internal/pool"
-	"xmlnorm/internal/xfd"
 )
 
 // Corpus-level types, re-exported from internal/corpus.
@@ -50,13 +48,14 @@ func CheckCorpus(ctx context.Context, sigma []FD, dir string, opts CorpusOptions
 // ViolationsFragmented is Violations computed the distributed way: the
 // document is split at a top-level sibling group into up to k
 // fragments (xfd.CheckerSet.SplitFragments), each fragment's per-FD
-// fold state is computed independently — here in parallel over the
-// worker pool; on a cluster, each state could be computed on its own
-// node and shipped as bytes (xfd.FoldState) — and the states are
-// merged associatively into the whole-document verdict. Witnesses are
-// then re-derived for the violated FDs only, so the report is
-// bit-identical to Violations' for every k. k < 2 degenerates to the
-// sequential fold.
+// fold state is computed independently — here in parallel on up to k
+// workers; on a cluster, each state could be computed on its own node
+// and shipped as bytes (xfd.FoldState) — and the states are merged
+// associatively into the whole-document verdict. Witnesses are then
+// re-derived for the violated FDs only, so the report is bit-identical
+// to Violations' for every k. k < 2 degenerates to the sequential
+// check. It is xfd.CheckerSet.ViolationsShardedCtx with k as the
+// worker count.
 func ViolationsFragmented(t *Tree, sigma []FD, k int) ([]Violated, error) {
 	if len(sigma) == 0 {
 		return nil, nil
@@ -65,20 +64,5 @@ func ViolationsFragmented(t *Tree, sigma []FD, k int) ([]Violated, error) {
 	if err != nil {
 		return nil, err
 	}
-	frags := cs.SplitFragments(t, k)
-	states := make([]*xfd.FoldState, len(frags))
-	if err := pool.ForEach(k, len(frags), func(i int) error {
-		states[i] = cs.NewFoldState()
-		states[i].FoldFragment(frags[i])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	merged := states[0]
-	for _, st := range states[1:] {
-		if err := merged.Merge(st); err != nil {
-			return nil, err
-		}
-	}
-	return cs.WitnessReport(t, merged.ViolatedSet()), nil
+	return cs.ViolationsShardedCtx(context.TODO(), t, k)
 }

@@ -79,7 +79,7 @@ func (m TreeMVD) String() string {
 }
 
 // MVDChecker is a compiled satisfaction check for one TreeMVD over one
-// context, following the xfd.Checker shape: build once, stream the
+// context, following the xfd.CheckerSet shape: build once, stream the
 // tree's tuple projections through a constant-size fold per group.
 // Read-only after construction and safe for concurrent use.
 type MVDChecker struct {

@@ -186,9 +186,9 @@ func E17PathInterning() (*Table, error) {
 		"E17 extract: %.2fx at the largest size, want ≥1.5x", float64(lastExtract[0])/float64(lastExtract[1]))
 
 	// Per-tree Σ check (the brute-force decider's inner loop).
-	checks := make([]*xfd.Checker, len(spec.FDs))
+	checks := make([]*xfd.CheckerSet, len(spec.FDs))
 	for i, f := range spec.FDs {
-		if checks[i], err = xfd.NewChecker(u, f); err != nil {
+		if checks[i], err = xfd.NewCheckerSet(u, []xfd.FD{f}); err != nil {
 			return nil, err
 		}
 	}
@@ -214,7 +214,7 @@ func E17PathInterning() (*Table, error) {
 		dInterned, err := timeLoop(size.iters, func() error {
 			internedOK = true
 			for _, c := range checks {
-				if !c.Satisfies(doc) {
+				if !c.SatisfiesAll(doc) {
 					internedOK = false
 					break
 				}

@@ -149,7 +149,9 @@ func e22FragmentPass(cs *xfd.CheckerSet, doc *xmltree.Tree, k int) ([]xfd.Violat
 	states := make([]*xfd.FoldState, len(frags))
 	if err := pool.ForEach(0, len(frags), func(i int) error {
 		st := cs.NewFoldState()
-		st.FoldFragment(frags[i])
+		if err := st.FoldFragment(context.Background(), frags[i]); err != nil {
+			return err
+		}
 		blob, err := st.MarshalBinary()
 		if err == nil {
 			st, err = cs.UnmarshalFoldState(blob)

@@ -176,7 +176,9 @@ func TestCrossProcessFoldBitIdentity(t *testing.T) {
 			return err
 		}
 		whole := cs.NewFoldState()
-		whole.Fold(doc)
+		if err := whole.FoldFragment(ctx, xfd.Fragment{Tree: doc}); err != nil {
+			return err
+		}
 		wholeBytes, err := whole.MarshalBinary()
 		if err != nil {
 			return err

@@ -13,6 +13,7 @@
 //	  400:      malformed or over-deep body
 //	  409:      the worker serves a different specification
 //	  413:      body over the worker's size bound
+//	  503:      the request was cancelled mid-fold (no state is sent)
 //
 // spec is SpecHash of the coordinator's specification; label/start are
 // the Fragment's split label and global starting ordinal (empty/0 for
@@ -106,7 +107,9 @@ func jsonError(w http.ResponseWriter, code int, format string, args ...any) {
 // CheckerSet — compile once, fold many — and responds with the
 // marshaled FoldState. specHash guards that coordinator and worker
 // were started with byte-identical specifications; maxBody bounds the
-// request body (413 on overflow).
+// request body (413 on overflow). The fold runs under the request's
+// context, so a client that gives up or a server that shuts down
+// stops it at the next tuple.
 func FoldHandler(cs *xfd.CheckerSet, specHash string, maxBody int64) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -143,7 +146,12 @@ func FoldHandler(cs *xfd.CheckerSet, specHash string, maxBody int64) http.Handle
 			return
 		}
 		st := cs.NewFoldState()
-		st.FoldFragment(xfd.Fragment{Tree: doc, Label: q.Get("label"), Start: start})
+		if err := st.FoldFragment(r.Context(), xfd.Fragment{Tree: doc, Label: q.Get("label"), Start: start}); err != nil {
+			// The request was cancelled mid-fold: a partial state is
+			// never shipped.
+			jsonError(w, http.StatusServiceUnavailable, "fold: %v", err)
+			return
+		}
 		blob, err := st.MarshalBinary()
 		if err != nil {
 			jsonError(w, http.StatusInternalServerError, "marshal: %v", err)
@@ -373,7 +381,9 @@ func (c *Coordinator) foldBytes(ctx context.Context, body []byte, label string, 
 
 // FoldFragment folds one fragment, remotely when possible, locally
 // otherwise. It never fails: the local fold is always available and
-// produces the identical state.
+// produces the identical state. The local fold ignores ctx's
+// cancellation — it must return a whole state — so ctx bounds only the
+// remote attempts and CheckDocument's fan-out.
 func (c *Coordinator) FoldFragment(ctx context.Context, f xfd.Fragment) *xfd.FoldState {
 	st, err := c.foldBytes(ctx, []byte(f.Tree.String()), f.Label, f.Start)
 	if err == nil {
@@ -381,7 +391,7 @@ func (c *Coordinator) FoldFragment(ctx context.Context, f xfd.Fragment) *xfd.Fol
 	}
 	c.local.Add(1)
 	st = c.cs.NewFoldState()
-	st.FoldFragment(f)
+	_ = st.FoldFragment(context.WithoutCancel(ctx), f) // cannot fail uncancelled
 	return st
 }
 

@@ -249,6 +249,24 @@ func TestCheckFileMatchesCorpus(t *testing.T) {
 	}
 }
 
+// TestFoldHandlerCancelled: a fold whose request context is cancelled
+// answers 503 with no fold state — a partial fold is never shipped,
+// so the coordinator retries or folds locally instead of merging it.
+func TestFoldHandlerCancelled(t *testing.T) {
+	cs := testCS(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest("POST", "/fold?spec=h1", strings.NewReader(aDoc(9, false))).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	distrib.FoldHandler(cs, "h1", 1<<20).ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled fold answered %d, want 503: %s", rec.Code, rec.Body)
+	}
+	if _, err := cs.UnmarshalFoldState(rec.Body.Bytes()); err == nil {
+		t.Fatal("cancelled fold shipped a decodable fold state")
+	}
+}
+
 // TestLimitBody pins the 413 plumbing: reading past the bound flips
 // TooLarge, staying under it does not.
 func TestLimitBody(t *testing.T) {

@@ -17,9 +17,12 @@
 // edits, with reference counts: per cluster, per FD, a two-level map
 // lhsKey → rhsKey → count of projected tuples, where the RHS key is
 // injective with respect to the checker's RHS-agreement relation
-// (xfd.CheckerSet.AppendFoldKeys). An FD is violated exactly when some
-// LHS group holds two distinct RHS keys, and a per-FD "conflicted
-// groups" counter makes that verdict O(1) to read.
+// (xfd.CheckerSet.AppendFoldKeys, the fold's one key encoder). Vertices
+// are keyed by NodeID, not by positional address as in a FoldState:
+// deleting a sibling shifts the ordinals of every later sibling, which
+// would re-key tuples the edit never touched. An FD is violated
+// exactly when some LHS group holds two distinct RHS keys, and a
+// per-FD "conflicted groups" counter makes that verdict O(1) to read.
 //
 // Mutations are grouped into transactions (Begin/Commit/Rollback, see
 // Txn); the classic per-edit methods are single-edit transactions. A

@@ -187,12 +187,12 @@ func TestDifferentialAgainstStringReference(t *testing.T) {
 			if got := xfd.Satisfies(doc, f); got != want {
 				t.Fatalf("instance %d: Satisfies(%s) = %v, reference %v\nDTD:\n%s\ndoc:\n%s", instances, f, got, want, d, doc)
 			}
-			chk, err := xfd.NewChecker(u, f)
+			chk, err := xfd.NewCheckerSet(u, []xfd.FD{f})
 			if err != nil {
-				t.Fatalf("NewChecker(%s): %v", f, err)
+				t.Fatalf("NewCheckerSet(%s): %v", f, err)
 			}
-			if got := chk.Satisfies(doc); got != want {
-				t.Fatalf("instance %d: Checker.Satisfies(%s) = %v, reference %v\nDTD:\n%s\ndoc:\n%s", instances, f, got, want, d, doc)
+			if got := chk.SatisfiesAll(doc); got != want {
+				t.Fatalf("instance %d: CheckerSet.SatisfiesAll(%s) = %v, reference %v\nDTD:\n%s\ndoc:\n%s", instances, f, got, want, d, doc)
 			}
 		}
 	}

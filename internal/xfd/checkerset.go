@@ -1,10 +1,9 @@
 package xfd
 
 // CheckerSet decides T ⊨ Σ for a whole FD set in a minimal number of
-// streaming tree walks. The per-FD Checker (xfd.go) already avoids
-// materializing the full tuple set, but checking |Σ| dependencies that
-// way walks the document |Σ| times and re-projects overlapping paths.
-// A CheckerSet partitions Σ into clusters of FDs whose paths share
+// streaming tree walks. Checking |Σ| dependencies one at a time walks
+// the document |Σ| times and re-projects overlapping paths. A
+// CheckerSet partitions Σ into clusters of FDs whose paths share
 // document branches (connected components over common second path
 // steps), compiles one union projection per cluster, streams its
 // tuples once (tuples.Projector.Stream — no cross product, no
@@ -14,14 +13,14 @@ package xfd
 // spec's dependencies concentrate on a few subtrees) are thus decided
 // in ONE walk, while FDs over disjoint branches keep separate
 // projections — a union projection across disjoint branches would
-// multiply their choice points instead of adding them. A sharded mode
-// fans the top-level sibling choices of the root out to the shared
-// worker pool (internal/pool) and merges the per-shard group maps; RHS
-// agreement is an equivalence relation, so comparing per-key shard
-// representatives is sound.
+// multiply their choice points instead of adding them. The sharded
+// mode splits the document into fragments (SplitFragments), folds each
+// into a FoldState on the shared worker pool (internal/pool) and merges
+// the states (fragment.go).
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"xmlnorm/internal/dtd"
@@ -205,79 +204,134 @@ func (cs *CheckerSet) FDAt(i int) FD { return cs.fds[i].fd }
 // through onViolation with its index into the set (Σ order) and a
 // witness pair of projected tuples that agree on the FD's LHS
 // (non-null) but differ on its RHS — the first such conflict in
-// enumeration order, matching what the per-FD Checker.Violation
-// returns. Violations are reported in discovery order, which
+// enumeration order. Violations are reported in discovery order, which
 // interleaves FDs; onViolation returning false aborts the whole check
 // (remaining FDs stay unreported). onViolation may be nil. Each walk
 // short-circuits as soon as all of its cluster's FDs are decided.
 func (cs *CheckerSet) Check(t *xmltree.Tree, onViolation func(i int, witness [2]tuples.Tuple) bool) {
+	cs.check(t, nil, onViolation)
+}
+
+// check is Check restricted to the FD indices in only (all FDs when
+// only is nil): WitnessReport re-derives witnesses through it.
+func (cs *CheckerSet) check(t *xmltree.Tree, only map[int]bool, onViolation func(i int, witness [2]tuples.Tuple) bool) {
+	aborted := false
 	for ci := range cs.clusters {
 		cl := &cs.clusters[ci]
 		if cl.label != t.Root.Label {
 			continue
 		}
-		if aborted := cs.checkCluster(cl, t, nil, onViolation); aborted {
+		if fold := cs.witnessFold(cl, only, &aborted, onViolation); fold != nil {
+			cl.pr.Stream(t, fold)
+		}
+		if aborted {
 			return
 		}
 	}
 }
 
-// checkCluster is the sequential streaming core of Check, restricted
-// to one cluster's FDs. A non-nil only set further restricts the check
-// to those FD indices (used by the sharded mode to re-derive
-// deterministic witnesses for the FDs its verdict pass found
-// violated). It reports whether onViolation aborted the walk.
-func (cs *CheckerSet) checkCluster(cl *cluster, t *xmltree.Tree, only map[int]bool, onViolation func(i int, witness [2]tuples.Tuple) bool) (aborted bool) {
-	type fdState struct {
-		groups   map[string]tuples.Tuple // LHS key -> first tuple of the group (cloned)
-		violated bool
-	}
-	states := make([]fdState, len(cl.fds))
+// witnessFold returns the per-tuple fold of one cluster, restricted to
+// the FD indices in only (all when nil), or nil when none of the
+// cluster's FDs is left to decide. Per FD it keeps each LHS group's
+// first tuple — a reader cannot re-read its input, so the witness must
+// be kept as the fold goes — and reports the first tuple whose RHS
+// disagrees with it. Tree walks (Projector.Stream) and token streams
+// (Projector.StartTokens) drive the same fold, so both report the same
+// witnesses. aborted is shared by every cluster of one check: set when
+// onViolation asks to stop, it stops them all.
+func (cs *CheckerSet) witnessFold(cl *cluster, only map[int]bool, aborted *bool, onViolation func(i int, witness [2]tuples.Tuple) bool) func(tuples.Tuple) bool {
+	groups := make([]map[string]tuples.Tuple, len(cl.fds)) // LHS key -> first tuple; nil once decided
 	remaining := 0
 	for li, fi := range cl.fds {
-		if only != nil && !only[fi] {
-			states[li].violated = true // excluded: pretend decided
-			continue
+		if only == nil || only[fi] {
+			groups[li] = make(map[string]tuples.Tuple)
+			remaining++
 		}
-		states[li].groups = make(map[string]tuples.Tuple)
-		remaining++
 	}
 	if remaining == 0 {
-		return false
+		return nil
 	}
 	var buf []byte
-	cl.pr.Stream(t, func(tup tuples.Tuple) bool {
+	return func(tup tuples.Tuple) bool {
+		if *aborted {
+			return false
+		}
 		for li, fi := range cl.fds {
-			st := &states[li]
-			if st.violated {
+			g := groups[li]
+			if g == nil {
 				continue
 			}
 			cf := &cs.fds[fi]
-			key, ok := lhsKey(tup, cf.lhs, buf[:0])
+			key, ok := appendKey(buf[:0], tup, cf.lhs, nil)
 			buf = key
 			if !ok {
 				continue // some LHS value is ⊥: the FD does not apply
 			}
-			first, seen := st.groups[string(key)]
+			first, seen := g[string(key)]
 			if !seen {
 				// The stream reuses its scratch tuple; clone what we keep.
-				st.groups[string(key)] = tup.Clone()
+				g[string(key)] = tup.Clone()
 				continue
 			}
 			if sameRHS(first, tup, cf.rhs) {
 				continue
 			}
-			st.violated = true
-			st.groups = nil // dead once violated: free it mid-walk
+			groups[li] = nil // dead once violated: free it mid-walk
 			remaining--
 			if onViolation != nil && !onViolation(fi, [2]tuples.Tuple{first, tup.Clone()}) {
-				aborted = true
+				*aborted = true
 				return false
 			}
 		}
 		return remaining > 0
-	})
-	return aborted
+	}
+}
+
+// appendKey is the one fold-key encoder: it appends a self-delimiting
+// encoding of the tuple's values at ids to dst — per value, tag 0 for
+// ⊥, tag 2 plus the length-prefixed string, or tag 1 plus the vertex:
+// its NodeID as a uvarint, or, given an address table, its
+// length-prefixed positional address (fragment.go). complete is false
+// when some value is ⊥; an LHS key is then unusable (the FD does not
+// apply), while an RHS key keeps its 0 tags, so present and absent
+// values differ.
+func appendKey(dst []byte, tup tuples.Tuple, ids []paths.ID, addrs map[xmltree.NodeID]string) (key []byte, complete bool) {
+	complete = true
+	for _, id := range ids {
+		v, ok := tup.GetID(id)
+		switch {
+		case !ok:
+			dst = append(dst, 0)
+			complete = false
+		case !v.IsNode():
+			s := v.Str()
+			dst = append(dst, 2)
+			dst = binary.AppendUvarint(dst, uint64(len(s)))
+			dst = append(dst, s...)
+		case addrs != nil:
+			a := addrs[v.Node()]
+			dst = append(dst, 1)
+			dst = binary.AppendUvarint(dst, uint64(len(a)))
+			dst = append(dst, a...)
+		default:
+			dst = append(dst, 1)
+			dst = binary.AppendUvarint(dst, uint64(v.Node()))
+		}
+	}
+	return dst, complete
+}
+
+// appendFoldKeys computes the FD's keys for one tuple through
+// appendKey: the LHS key it groups by and an RHS key that is equal
+// between two tuples of a group exactly when sameRHS holds. applies is
+// false when some LHS value is ⊥.
+func (cf *compiledFD) appendFoldKeys(tup tuples.Tuple, addrs map[xmltree.NodeID]string, lhsDst, rhsDst []byte) (lhsK, rhsK []byte, applies bool) {
+	lhsK, applies = appendKey(lhsDst, tup, cf.lhs, addrs)
+	if !applies {
+		return lhsK, rhsDst, false
+	}
+	rhsK, _ = appendKey(rhsDst, tup, cf.rhs, addrs)
+	return lhsK, rhsK, true
 }
 
 // SatisfiesAll checks T ⊨ Σ, stopping at the first violation.
@@ -311,243 +365,44 @@ func (cs *CheckerSet) report(witnesses map[int][2]tuples.Tuple) []Violated {
 	return out
 }
 
-// shardTrees splits the document across the root's children labelled
-// label: shard i sees child i of that label plus every child of every
-// other label, so each relevant sibling group other than label's is
-// intact and label's group is pinned to one choice. The union of the
-// shards' projection streams is exactly the full projection stream
-// (each projection makes one choice in label's group). Shard roots are
-// shallow copies sharing the original's ID, attributes and child
-// nodes, so shards are safe to stream concurrently as long as nothing
-// mutates the tree.
-func shardTrees(t *xmltree.Tree, label string) []*xmltree.Tree {
-	var mine, others []*xmltree.Node
-	for _, c := range t.Root.Children {
-		if c.Label == label {
-			mine = append(mine, c)
-		} else {
-			others = append(others, c)
-		}
-	}
-	shards := make([]*xmltree.Tree, len(mine))
-	for i, c := range mine {
-		root := &xmltree.Node{
-			ID:      t.Root.ID,
-			Label:   t.Root.Label,
-			Attrs:   t.Root.Attrs,
-			Text:    t.Root.Text,
-			HasText: t.Root.HasText,
-		}
-		root.Children = make([]*xmltree.Node, 0, 1+len(others))
-		root.Children = append(append(root.Children, c), others...)
-		shards[i] = &xmltree.Tree{Root: root}
-	}
-	return shards
-}
-
-// shardLabel picks the sibling-group label to shard on: the relevant
-// root choice label with the most children in the document (ties: plan
-// order). Returns "" when no relevant label has at least two children
-// — there is nothing to fan out then.
-func shardLabel(cl *cluster, t *xmltree.Tree) string {
-	counts := make(map[string]int, 4)
-	for _, c := range t.Root.Children {
-		counts[c.Label]++
-	}
-	best, bestN := "", 1
-	for _, label := range cl.pr.RootChoiceLabels() {
-		if n := counts[label]; n > bestN {
-			best, bestN = label, n
-		}
-	}
-	return best
-}
-
-// shardVerdict runs the parallel verdict pass for one cluster: which
-// of its FDs does the document violate? Each shard folds its stream
-// into per-FD group maps; the sequential merge then detects
-// cross-shard conflicts. Because within a violation-free shard every
-// tuple of an LHS group RHS-agrees with the shard's stored
-// representative, and RHS agreement is transitive, comparing
-// representatives across shards decides exactly the conflicts the
-// sequential pass would find. Returns (nil, false, nil) when sharding
-// is not applicable (too few shards or workers) — the caller falls
-// back to the sequential path. A cancelled ctx aborts the fan-out
-// between shards (pool.ForEachCtx stops handing out indices) and
-// returns the context's error.
-func (cs *CheckerSet) shardVerdict(ctx context.Context, cl *cluster, t *xmltree.Tree, workers int) (bad map[int]bool, ok bool, err error) {
-	if workers <= 1 {
-		return nil, false, nil
-	}
-	label := shardLabel(cl, t)
-	if label == "" {
-		return nil, false, nil
-	}
-	shards := shardTrees(t, label)
-	type shardRes struct {
-		groups   []map[string]tuples.Tuple // per local FD: LHS key -> representative
-		violated []bool
-	}
-	results := make([]*shardRes, len(shards))
-	err = pool.ForEachCtx(ctx, workers, len(shards), func(s int) error {
-		res := &shardRes{
-			groups:   make([]map[string]tuples.Tuple, len(cl.fds)),
-			violated: make([]bool, len(cl.fds)),
-		}
-		for li := range cl.fds {
-			res.groups[li] = make(map[string]tuples.Tuple)
-		}
-		remaining := len(cl.fds)
-		var buf []byte
-		cl.pr.Stream(shards[s], func(tup tuples.Tuple) bool {
-			for li, fi := range cl.fds {
-				if res.violated[li] {
-					continue
-				}
-				cf := &cs.fds[fi]
-				key, ok := lhsKey(tup, cf.lhs, buf[:0])
-				buf = key
-				if !ok {
-					continue
-				}
-				first, seen := res.groups[li][string(key)]
-				if !seen {
-					res.groups[li][string(key)] = tup.Clone()
-					continue
-				}
-				if !sameRHS(first, tup, cf.rhs) {
-					res.violated[li] = true
-					res.groups[li] = nil // dead once violated
-					remaining--
-				}
-			}
-			return remaining > 0
-		})
-		results[s] = res
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	// The per-FD merges are independent, so they fan out over the pool
-	// too: worker li touches only results[*].groups[li] (read-only
-	// after the fold pass above) and its own badLocal slot. The
-	// verdict per FD does not depend on merge order — RHS agreement is
-	// an equivalence relation, so a cross-shard conflict exists iff
-	// SOME pair of representatives of one LHS key disagrees — which
-	// keeps the result identical to the sequential merge at any worker
-	// count.
-	badLocal := make([]bool, len(cl.fds))
-	err = pool.ForEachCtx(ctx, workers, len(cl.fds), func(li int) error {
-		cf := &cs.fds[cl.fds[li]]
-		merged := make(map[string]tuples.Tuple)
-		for _, res := range results {
-			if res.violated[li] {
-				badLocal[li] = true
-				return nil
-			}
-			for key, rep := range res.groups[li] {
-				first, seen := merged[key]
-				if !seen {
-					merged[key] = rep
-					continue
-				}
-				if !sameRHS(first, rep, cf.rhs) {
-					badLocal[li] = true
-					return nil
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	bad = make(map[int]bool)
-	for li, fi := range cl.fds {
-		if badLocal[li] {
-			bad[fi] = true
-		}
-	}
-	return bad, true, nil
-}
-
-// violatedSharded collects the violated FD indices across all clusters
-// applicable to the document, sharding each cluster's verdict pass
-// over up to workers goroutines (clusters with nothing to fan out run
-// sequentially). The context is checked between clusters and between
-// shards; a cancellation surfaces as the context's error.
-func (cs *CheckerSet) violatedSharded(ctx context.Context, t *xmltree.Tree, workers int) (map[int]bool, error) {
-	all := make(map[int]bool)
-	for ci := range cs.clusters {
-		cl := &cs.clusters[ci]
-		if cl.label != t.Root.Label {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bad, ok, err := cs.shardVerdict(ctx, cl, t, workers)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			for fi := range bad {
-				all[fi] = true
-			}
-			continue
-		}
-		cs.checkCluster(cl, t, nil, func(i int, _ [2]tuples.Tuple) bool {
-			all[i] = true
-			return true
-		})
-	}
-	return all, nil
-}
-
-// SatisfiesAllSharded is SatisfiesAll with each cluster's verdict pass
-// fanned out over the root's top-level sibling choices on up to
-// workers goroutines (workers <= 1, or a document with nothing to fan
-// out, falls back to the sequential walk). The verdict is identical to
-// SatisfiesAll's.
-func (cs *CheckerSet) SatisfiesAllSharded(t *xmltree.Tree, workers int) bool {
-	ok, _ := cs.SatisfiesAllShardedCtx(context.Background(), t, workers)
-	return ok
-}
-
-// SatisfiesAllShardedCtx is SatisfiesAllSharded under a context: a
-// cancellation aborts the remaining shards promptly and returns the
-// context's error (the verdict is then meaningless).
-func (cs *CheckerSet) SatisfiesAllShardedCtx(ctx context.Context, t *xmltree.Tree, workers int) (bool, error) {
-	bad, err := cs.violatedSharded(ctx, t, workers)
-	if err != nil {
-		return false, err
-	}
-	return len(bad) == 0, nil
-}
-
-// ViolationsSharded is Violations with each cluster's verdict pass
-// sharded across up to workers goroutines. Witnesses are then
-// re-derived by sequential streams restricted to the violated FDs, so
-// the report — witnesses included — is identical to Violations'
-// regardless of worker count or scheduling. Documents that satisfy Σ
-// (the common case) never pay for the witness pass.
+// ViolationsSharded is ViolationsShardedCtx without a deadline.
 func (cs *CheckerSet) ViolationsSharded(t *xmltree.Tree, workers int) []Violated {
 	out, _ := cs.ViolationsShardedCtx(context.Background(), t, workers)
 	return out
 }
 
-// ViolationsShardedCtx is ViolationsSharded under a context, the form
-// a server uses so shutdown and per-request deadlines stop in-flight
-// checks: once ctx is cancelled, no further shard is started and the
-// context's error is returned with a nil report.
+// ViolationsShardedCtx is Violations with the verdict fold fanned out
+// over up to workers goroutines: SplitFragments cuts the document into
+// up to workers fragments, each folds into its own FoldState on the
+// pool, the states Merge into the whole document's verdict, and
+// WitnessReport re-derives the witnesses for the violated FDs only —
+// so the report, witnesses included, is identical to Violations' at
+// any worker count, and documents that satisfy Σ (the common case)
+// never pay for the witness pass. With nothing to split (workers <= 1,
+// or no relevant root sibling group with two children) it runs plain
+// Violations. Every fold checks ctx per tuple, the form a server uses
+// so shutdown and per-request deadlines stop in-flight checks: once
+// ctx is cancelled no fragment is started or merged, and the context's
+// error is returned with a nil report.
 func (cs *CheckerSet) ViolationsShardedCtx(ctx context.Context, t *xmltree.Tree, workers int) ([]Violated, error) {
-	bad, err := cs.violatedSharded(ctx, t, workers)
-	if err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return cs.WitnessReport(t, bad), nil
+	frags := cs.SplitFragments(t, workers)
+	if len(frags) == 1 {
+		return cs.Violations(t), nil
+	}
+	states := make([]*FoldState, len(frags))
+	if err := pool.ForEachCtx(ctx, workers, len(frags), func(i int) error {
+		states[i] = cs.NewFoldState()
+		return states[i].FoldFragment(ctx, frags[i])
+	}); err != nil {
+		return nil, err
+	}
+	for _, st := range states[1:] {
+		if err := states[0].Merge(st); err != nil {
+			return nil, err
+		}
+	}
+	return cs.WitnessReport(t, states[0].ViolatedSet()), nil
 }

@@ -9,8 +9,12 @@ package xfd_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/gen"
@@ -181,10 +185,11 @@ func TestCheckerSetDifferential(t *testing.T) {
 			ri++
 		}
 
-		if got := cs.SatisfiesAllSharded(doc, 4); got != allOK {
-			t.Fatalf("instance %d: SatisfiesAllSharded = %v, reference %v\nDTD:\n%s\ndoc:\n%s", instances, got, allOK, d, doc)
+		sharded := cs.ViolationsSharded(doc, 4)
+		if got := len(sharded) == 0; got != allOK {
+			t.Fatalf("instance %d: sharded verdict = %v, reference %v\nDTD:\n%s\ndoc:\n%s", instances, got, allOK, d, doc)
 		}
-		sameReports(t, seq, cs.ViolationsSharded(doc, 4), "instance")
+		sameReports(t, seq, sharded, "instance")
 	}
 }
 
@@ -213,7 +218,7 @@ func TestCheckerSetTrivialCases(t *testing.T) {
 	if !cs.SatisfiesAll(doc) || cs.Violations(doc) != nil {
 		t.Fatal("a foreign-root FD should be vacuously satisfied on this document")
 	}
-	if !cs.SatisfiesAllSharded(doc, 4) {
+	if cs.ViolationsSharded(doc, 4) != nil {
 		t.Fatal("sharded verdict must agree on the vacuous case")
 	}
 }
@@ -249,9 +254,70 @@ func TestCheckerSetShardedWideFanOut(t *testing.T) {
 	}
 	checkWitness(t, seq[0], "wide fan-out")
 	for _, workers := range []int{2, 4, 16} {
-		if cs.SatisfiesAllSharded(doc, workers) {
-			t.Fatalf("SatisfiesAllSharded(%d workers) = true on a violated document", workers)
+		sharded := cs.ViolationsSharded(doc, workers)
+		if len(sharded) == 0 {
+			t.Fatalf("ViolationsSharded(%d workers) reports nothing on a violated document", workers)
 		}
-		sameReports(t, seq, cs.ViolationsSharded(doc, workers), "wide fan-out")
+		sameReports(t, seq, sharded, "wide fan-out")
 	}
+}
+
+// TestViolationsShardedCtxCancel pins the sharded check's cancellation
+// contract: a context that is already cancelled returns its error
+// without folding, and a deadline a few milliseconds into a check that
+// takes far longer uncancelled stops every fragment fold at its next
+// tuple, returning context.DeadlineExceeded and no report.
+func TestViolationsShardedCtxCancel(t *testing.T) {
+	// Ten sibling groups of five children under the root, all carrying
+	// one value: one FD over all ten groups projects 5^10 agreeing
+	// tuples, so the fold never short-circuits and the satisfied
+	// document never pays for a witness pass. Narrow groups make any
+	// split coarse: a check that stops only between pieces of one group
+	// runs on for a fifth of the work per piece.
+	const groups, width = 10, 5
+	root := xmltree.NewNode("r")
+	var lhs []string
+	for g := 0; g < groups; g++ {
+		label := fmt.Sprintf("g%d", g)
+		for i := 0; i < width; i++ {
+			c := xmltree.NewNode(label)
+			c.SetAttr("v", "same")
+			root.Children = append(root.Children, c)
+		}
+		lhs = append(lhs, "r."+label+".@v")
+	}
+	doc := xmltree.NewTree(root)
+	cs, err := xfd.NewCheckerSetFor([]xfd.FD{xfd.New(lhs[1:], lhs[:1])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+
+	start := time.Now()
+	report, err := cs.ViolationsShardedCtx(context.Background(), doc, workers)
+	full := time.Since(start)
+	if err != nil || report != nil {
+		t.Fatalf("uncancelled check = %v, %v; want a satisfied document", report, err)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	start = time.Now()
+	report, err = cs.ViolationsShardedCtx(cancelled, doc, workers)
+	if elapsed := time.Since(start); !errors.Is(err, context.Canceled) || report != nil || elapsed > full/4 {
+		t.Fatalf("cancelled context: %v, %v after %v; want context.Canceled at once (full check %v)", report, err, elapsed, full)
+	}
+
+	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start = time.Now()
+	report, err = cs.ViolationsShardedCtx(deadline, doc, workers)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || report != nil {
+		t.Fatalf("5ms deadline: %v, %v; want context.DeadlineExceeded", report, err)
+	}
+	if elapsed > full/4 {
+		t.Fatalf("5ms deadline stopped after %v, want under a quarter of the uncancelled %v", elapsed, full)
+	}
+	t.Logf("uncancelled %v, 5ms deadline stopped after %v", full, elapsed)
 }

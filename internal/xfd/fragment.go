@@ -1,17 +1,17 @@
 package xfd
 
-// Fragment-local checking: the per-FD multiset fold state as a
-// first-class, mergeable, serializable value. A CheckerSet decides
-// T ⊨ Σ by folding each cluster's projection stream into per-FD
-// LHS-keyed group maps; everything that fold ever inspects about a
-// group is (a) whether two members disagree on the RHS and (b) one
-// representative per group — and RHS agreement is an equivalence
-// relation (the fold keys encode its classes as byte keys). The fold
-// therefore factors over any partition of the projection stream: fold
-// each part into its own FoldState, then Merge the states — a group
-// violates iff some pair of per-part representatives of one LHS key
-// disagrees, exactly what the sharded verdict pass (shardVerdict)
-// exploits and what the PR-4 differential suites pinned bit-identical.
+// Fragment-local checking: the per-FD fold as a first-class,
+// mergeable, serializable value. Everything the fold inspects about an
+// LHS group is whether two members disagree on the RHS, and RHS
+// agreement is an equivalence relation, so a FoldState keeps one
+// serializable RHS key per group instead of the witness fold's first
+// tuple (checkerset.go). The fold then factors over any partition of
+// the projection stream: fold each part into its own FoldState and
+// Merge the states — a group violates iff some pair of per-part
+// representatives of one LHS key disagrees. The witness fold stays
+// separate because a reader cannot re-read its input to find the
+// witness it dropped; a FoldState's verdict is turned into witnesses by
+// WitnessReport on the tree instead.
 //
 // SplitFragments produces such a partition structurally: it splits the
 // document at ONE top-level sibling group (a relevant root-child
@@ -24,8 +24,9 @@ package xfd
 // conflicts and merge idempotently. Either way the merged verdict is
 // the whole-document verdict, so a document distributed as fragments
 // (Abiteboul–Gottlob–Manna, Distributed XML Design) checks as
-// independently computed states combined associatively — the substrate
-// for multi-node scale-out.
+// independently computed states combined associatively — in process
+// (CheckerSet.ViolationsShardedCtx) or across processes
+// (internal/distrib).
 //
 // Portability: fold keys never embed process-minted vertex IDs.
 // An element value is keyed by its positional address — the spine of
@@ -48,6 +49,7 @@ package xfd
 // local whole-document fold.
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -75,9 +77,9 @@ type FoldState struct {
 // fdFold is one FD's share of the state. groups maps the fold's LHS
 // key to the RHS-class key of the group's representative; once
 // violated is set the groups map is irrelevant (violation is absorbing
-// under Merge) and is dropped — Fold, Merge and UnmarshalFoldState all
-// nil it out, so a long-lived state for a violating document retains
-// no dead group map.
+// under Merge) and is dropped — FoldFragment, Merge and
+// UnmarshalFoldState all nil it out, so a long-lived state for a
+// violating document retains no dead group map.
 type fdFold struct {
 	groups   map[string]string
 	violated bool
@@ -106,27 +108,31 @@ func (cs *CheckerSet) NewFoldState() *FoldState {
 	return st
 }
 
-// Fold folds one whole document into the state: the fragment
-// {t, "", 0}. See FoldFragment.
-func (st *FoldState) Fold(t *xmltree.Tree) { st.FoldFragment(Fragment{Tree: t}) }
-
 // FoldFragment folds one fragment into the state: every cluster whose
 // root label matches streams its projection once, and each tuple's
-// (LHS key, RHS class) lands in the group maps of the cluster's FDs.
+// (LHS key, RHS key) lands in the group maps of the cluster's FDs.
 // Element values are keyed by their positional address offset by
 // f.Start (see the package comment), so a state folded from the whole
-// document decides each FD exactly like CheckerSet.Check, and states
-// folded from SplitFragments' fragments — in this process or any other
-// — merge to the whole-document verdict. Folding several fragments
-// into one state is equivalent to folding each into its own state and
-// merging. A cluster walk short-circuits once all its FDs are violated
-// (violation is absorbing).
-func (st *FoldState) FoldFragment(f Fragment) {
+// document {t, "", 0} decides each FD exactly like CheckerSet.Check,
+// and states folded from SplitFragments' fragments — in this process
+// or any other — merge to the whole-document verdict. Folding several
+// fragments into one state is equivalent to folding each into its own
+// state and merging. A cluster walk short-circuits once all its FDs
+// are violated (violation is absorbing). ctx is checked before the
+// fold and per tuple; on cancellation FoldFragment returns the
+// context's error and the state is partial: discard it, never merge or
+// ship it.
+func (st *FoldState) FoldFragment(ctx context.Context, f Fragment) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	cs := st.cs
 	var addrs map[xmltree.NodeID]string
 	if cs.elemSides {
 		addrs = fragmentAddrs(f)
 	}
+	done := ctx.Done()
+	var err error
 	for ci := range cs.clusters {
 		cl := &cs.clusters[ci]
 		if cl.label != f.Tree.Root.Label {
@@ -143,12 +149,18 @@ func (st *FoldState) FoldFragment(f Fragment) {
 		}
 		var lhsBuf, rhsBuf []byte
 		cl.pr.Stream(f.Tree, func(tup tuples.Tuple) bool {
+			select {
+			case <-done:
+				err = ctx.Err()
+				return false
+			default:
+			}
 			for _, fi := range cl.fds {
 				fd := &st.fds[fi]
 				if fd.violated {
 					continue
 				}
-				lhsK, rhsK, applies := cs.appendPortableKeys(tup, fi, addrs, lhsBuf[:0], rhsBuf[:0])
+				lhsK, rhsK, applies := cs.fds[fi].appendFoldKeys(tup, addrs, lhsBuf[:0], rhsBuf[:0])
 				lhsBuf, rhsBuf = lhsK, rhsK
 				if !applies {
 					continue
@@ -167,7 +179,11 @@ func (st *FoldState) FoldFragment(f Fragment) {
 			}
 			return remaining > 0
 		})
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // fragmentAddrs assigns every node of the fragment its positional
@@ -195,57 +211,13 @@ func fragmentAddrs(f Fragment) map[xmltree.NodeID]string {
 			}
 			// Full-slice the prefix so sibling appends never share
 			// backing arrays.
-			addr := appendUvarint(prefix[:len(prefix):len(prefix)], uint64(ord))
+			addr := binary.AppendUvarint(prefix[:len(prefix):len(prefix)], uint64(ord))
 			addrs[c.ID] = string(addr)
 			walk(c, addr, depth+1)
 		}
 	}
 	walk(f.Tree.Root, nil, 0)
 	return addrs
-}
-
-// appendPortableKeys computes FD fi's fold keys for one projected
-// tuple — the FoldState analog of AppendFoldKeys, with every vertex
-// value encoded through the fragment's address table instead of its
-// process-minted NodeID, which is what makes marshaled states
-// comparable and mergeable across processes. addrs may be nil only
-// when no FD side of the set mentions an element-valued path.
-func (cs *CheckerSet) appendPortableKeys(tup tuples.Tuple, fi int, addrs map[xmltree.NodeID]string, lhsDst, rhsDst []byte) (lhsK, rhsK []byte, applies bool) {
-	cf := &cs.fds[fi]
-	lhsK = lhsDst
-	for _, id := range cf.lhs {
-		v, ok := tup.GetID(id)
-		if !ok {
-			return lhsK, rhsDst, false
-		}
-		lhsK = appendPortableValue(lhsK, v, addrs)
-	}
-	rhsK = rhsDst
-	for _, id := range cf.rhs {
-		v, ok := tup.GetID(id)
-		if !ok {
-			rhsK = append(rhsK, 0) // ⊥: present-vs-absent must differ
-			continue
-		}
-		rhsK = appendPortableValue(rhsK, v, addrs)
-	}
-	return lhsK, rhsK, true
-}
-
-// appendPortableValue appends one self-delimiting value encoding:
-// vertices as tag 1 + length-prefixed positional address, strings as
-// tag 2 + length-prefixed bytes (tag 0 is the RHS ⊥ marker).
-func appendPortableValue(dst []byte, v tuples.Value, addrs map[xmltree.NodeID]string) []byte {
-	if v.IsNode() {
-		a := addrs[v.Node()]
-		dst = append(dst, 1)
-		dst = appendUvarint(dst, uint64(len(a)))
-		return append(dst, a...)
-	}
-	s := v.Str()
-	dst = append(dst, 2)
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // Merge folds another state into this one. Merge is associative and
@@ -285,23 +257,11 @@ func (st *FoldState) Merge(other *FoldState) error {
 	return nil
 }
 
-// Violated returns the indices (Σ order) of the FDs the folded
-// multiset violates. On a state folded from a whole document — or
-// merged from fragments of one — this is exactly the violated set of
-// CheckerSet.Violations; pass it to WitnessReport to re-derive the
-// canonical witness report.
-func (st *FoldState) Violated() []int {
-	var out []int
-	for fi := range st.fds {
-		if st.fds[fi].violated {
-			out = append(out, fi)
-		}
-	}
-	return out
-}
-
-// ViolatedSet returns the violated FD indices as the set WitnessReport
-// consumes; nil when the folded multiset satisfies Σ.
+// ViolatedSet returns the indices (Σ order) of the FDs the folded
+// multiset violates, as the set WitnessReport consumes; nil when it
+// satisfies Σ. On a state folded from a whole document — or merged
+// from fragments of one — this is exactly the violated set of
+// CheckerSet.Violations.
 func (st *FoldState) ViolatedSet() map[int]bool {
 	var out map[int]bool
 	for fi := range st.fds {
@@ -313,16 +273,6 @@ func (st *FoldState) ViolatedSet() map[int]bool {
 		}
 	}
 	return out
-}
-
-// Satisfied reports whether the folded multiset violates no FD.
-func (st *FoldState) Satisfied() bool {
-	for fi := range st.fds {
-		if st.fds[fi].violated {
-			return false
-		}
-	}
-	return true
 }
 
 // MarshalBinary serializes the state: a magic header, the FD count,
@@ -407,7 +357,9 @@ func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.fds[fi].groups = make(map[string]string, groups)
+		// The count is untrusted: size the map by what the remaining
+		// bytes can hold (two length prefixes per group), not by it.
+		st.fds[fi].groups = make(map[string]string, min(groups, uint64(len(data))/2))
 		for g := uint64(0); g < groups; g++ {
 			lhsK, err := readBytes()
 			if err != nil {

@@ -10,6 +10,7 @@ package xfd_test
 // also a concurrency test.
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -32,6 +33,18 @@ func violatedIndices(cs *xfd.CheckerSet, report []xfd.Violated) []int {
 				out = append(out, i)
 				break
 			}
+		}
+	}
+	return out
+}
+
+// violatedOf lists a fold state's ViolatedSet in Σ order.
+func violatedOf(cs *xfd.CheckerSet, st *xfd.FoldState) []int {
+	bad := st.ViolatedSet()
+	var out []int
+	for i := 0; i < cs.Len(); i++ {
+		if bad[i] {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -119,8 +132,10 @@ func TestFoldStateDifferential(t *testing.T) {
 		want := violatedIndices(cs, seq)
 
 		whole := cs.NewFoldState()
-		whole.Fold(doc)
-		if got := whole.Violated(); !sameInts(got, want) {
+		if err := whole.FoldFragment(context.Background(), xfd.Fragment{Tree: doc}); err != nil {
+			t.Fatal(err)
+		}
+		if got := violatedOf(cs, whole); !sameInts(got, want) {
 			t.Fatalf("instance %d: whole-document fold violated %v, Violations %v\nDTD:\n%s\ndoc:\n%s",
 				instances, got, want, d, doc)
 		}
@@ -135,7 +150,9 @@ func TestFoldStateDifferential(t *testing.T) {
 			remote := make([]*xfd.FoldState, len(frags))
 			if err := pool.ForEach(4, len(frags), func(i int) error {
 				states[i] = cs.NewFoldState()
-				states[i].FoldFragment(frags[i])
+				if err := states[i].FoldFragment(context.Background(), frags[i]); err != nil {
+					return err
+				}
 				// The cross-process leg: re-fold the fragment from a
 				// serialize/reparse round trip, which mints fresh
 				// vertex IDs exactly like a worker process would.
@@ -144,8 +161,7 @@ func TestFoldStateDifferential(t *testing.T) {
 					return err
 				}
 				remote[i] = cs.NewFoldState()
-				remote[i].FoldFragment(xfd.Fragment{Tree: reparsed, Label: frags[i].Label, Start: frags[i].Start})
-				return nil
+				return remote[i].FoldFragment(context.Background(), xfd.Fragment{Tree: reparsed, Label: frags[i].Label, Start: frags[i].Start})
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -160,11 +176,11 @@ func TestFoldStateDifferential(t *testing.T) {
 				}
 			}
 			merged := mergeAll(t, states, rng)
-			if got := merged.Violated(); !sameInts(got, want) {
+			if got := violatedOf(cs, merged); !sameInts(got, want) {
 				t.Fatalf("instance %d: %d fragments merged violated %v, want %v\nDTD:\n%s\ndoc:\n%s",
 					instances, len(frags), got, want, d, doc)
 			}
-			if got := merged.Satisfied(); got != (len(want) == 0) {
+			if got := len(merged.ViolatedSet()) == 0; got != (len(want) == 0) {
 				t.Fatalf("instance %d: merged Satisfied = %v, want %v", instances, got, len(want) == 0)
 			}
 			sameReports(t, seq, cs.WitnessReport(doc, merged.ViolatedSet()), "fragment-merged report")
@@ -292,7 +308,9 @@ func TestFoldStateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := csA.NewFoldState()
-	st.Fold(doc)
+	if err := st.FoldFragment(context.Background(), xfd.Fragment{Tree: doc}); err != nil {
+		t.Fatal(err)
+	}
 	good, err := st.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +322,7 @@ func TestFoldStateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if !back.Satisfied() {
+	if len(back.ViolatedSet()) != 0 {
 		t.Fatal("round-tripped satisfied state must stay satisfied")
 	}
 }

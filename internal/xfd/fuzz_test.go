@@ -2,7 +2,10 @@ package xfd
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -115,4 +118,95 @@ func TestFuzzCheckReaderSeeds(t *testing.T) {
 	if !errors.As(rerr, &de) {
 		t.Fatalf("want DepthError, got %v", rerr)
 	}
+}
+
+// hugeGroupCountBlob is a 13-byte fold state for a set of nFDs FDs
+// whose first FD claims 2^24 groups and carries none. Sizing the group
+// map by that untrusted count allocated about 1.3 GB before decoding
+// failed as truncated.
+func hugeGroupCountBlob(nFDs int) []byte {
+	b := []byte(foldStateMagic)
+	b = binary.AppendUvarint(b, uint64(nFDs))
+	b = append(b, 0) // not violated
+	return binary.AppendUvarint(b, 1<<24)
+}
+
+// TestUnmarshalFoldStateHugeGroupCount feeds the 13-byte blob above to
+// UnmarshalFoldState: it must fail as truncated while allocating
+// almost nothing, since the map size hint is capped by what the
+// remaining bytes can hold.
+func TestUnmarshalFoldStateHugeGroupCount(t *testing.T) {
+	cs, err := NewCheckerSetFor([]FD{MustParse("r.c.@k -> r.c")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := hugeGroupCountBlob(1)
+	if len(blob) != 13 {
+		t.Fatalf("blob is %d bytes, want 13", len(blob))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = cs.UnmarshalFoldState(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("UnmarshalFoldState = %v, want a truncation error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("UnmarshalFoldState allocated %d bytes decoding 13, want under 1 MB", alloc)
+	}
+}
+
+// FuzzUnmarshalFoldState feeds arbitrary bytes to the decoder of
+// worker replies: it must never panic, and any input it accepts must
+// re-marshal to bytes that decode and re-marshal identically.
+func FuzzUnmarshalFoldState(f *testing.F) {
+	cs, err := NewCheckerSetFor([]FD{
+		MustParse("r.c.@k -> r.c.@v"),
+		MustParse("r.c.@v -> r.c"), // element-valued: positional address keys
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, doc := range []string{
+		"<r><c k=\"1\" v=\"a\"/><c k=\"2\" v=\"b\"/><c k=\"3\"/></r>", // satisfied
+		"<r><c k=\"1\" v=\"a\"/><c k=\"1\" v=\"b\"/></r>",             // violates the first FD only
+	} {
+		tree, err := xmltree.ParseString(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		st := cs.NewFoldState()
+		if err := st.FoldFragment(context.Background(), Fragment{Tree: tree}); err != nil {
+			f.Fatal(err)
+		}
+		blob, err := st.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+		f.Add(blob[:len(blob)-1])
+	}
+	f.Add(hugeGroupCountBlob(cs.Len()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := cs.UnmarshalFoldState(data)
+		if err != nil {
+			return
+		}
+		once, err := st.MarshalBinary()
+		if err != nil {
+			t.Fatalf("MarshalBinary of an accepted state: %v", err)
+		}
+		back, err := cs.UnmarshalFoldState(once)
+		if err != nil {
+			t.Fatalf("re-marshaled state does not decode: %v", err)
+		}
+		twice, err := back.MarshalBinary()
+		if err != nil {
+			t.Fatalf("MarshalBinary: %v", err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("re-marshaling is not stable:\n once %q\ntwice %q", once, twice)
+		}
+	})
 }

@@ -1,16 +1,16 @@
 package xfd
 
-// Exported fold/unfold hooks for the incremental checking engine
-// (internal/incremental). A CheckerSet compiles Σ into clusters, each
-// with a union projector and per-FD (LHS, RHS) path-ID sides; the
-// sequential and sharded passes fold projection streams into per-FD
-// LHS-keyed group maps using those compiled sides. The incremental
-// Session maintains the same group maps with reference counts across
-// edits, so it needs the cluster layout, the projectors (to run pinned
-// delta streams), and the exact key encodings — exposed here so the
-// maps it maintains are keyed identically to the ones a from-scratch
-// pass would build, which is what makes "re-derive witnesses through
-// checkCluster" yield reports bit-identical to Violations.
+// Exported fold hooks for the incremental checking engine
+// (internal/incremental). The Session keeps a third accumulator beside
+// the witness fold and FoldState: NodeID-keyed reference counts per
+// (LHS key, RHS key) pair, maintained across edits. It keys by NodeID
+// rather than by positional address because deleting a sibling shifts
+// the ordinals of every later sibling, which would re-key tuples the
+// edit never touched. It needs the cluster layout, the projectors (to
+// run pinned delta streams) and the key encoder — exposed here so its
+// maps are keyed exactly as a from-scratch fold keys them — and turns
+// its verdicts into reports through WitnessReport, which is what makes
+// them bit-identical to Violations.
 
 import (
 	"xmlnorm/internal/tuples"
@@ -36,60 +36,35 @@ func (cs *CheckerSet) ClusterFDs(ci int) []int { return cs.clusters[ci].fds }
 func (cs *CheckerSet) ClusterProjector(ci int) *tuples.Projector { return cs.clusters[ci].pr }
 
 // AppendFoldKeys computes the group-map keys of one projected tuple
-// under FD fi (Σ index): the LHS key the fold groups by and an RHS key
-// that is equal between two tuples of a group exactly when sameRHS
-// holds — i.e. grouping refcounts by (lhsKey, rhsKey) counts RHS
-// equivalence classes, and an LHS group violates the FD iff it holds
-// two distinct RHS keys. applies is false when some LHS value is ⊥
-// (the FD does not constrain the tuple; key contents are then
-// unspecified). Keys are appended to the dst slices (pass buf[:0] to
-// reuse); the returned slices alias them.
+// under FD fi (Σ index) with the fold's key encoder, vertices as
+// NodeIDs: the LHS key the fold groups by and an RHS key that is equal
+// between two tuples of a group exactly when their RHS values agree —
+// i.e. grouping refcounts by (lhsKey, rhsKey) counts RHS equivalence
+// classes, and an LHS group violates the FD iff it holds two distinct
+// RHS keys. applies is false when some LHS value is ⊥ (the FD does not
+// constrain the tuple; key contents are then unspecified). Keys are
+// appended to the dst slices (pass buf[:0] to reuse); the returned
+// slices alias them.
 func (cs *CheckerSet) AppendFoldKeys(tup tuples.Tuple, fi int, lhsDst, rhsDst []byte) (lhsK, rhsK []byte, applies bool) {
-	cf := &cs.fds[fi]
-	lhsK, ok := lhsKey(tup, cf.lhs, lhsDst)
-	if !ok {
-		return lhsK, rhsDst, false
-	}
-	rhsK = rhsDst
-	for _, id := range cf.rhs {
-		v, ok := tup.GetID(id)
-		switch {
-		case !ok:
-			rhsK = append(rhsK, 0) // ⊥: present-vs-absent must differ
-		case v.IsNode():
-			rhsK = append(rhsK, 1)
-			rhsK = appendUvarint(rhsK, uint64(v.Node()))
-		default:
-			s := v.Str()
-			rhsK = append(rhsK, 2)
-			rhsK = appendUvarint(rhsK, uint64(len(s)))
-			rhsK = append(rhsK, s...)
-		}
-	}
-	return lhsK, rhsK, true
+	return cs.fds[fi].appendFoldKeys(tup, nil, lhsDst, rhsDst)
 }
 
 // WitnessReport re-derives the violation report for a known verdict:
-// given the set of violated FD indices, it runs one sequential stream
-// per applicable cluster restricted to those FDs and returns the same
-// []Violated — first-conflict witnesses in Σ order — that Violations
-// would produce on the document. This is how both the sharded checker
-// and the incremental Session turn a cheap verdict into the canonical
-// report; a nil/empty bad set returns nil without walking anything.
+// given the set of violated FD indices, it runs the witness fold over
+// one sequential stream per applicable cluster, restricted to those
+// FDs, and returns the same []Violated — first-conflict witnesses in Σ
+// order — that Violations would produce on the document. This is how
+// the sharded checker, the distributed coordinator and the incremental
+// Session turn a cheap verdict into the canonical report; a nil/empty
+// bad set returns nil without walking anything.
 func (cs *CheckerSet) WitnessReport(t *xmltree.Tree, bad map[int]bool) []Violated {
 	if len(bad) == 0 {
 		return nil
 	}
 	witnesses := make(map[int][2]tuples.Tuple, len(bad))
-	for ci := range cs.clusters {
-		cl := &cs.clusters[ci]
-		if cl.label != t.Root.Label {
-			continue
-		}
-		cs.checkCluster(cl, t, bad, func(i int, w [2]tuples.Tuple) bool {
-			witnesses[i] = w
-			return true
-		})
-	}
+	cs.check(t, bad, func(i int, w [2]tuples.Tuple) bool {
+		witnesses[i] = w
+		return true
+	})
 	return cs.report(witnesses)
 }

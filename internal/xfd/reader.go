@@ -4,22 +4,21 @@ package xfd
 // the token-fused tuple streamer (tuples.TokenStream), so T ⊨ Σ is
 // decided straight off the wire bytes without ever materializing the
 // document tree. One xmltree.WalkTokens pass multiplexes the token
-// events across the applicable clusters' streams; each stream folds
-// its projections into exactly the per-FD LHS-keyed group maps
-// checkCluster builds, with the same clone-on-store, first-conflict
-// and short-circuit behavior — and because the token streamer yields
-// tuples in exactly the tree streamer's order, verdicts and witness
-// reports are identical to the tree path's, modulo the process-global
-// vertex IDs minted for element paths (CanonicalReport compares
-// reports across parses up to that renaming). Memory is bounded by
-// nesting depth, the fold maps' live state (finite per Vincent & Liu's
-// finiteness of the per-path fold), and any subtrees participating in
-// genuine cross products of relevant sibling groups — independent of
-// document length for chain-shaped clusters. The walk always consumes
-// the reader to the end of the document, even once every FD is decided
-// or the caller aborts, so structural acceptance is exactly
-// xmltree.Parse's: malformed input fails with xmltree.MalformedError,
-// over-deep input with xmltree.DepthError.
+// events across the applicable clusters' streams, and each stream
+// drives the same witness fold the tree path runs (witnessFold) — and
+// because the token streamer yields tuples in exactly the tree
+// streamer's order, verdicts and witness reports are identical to the
+// tree path's, modulo the process-global vertex IDs minted for element
+// paths (CanonicalReport compares reports across parses up to that
+// renaming). Memory is bounded by nesting depth, the fold maps' live
+// state (finite per Vincent & Liu's finiteness of the per-path fold),
+// and any subtrees participating in genuine cross products of relevant
+// sibling groups — independent of document length for chain-shaped
+// clusters. The walk always consumes the reader to the end of the
+// document, even once every FD is decided or the caller aborts, so
+// structural acceptance is exactly xmltree.Parse's: malformed input
+// fails with xmltree.MalformedError, over-deep input with
+// xmltree.DepthError.
 
 import (
 	"fmt"
@@ -57,57 +56,6 @@ func (o ReaderOptions) limit() int {
 // exactly the nesting limit the local check would.
 func (o ReaderOptions) Limit() int { return o.limit() }
 
-// clusterFold builds the per-tuple fold of one cluster — the exact
-// fold checkCluster runs, as a yield callback for the cluster's token
-// stream. The shared aborted flag mirrors Check's abort semantics
-// across all multiplexed clusters.
-func (cs *CheckerSet) clusterFold(cl *cluster, aborted *bool, onViolation func(i int, witness [2]tuples.Tuple) bool) func(tuples.Tuple) bool {
-	type fdState struct {
-		groups   map[string]tuples.Tuple // LHS key -> first tuple of the group (cloned)
-		violated bool
-	}
-	states := make([]fdState, len(cl.fds))
-	for li := range states {
-		states[li].groups = make(map[string]tuples.Tuple)
-	}
-	remaining := len(cl.fds)
-	var buf []byte
-	return func(tup tuples.Tuple) bool {
-		if *aborted {
-			return false
-		}
-		for li, fi := range cl.fds {
-			st := &states[li]
-			if st.violated {
-				continue
-			}
-			cf := &cs.fds[fi]
-			key, ok := lhsKey(tup, cf.lhs, buf[:0])
-			buf = key
-			if !ok {
-				continue // some LHS value is ⊥: the FD does not apply
-			}
-			first, seen := st.groups[string(key)]
-			if !seen {
-				// The stream reuses its scratch tuple; clone what we keep.
-				st.groups[string(key)] = tup.Clone()
-				continue
-			}
-			if sameRHS(first, tup, cf.rhs) {
-				continue
-			}
-			st.violated = true
-			st.groups = nil // dead once violated: free it mid-stream
-			remaining--
-			if onViolation != nil && !onViolation(fi, [2]tuples.Tuple{first, tup.Clone()}) {
-				*aborted = true
-				return false
-			}
-		}
-		return remaining > 0
-	}
-}
-
 // CheckReader is Check off an XML byte stream: it decides every FD of
 // the set against the document arriving on r in a single token walk,
 // without materializing the tree. Each violated FD is reported exactly
@@ -132,7 +80,7 @@ func (cs *CheckerSet) CheckReader(r io.Reader, opts ReaderOptions, onViolation f
 					if cl.label != label {
 						continue // vacuously satisfied on this document
 					}
-					fold := cs.clusterFold(cl, &aborted, onViolation)
+					fold := cs.witnessFold(cl, nil, &aborted, onViolation)
 					streams = append(streams, cl.pr.StartTokens(fold))
 				}
 			}

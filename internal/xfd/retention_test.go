@@ -9,6 +9,7 @@ package xfd
 // stops retaining dead group maps.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -37,8 +38,8 @@ func violatingDoc(t *testing.T, n int) *xmltree.Tree {
 }
 
 // TestViolatedGroupsDropped asserts the group map is nil — dropped,
-// not just ignored — after a violation lands through Fold, through
-// Merge, and through UnmarshalFoldState.
+// not just ignored — after a violation lands through FoldFragment,
+// through Merge, and through UnmarshalFoldState.
 func TestViolatedGroupsDropped(t *testing.T) {
 	// Two FDs so the walk survives the first FD's violation: the
 	// second never conflicts (its RHS is its LHS) and keeps streaming.
@@ -53,13 +54,15 @@ func TestViolatedGroupsDropped(t *testing.T) {
 	doc := violatingDoc(t, 64)
 
 	st := cs.NewFoldState()
-	st.Fold(doc)
+	if err := st.FoldFragment(context.Background(), Fragment{Tree: doc}); err != nil {
+		t.Fatal(err)
+	}
 	if !st.fds[0].violated || st.fds[0].groups != nil {
-		t.Fatalf("Fold: violated FD retains groups map (violated=%v, groups=%v)",
+		t.Fatalf("FoldFragment: violated FD retains groups map (violated=%v, groups=%v)",
 			st.fds[0].violated, st.fds[0].groups != nil)
 	}
 	if st.fds[1].violated || st.fds[1].groups == nil {
-		t.Fatalf("Fold: satisfied FD must keep its groups")
+		t.Fatalf("FoldFragment: satisfied FD must keep its groups")
 	}
 
 	// Merge-detected conflict: each half is conflict-free, but "dup"
@@ -71,7 +74,9 @@ func TestViolatedGroupsDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs := cs.NewFoldState()
-		fs.Fold(d)
+		if err := fs.FoldFragment(context.Background(), Fragment{Tree: d}); err != nil {
+			t.Fatal(err)
+		}
 		return fs
 	}
 	a := half("<r><c k=\"dup\"/></r>")
@@ -133,7 +138,9 @@ func TestViolatedStatesRetainLittle(t *testing.T) {
 	base := liveHeap()
 	for i := range states {
 		states[i] = cs.NewFoldState()
-		states[i].Fold(doc)
+		if err := states[i].FoldFragment(context.Background(), Fragment{Tree: doc}); err != nil {
+			t.Fatal(err)
+		}
 		// Drop the satisfied FD's map too: this test measures what a
 		// violated fold retains, and FD 1 legitimately keeps ~4000
 		// live entries per state.

@@ -5,12 +5,15 @@
 // maximal tuples that agree on S1 with non-null values also agree on S2
 // (where ⊥ = ⊥ counts as agreement on the right-hand side).
 //
-// Checking an entire Σ is one clustered fold (CheckerSet) with several
-// frontends — whole tree (Violations), sharded tree
-// (ViolationsSharded), io.Reader stream (CheckReader), and mergeable
-// per-fragment fold states (FoldState) — all pinned bit-identical to
-// each other by differential suites; ARCHITECTURE.md (layers 3 and 3b)
-// at the repo root maps them out.
+// Checking an entire Σ is one clustered fold (CheckerSet) with two
+// accumulators over one key encoder: the witness fold keeps each LHS
+// group's first tuple and yields first-conflict witnesses, on a tree
+// (Violations) or off a byte stream (CheckReader); FoldState keeps one
+// serializable RHS key per group, so fragments of a document fold
+// independently and merge — in process (ViolationsSharded) or across
+// processes (internal/distrib). Differential suites pin every frontend
+// bit-identical to the others; ARCHITECTURE.md (layers 3 and 3b) at
+// the repo root maps them out.
 package xfd
 
 import (
@@ -308,91 +311,22 @@ func (f FD) SingleRHS() []FD {
 	return out
 }
 
-// Checker is a compiled satisfaction check for one FD over a path
-// universe: a projection plan (shared across trees) plus the FD's sides
-// pre-resolved to IDs. Build once, reuse across trees — a Checker is
-// read-only after construction and safe for concurrent use.
-type Checker struct {
-	fd  FD
-	pr  *tuples.Projector
-	lhs []paths.ID
-	rhs []paths.ID
-}
-
-// NewChecker compiles the FD against the universe. Every path of the FD
-// must be interned in the universe.
-func NewChecker(u *paths.Universe, f FD) (*Checker, error) {
-	pr, err := tuples.NewProjector(u, f.Paths())
-	if err != nil {
-		return nil, fmt.Errorf("xfd: %s: %v", f, err)
-	}
-	c := &Checker{fd: f, pr: pr}
-	for _, p := range f.LHS {
-		c.lhs = append(c.lhs, u.MustLookup(p))
-	}
-	for _, p := range f.RHS {
-		c.rhs = append(c.rhs, u.MustLookup(p))
-	}
-	return c, nil
-}
-
-// FD returns the compiled dependency.
-func (c *Checker) FD() FD { return c.fd }
-
-// Satisfies checks T ⊨ f.
-func (c *Checker) Satisfies(t *xmltree.Tree) bool {
-	_, bad := c.Violation(t)
-	return !bad
-}
-
-// Violation returns a witness pair of projected tuples violating the
-// FD, if any. The projections are streamed (tuples.Projector.Stream)
-// and folded into a map keyed by LHS values — within a group all RHS
-// projections must agree — so the check never materializes the tuple
-// product and stops at the first conflict.
-func (c *Checker) Violation(t *xmltree.Tree) (witness [2]tuples.Tuple, bad bool) {
-	groups := make(map[string]tuples.Tuple)
-	var buf []byte
-	c.pr.Stream(t, func(tup tuples.Tuple) bool {
-		key, ok := lhsKey(tup, c.lhs, buf[:0])
-		buf = key
-		if !ok {
-			return true // some LHS value is ⊥: the FD does not apply
-		}
-		first, seen := groups[string(key)]
-		if !seen {
-			// The stream reuses its scratch tuple; clone what we keep.
-			groups[string(key)] = tup.Clone()
-			return true
-		}
-		if sameRHS(first, tup, c.rhs) {
-			return true
-		}
-		witness, bad = [2]tuples.Tuple{first, tup.Clone()}, true
-		return false
-	})
-	return witness, bad
-}
-
 // Satisfies checks T ⊨ f: for every pair of maximal tuples t1, t2 of T,
 // if t1.LHS = t2.LHS with all values non-null, then t1.RHS = t2.RHS
-// (null = null counts as equal). The check enumerates projections of the
-// maximal tuples onto the FD's paths only, so it does not materialize
-// the full tuple set. Callers checking many trees against the same FD
-// should compile a Checker once instead.
-func Satisfies(t *xmltree.Tree, f FD) bool {
-	_, ok := Violation(t, f)
-	return !ok
-}
+// (null = null counts as equal). It compiles f as a one-FD CheckerSet,
+// so the check streams projections onto f's paths only and never
+// materializes the full tuple set. Callers checking many trees should
+// compile a CheckerSet once instead.
+func Satisfies(t *xmltree.Tree, f FD) bool { return SatisfiesAll(t, []FD{f}) }
 
 // Violation returns a witness pair of projected tuples violating f, if
-// any.
+// any: the first conflict in enumeration order.
 func Violation(t *xmltree.Tree, f FD) ([2]tuples.Tuple, bool) {
-	c, err := NewChecker(paths.ForQuery(f.Paths()), f)
-	if err != nil {
-		return [2]tuples.Tuple{}, false // unreachable: query universes intern all f's paths
+	vs := ViolationReport(t, []FD{f})
+	if len(vs) == 0 {
+		return [2]tuples.Tuple{}, false
 	}
-	return c.Violation(t)
+	return vs[0].Witness, true
 }
 
 // SatisfiesAll checks T ⊨ Σ in one streaming walk of the document
@@ -425,35 +359,6 @@ func sigmaUniverse(sigma []FD) *paths.Universe {
 // DTD) should use NewCheckerSet to share it.
 func NewCheckerSetFor(sigma []FD) (*CheckerSet, error) {
 	return NewCheckerSet(sigmaUniverse(sigma), sigma)
-}
-
-// lhsKey appends an unambiguous binary encoding of the tuple's LHS
-// values to dst; ok is false when some LHS value is ⊥.
-func lhsKey(t tuples.Tuple, lhs []paths.ID, dst []byte) (key []byte, ok bool) {
-	for _, id := range lhs {
-		v, ok := t.GetID(id)
-		if !ok {
-			return dst, false
-		}
-		if v.IsNode() {
-			dst = append(dst, 1)
-			dst = appendUvarint(dst, uint64(v.Node()))
-		} else {
-			s := v.Str()
-			dst = append(dst, 2)
-			dst = appendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		}
-	}
-	return dst, true
-}
-
-func appendUvarint(dst []byte, x uint64) []byte {
-	for x >= 0x80 {
-		dst = append(dst, byte(x)|0x80)
-		x >>= 7
-	}
-	return append(dst, byte(x))
 }
 
 func sameRHS(a, b tuples.Tuple, rhs []paths.ID) bool {

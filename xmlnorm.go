@@ -292,10 +292,12 @@ func Violations(t *Tree, sigma []FD) []Violated {
 }
 
 // ViolationsOpts is Violations with the verdict pass sharded across
-// the engine options' worker count (see xfd.CheckerSet): the root's
-// top-level sibling choices fan out to a worker pool, and witnesses
-// are re-derived sequentially for the violated FDs only, so the report
-// is identical to Violations' regardless of worker count.
+// the engine options' worker count (see
+// xfd.CheckerSet.ViolationsShardedCtx): the document splits into one
+// fragment per worker, the fragments' fold states are computed on a
+// worker pool and merged, and witnesses are re-derived sequentially
+// for the violated FDs only, so the report is identical to Violations'
+// regardless of worker count.
 func ViolationsOpts(t *Tree, sigma []FD, eo EngineOptions) []Violated {
 	if len(sigma) == 0 {
 		return nil
