@@ -69,6 +69,9 @@ func cmdAnalyze(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: xnf analyze [-maxkey N] [-mvd MVD]... [-witness] [-json] <spec>")
 	}
+	if *maxKey < 0 {
+		return fmt.Errorf("analyze -maxkey %d: the bound must be 0 (the default) or positive", *maxKey)
+	}
 	s, err := loadSpec(fs.Arg(0))
 	if err != nil {
 		return err

@@ -37,10 +37,13 @@ func captureBoth(t *testing.T, fn func() error) (stdout, stderr string, err erro
 }
 
 // TestGoldenOutput pins the CLI's observable behavior on the paper's
-// two specifications: stdout, stderr and the negative-result signal
-// must match the recorded golden files byte for byte, in the default
-// configuration and across the -parallel/-cache matrix (the engine's
-// knobs must never change answers or output).
+// two specifications, plus the analysis of chain-7 ("xnfgen chain
+// -depth 7 -attrs 2"), whose 14-column flat image is the first pinned
+// one wide enough to make the 4NF sweep cost anything: stdout, stderr
+// and the negative-result signal must match the recorded golden files
+// byte for byte, in the default configuration and across the
+// -parallel/-cache matrix (the engine's knobs must never change
+// answers or output).
 func TestGoldenOutput(t *testing.T) {
 	cases := []struct {
 		golden   string
@@ -55,6 +58,8 @@ func TestGoldenOutput(t *testing.T) {
 		{"analyze_courses_json.golden", []string{"analyze", "-json", "-witness", td("courses.spec")}, true},
 		{"analyze_dblp.golden", []string{"analyze", td("dblp.spec")}, true},
 		{"analyze_dblp_json.golden", []string{"analyze", "-json", td("dblp.spec")}, true},
+		{"analyze_chain7.golden", []string{"analyze", td("chain7.spec")}, true},
+		{"analyze_chain7_json.golden", []string{"analyze", "-json", "-witness", td("chain7.spec")}, true},
 	}
 	configs := [][]string{
 		nil,                                // defaults: GOMAXPROCS workers, cache on

@@ -210,6 +210,39 @@ func TestCoverCommand(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFlags covers the flags of "xnf analyze" the golden files
+// leave at their defaults: a declared flat -mvd joins the 4XNF image,
+// an -mvd naming a path outside paths(D) and a negative -maxkey are
+// failures (exit 2), not silently skipped or defaulted.
+func TestAnalyzeFlags(t *testing.T) {
+	const flat = "courses.course.@cno ->> courses.course.title.S"
+	out, err := capture(t, func() error { return run([]string{"analyze", "-mvd", flat, td("courses.spec")}) })
+	if !errors.Is(err, errNegative) {
+		t.Fatalf("analyze -mvd %q: err = %v, want negative result", flat, err)
+	}
+	if !strings.Contains(out, "  image mvd "+flat+"\n") {
+		t.Errorf("analyze -mvd %q: no image mvd line in\n%s", flat, out)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"analyze", "-mvd", "courses.nope.@x ->> courses.course.title.S", td("courses.spec")},
+			`"courses.nope.@x" is not a path of the DTD`},
+		{[]string{"analyze", "-mvd", "courses.course.@cno ->> courses.course.nope.S", td("courses.spec")},
+			`"courses.course.nope.S" is not a path of the DTD`},
+		{[]string{"analyze", "-maxkey", "-3", td("courses.spec")}, "-maxkey -3"},
+	} {
+		out, err := capture(t, func() error { return run(c.args) })
+		if exitCode(err) != 2 || !strings.Contains(fmt.Sprint(err), c.want) {
+			t.Errorf("run(%v): exit %d, err %v; want exit 2 with %q", c.args, exitCode(err), err, c.want)
+		}
+		if out != "" {
+			t.Errorf("run(%v) printed a report:\n%s", c.args, out)
+		}
+	}
+}
+
 // wideSpec renders a WideDTD-shaped spec: root r with width starred
 // EMPTY children c<i> carrying one attribute each, and σ chaining the
 // labels (r.c_i.@a_i_0 -> r.c_{i+1}.@a_{i+1}_0) into one

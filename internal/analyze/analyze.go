@@ -42,7 +42,7 @@ type Options struct {
 	// DefaultMaxKeySize.
 	MaxKeySize int
 	// MVDs are declared tree MVDs; those inside the flat fragment join
-	// Σ's image in the 4XNF test.
+	// Σ's image in the 4XNF test. Every path must be in paths(D).
 	MVDs []TreeMVD
 }
 
@@ -81,7 +81,7 @@ func (r *Report) Negative() bool {
 // the cover construction builds its own reduced engines as
 // xnf.MinimalCover requires.
 func Analyze(s xnf.Spec, opts Options) (*Report, error) {
-	if err := s.Validate(); err != nil {
+	if err := validate(s, opts.MVDs); err != nil {
 		return nil, err
 	}
 	eng, err := engine.New(s.DTD, s.FDs, opts.Engine)

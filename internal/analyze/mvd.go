@@ -232,8 +232,9 @@ func appendProjKey(tup tuples.Tuple, ids []paths.ID, dst []byte, strict bool) (k
 	return dst, true
 }
 
-// maxFlatColumns bounds the 4NF sweep: relational.Is4NF enumerates
-// attribute subsets, so the flat image must stay narrow.
+// maxFlatColumns bounds the 4NF sweep: relational.Is4NF skips only the
+// subsets containing a violating LHS, so an image with no violation
+// still costs all 2^n attribute subsets and must stay narrow.
 const maxFlatColumns = 16
 
 // FourXNF is the 4XNF verdict: 4NF of the specification's flat image
@@ -255,8 +256,9 @@ type FourXNF struct {
 	// fragment (mentioning element paths); the image does not see them
 	// directly, only through their implied value-path consequences.
 	Skipped []string
-	// Satisfied is the 4NF verdict; Violations lists the offending
-	// implied MVDs when it is false. A note in Note means the sweep did
+	// Satisfied is the 4NF verdict; Violations lists, sorted, the
+	// offending implied MVDs with an inclusion-minimal LHS when it is
+	// false (relational.Is4NF). A note in Note means the sweep did
 	// not run (image too wide or too narrow) and Satisfied is vacuously
 	// true.
 	Satisfied  bool
@@ -266,7 +268,7 @@ type FourXNF struct {
 
 // Check4XNF runs the 4XNF test alone.
 func Check4XNF(s xnf.Spec, opts Options) (FourXNF, error) {
-	if err := s.Validate(); err != nil {
+	if err := validate(s, opts.MVDs); err != nil {
 		return FourXNF{}, err
 	}
 	eng, err := engine.New(s.DTD, s.FDs, opts.Engine)
@@ -274,6 +276,23 @@ func Check4XNF(s xnf.Spec, opts Options) (FourXNF, error) {
 		return FourXNF{}, err
 	}
 	return check4XNFWith(eng, s, opts.MVDs)
+}
+
+// validate rejects a Σ member or a declared MVD naming a path outside
+// paths(D), in xfd.FD.Validate's wording, before any analysis runs. A
+// valid element path is no error: the image skips it.
+func validate(s xnf.Spec, mvds []TreeMVD) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	for _, m := range mvds {
+		for _, p := range append(append([]dtd.Path{}, m.LHS...), m.RHS...) {
+			if !s.DTD.IsPath(p) {
+				return fmt.Errorf("analyze: tree MVD %s: %q is not a path of the DTD", m, p)
+			}
+		}
+	}
+	return nil
 }
 
 // check4XNFWith builds the flat image and decides 4NF over it.
@@ -377,40 +396,11 @@ func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, err
 	schema := relational.Schema{Name: rootName(s), Attrs: relational.NewAttrSet(fx.Columns...)}
 	ok, viols := relational.Is4NF(schema, rfds, rmvds)
 	fx.Satisfied = ok
-	seenViol := map[string]bool{}
-	for _, v := range minimalLHSViolations(viols) {
-		r := v.String()
-		if !seenViol[r] {
-			seenViol[r] = true
-			fx.Violations = append(fx.Violations, r)
-		}
+	for _, v := range viols {
+		fx.Violations = append(fx.Violations, v.String())
 	}
 	sort.Strings(fx.Violations)
 	return fx, nil
-}
-
-// minimalLHSViolations keeps the violations whose left-hand side is
-// inclusion-minimal among all of them. Is4NF sweeps every attribute
-// subset, so a single defective X resurfaces under each of its
-// non-superkey supersets; the minimal-LHS members are the root causes.
-func minimalLHSViolations(viols []relational.MVD) []relational.MVD {
-	var out []relational.MVD
-	for i, v := range viols {
-		minimal := true
-		for j, o := range viols {
-			if j == i {
-				continue
-			}
-			if v.LHS.ContainsAll(o.LHS) && !o.LHS.ContainsAll(v.LHS) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func canonicalPathSet(ps []dtd.Path) string {

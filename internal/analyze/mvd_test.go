@@ -1,7 +1,9 @@
 package analyze
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xmlnorm/internal/dtd"
@@ -26,6 +28,35 @@ func TestParseTreeMVD(t *testing.T) {
 			t.Errorf("ParseTreeMVD(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseTreeMVD fuzzes the parser behind "xnf analyze -mvd": no
+// input may panic it, and an accepted MVD's rendering must parse back
+// to the same rendering.
+func FuzzParseTreeMVD(f *testing.F) {
+	for _, seed := range []string{
+		"r.a.@k ->> r.a.@v, r.a.@w",
+		"r.a.@k ->> r.a.@v",
+		"courses.course.@cno ->> courses.course.title.S",
+		"courses.course ->> courses.course.title.S",
+		"r.a.@k -> r.a.@v", "->> r.a.@v", "r.a.@k ->>", "r..a ->> r.a.@v",
+		" r.a.@k ,, r.a.@v ->> r.a.@w ->> r.a.@x",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		m, err := ParseTreeMVD(text)
+		if err != nil {
+			return
+		}
+		again, err := ParseTreeMVD(m.String())
+		if err != nil {
+			t.Fatalf("rendering %q of accepted %q does not parse: %v", m.String(), text, err)
+		}
+		if again.String() != m.String() {
+			t.Fatalf("round trip of %q: %q -> %q", text, m.String(), again.String())
+		}
+	})
 }
 
 // TestTreeMVDMatchesTableMVD is the instance-level differential: over
@@ -229,5 +260,34 @@ func TestCheck4XNFFlat(t *testing.T) {
 	}
 	if len(fx2.ImageMVDs) != 1 {
 		t.Errorf("image MVDs = %v", fx2.ImageMVDs)
+	}
+}
+
+// TestDeclaredMVDPaths: a declared MVD naming a path outside paths(D)
+// fails Analyze and Check4XNF with xfd.FD.Validate's wording, like an
+// FD naming it; a valid element path is no error, only skipped by the
+// flat image.
+func TestDeclaredMVDPaths(t *testing.T) {
+	s := coursesSpec(t)
+	for _, m := range []string{
+		"courses.nope.@x ->> courses.course.title.S",
+		"courses.course.@cno ->> courses.course.title.S, courses.course.nope",
+	} {
+		opts := Options{MVDs: []TreeMVD{MustParseTreeMVD(m)}}
+		_, err := Analyze(s, opts)
+		if err == nil || !strings.Contains(err.Error(), "is not a path of the DTD") {
+			t.Errorf("Analyze with MVD %s: err = %v, want a not-a-path error", m, err)
+		}
+		if _, err4 := Check4XNF(s, opts); err4 == nil || err4.Error() != fmt.Sprint(err) {
+			t.Errorf("Check4XNF with MVD %s: err = %v, want Analyze's %v", m, err4, err)
+		}
+	}
+	elem := MustParseTreeMVD("courses.course ->> courses.course.title.S")
+	fx, err := Check4XNF(s, Options{MVDs: []TreeMVD{elem}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "mvd " + elem.String(); len(fx.Skipped) != 2 || fx.Skipped[1] != want {
+		t.Errorf("skipped = %v, want FD2 and %q", fx.Skipped, want)
 	}
 }

@@ -282,6 +282,88 @@ func TestCounterexampleProperties(t *testing.T) {
 	}
 }
 
+// TestVerifyCounterexample pins the certification of refutations on
+// every engine construction path (NewEngine resolves Σ, the one-shot
+// Implies and ImpliesBounded compile it unresolved, the latter over a
+// bounded skeleton's query universe): a candidate tree is accepted only
+// if it conforms to D, satisfies Σ through the engine's compiled
+// checker, and violates q. Each rejected tree fails exactly one check.
+func TestVerifyCounterexample(t *testing.T) {
+	d, sigma := coursesSpec(t)
+	q := xfd.MustParse("courses.course.taken_by.student.@sno -> courses.course.taken_by.student.name")
+	student := func(sno, name string) string {
+		return `<student sno="` + sno + `"><name>` + name + `</name><grade>A</grade></student>`
+	}
+	course := func(cno string, title bool, students ...string) string {
+		s := `<course cno="` + cno + `">`
+		if title {
+			s += `<title>T</title>`
+		}
+		s += `<taken_by>`
+		for _, st := range students {
+			s += st
+		}
+		return s + `</taken_by></course>`
+	}
+	cases := []struct {
+		name string
+		doc  string
+		want bool
+	}{
+		{"not conforming", course("c1", false, student("s1", "N")) + course("c2", true, student("s1", "N")), false},
+		{"violates Σ", course("c1", true, student("s1", "N")) + course("c2", true, student("s1", "M")), false},
+		{"satisfies q", course("c1", true, student("s1", "N"), student("s2", "N")), false},
+		{"counterexample", course("c1", true, student("s1", "N")) + course("c2", true, student("s1", "N")), true},
+	}
+	trees := make([]*xmltree.Tree, len(cases))
+	for i, c := range cases {
+		trees[i] = xmltree.MustParseString("<courses>" + c.doc + "</courses>")
+		failed := 0
+		for _, ok := range []bool{
+			xmltree.ConformsUnordered(trees[i], d) == nil,
+			xfd.SatisfiesAll(trees[i], sigma),
+			!xfd.Satisfies(trees[i], q),
+		} {
+			if !ok {
+				failed++
+			}
+		}
+		if c.want != (failed == 0) || failed > 1 {
+			t.Fatalf("%s: the tree fails %d of the three checks", c.name, failed)
+		}
+	}
+	full, err := NewEngine(d, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := buildSkeleton(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneShot, err := newEngine(sk, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bsk, err := buildSkeletonBounded(d, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounded, err := newEngine(bsk, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []struct {
+		name string
+		e    *Engine
+	}{{"NewEngine", full}, {"Implies", oneShot}, {"ImpliesBounded", bounded}} {
+		for i, c := range cases {
+			if got := eng.e.verifyCounterexample(q, trees[i]); got != c.want {
+				t.Errorf("%s: %s: verifyCounterexample = %v, want %v", eng.name, c.name, got, c.want)
+			}
+		}
+	}
+}
+
 func TestBruteForceBasics(t *testing.T) {
 	d := dtd.MustParse(`
 <!ELEMENT r (a*)>

@@ -59,11 +59,14 @@ func Implies(d *dtd.DTD, sigma []xfd.FD, q xfd.FD) (Answer, error) {
 // Engine is a reusable implication engine for one (D, Σ) pair; it
 // amortizes skeleton construction, FD compilation and branch-assignment
 // enumeration across many queries (the XNF checker issues O(|Σ|) of
-// them).
+// them). Σ is compiled twice, once for the closure and once as an
+// xfd.CheckerSet over the skeleton's universe that certifies every
+// refutation. An Engine is read-only after construction, so concurrent
+// queries (internal/engine's worker pool) share both.
 type Engine struct {
 	sk       *skeleton
-	sigma    []xfd.FD
 	compiled []compiledFD
+	sigma    *xfd.CheckerSet
 	asgs     []assignment
 }
 
@@ -82,6 +85,13 @@ func NewEngine(d *dtd.DTD, sigma []xfd.FD) (*Engine, error) {
 			return nil, fmt.Errorf("implication: %v", err)
 		}
 	}
+	return newEngine(sk, sigma)
+}
+
+// newEngine compiles Σ against a built skeleton, whose universe sk.u
+// interns every skeleton path. NewEngine and the one-shot deciders
+// (Implies, ImpliesBounded) all build their engine here.
+func newEngine(sk *skeleton, sigma []xfd.FD) (*Engine, error) {
 	compiled, err := compileFDs(sk, sigma)
 	if err != nil {
 		return nil, err
@@ -97,7 +107,11 @@ func NewEngine(d *dtd.DTD, sigma []xfd.FD) (*Engine, error) {
 			return nil, fmt.Errorf("implication: more than %d branch assignments (N_D too large); use BruteForce", MaxAssignments)
 		}
 	}
-	return &Engine{sk: sk, sigma: sigma, compiled: compiled, asgs: enumerateAssignments(sk)}, nil
+	check, err := xfd.NewCheckerSet(sk.u, sigma)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{sk: sk, compiled: compiled, sigma: check, asgs: enumerateAssignments(sk)}, nil
 }
 
 // Universe returns the interned path universe of the engine's DTD.
@@ -110,10 +124,7 @@ func (e *Engine) Implies(q xfd.FD) (Answer, error) {
 		if err != nil {
 			return Answer{}, err
 		}
-		ans, err := impliesSingle(e.sk, e.compiled, e.sigma, e.asgs, hyp, goal)
-		if err != nil {
-			return Answer{}, err
-		}
+		ans := e.impliesSingle(hyp, goal)
 		if !ans.Implied {
 			return ans, nil
 		}
@@ -122,24 +133,10 @@ func (e *Engine) Implies(q xfd.FD) (Answer, error) {
 }
 
 func impliesSk(sk *skeleton, sigma []xfd.FD, q xfd.FD) (Answer, error) {
-	eng := &Engine{sk: sk, sigma: sigma}
-	var err error
-	eng.compiled, err = compileFDs(sk, sigma)
+	eng, err := newEngine(sk, sigma)
 	if err != nil {
 		return Answer{}, err
 	}
-	total := 1
-	for _, g := range sk.groups {
-		k := len(g.members)
-		if g.nullable {
-			k++
-		}
-		total *= k * k
-		if total > MaxAssignments {
-			return Answer{}, fmt.Errorf("implication: more than %d branch assignments (N_D too large); use BruteForce", MaxAssignments)
-		}
-	}
-	eng.asgs = enumerateAssignments(sk)
 	return eng.Implies(q)
 }
 
@@ -191,9 +188,9 @@ func compileQuery(sk *skeleton, q xfd.FD) (hyp []int, goal int, err error) {
 // never occurred across the randomized cross-validation suite, see
 // closure_test.go, but keeps negative answers trustworthy by
 // construction).
-func impliesSingle(sk *skeleton, compiled []compiledFD, sigma []xfd.FD, asgs []assignment, hyp []int, goal int) (Answer, error) {
-	for _, asg := range asgs {
-		st := newState(sk, compiled, asg, hyp, goal)
+func (e *Engine) impliesSingle(hyp []int, goal int) Answer {
+	for _, asg := range e.asgs {
+		st := newState(e.sk, e.compiled, asg, hyp, goal)
 		if st.infeasible {
 			continue
 		}
@@ -209,12 +206,11 @@ func impliesSingle(sk *skeleton, compiled []compiledFD, sigma []xfd.FD, asgs []a
 			// Spurious scenario; treat as implied under this assignment.
 			continue
 		}
-		q := queryOf(sk, hyp, goal)
-		if verifyCounterexample(sk.d, sigma, q, tree) {
-			return Answer{Implied: false, Counterexample: tree, Verified: true}, nil
+		if e.verifyCounterexample(queryOf(e.sk, hyp, goal), tree) {
+			return Answer{Implied: false, Counterexample: tree, Verified: true}
 		}
 	}
-	return Answer{Implied: true}, nil
+	return Answer{Implied: true}
 }
 
 func queryOf(sk *skeleton, hyp []int, goal int) xfd.FD {
@@ -259,12 +255,13 @@ func enumerateAssignments(sk *skeleton) []assignment {
 }
 
 // verifyCounterexample re-checks a candidate counterexample
-// semantically: [T] ⊨ D, T ⊨ Σ, T ⊭ q.
-func verifyCounterexample(d *dtd.DTD, sigma []xfd.FD, q xfd.FD, tree *xmltree.Tree) bool {
-	if err := xmltree.ConformsUnordered(tree, d); err != nil {
+// semantically: [T] ⊨ D, T ⊨ Σ (through the engine's compiled Σ, one
+// streaming walk per cluster) and T ⊭ q.
+func (e *Engine) verifyCounterexample(q xfd.FD, tree *xmltree.Tree) bool {
+	if err := xmltree.ConformsUnordered(tree, e.sk.d); err != nil {
 		return false
 	}
-	if !xfd.SatisfiesAll(tree, sigma) {
+	if !e.sigma.SatisfiesAll(tree) {
 		return false
 	}
 	return !xfd.Satisfies(tree, q)

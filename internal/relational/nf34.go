@@ -243,13 +243,23 @@ func ImpliesMVD(u AttrSet, fds []FD, mvds []MVD, q MVD) bool {
 }
 
 // Is4NF checks fourth normal form: for every non-trivial implied MVD
-// X →→ Y over the schema, X is a superkey.
+// X →→ Y over the schema, X is a superkey. It sweeps attribute subsets
+// by increasing size and skips any subset containing an LHS already
+// found to violate: such an X only repeats its subset's defect. The
+// violations returned are therefore exactly those with an
+// inclusion-minimal LHS, in sweep order; the verdict and the first
+// violation are those of the exhaustive sweep.
 func Is4NF(s Schema, fds []FD, mvds []MVD) (bool, []MVD) {
 	var viols []MVD
 	attrs := s.Attrs.Sorted()
 	for size := 1; size < len(attrs); size++ {
 		subsets(attrs, size, func(sub []string) {
 			x := NewAttrSet(sub...)
+			for _, v := range viols {
+				if x.ContainsAll(v.LHS) {
+					return
+				}
+			}
 			if IsSuperkey(x, s, fds) {
 				return
 			}
