@@ -29,7 +29,9 @@
 // a client-side deadline (or dropped connection, or server shutdown)
 // cancels the fold mid-flight.
 //
-// A transaction body is applied atomically: all edits fold in one
+// A transaction body is read whole, under the same bound, before the
+// document's writer lock is taken, so a slow client stalls only its
+// own request. It is then applied atomically: all edits fold in one
 // retract/assert pass at commit, readers see either the pre- or the
 // post-transaction epoch, and any failing edit rolls the whole batch
 // back. The response carries the new epoch's verdict plus the delta
@@ -43,9 +45,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -61,9 +65,10 @@ import (
 	"xmlnorm/internal/engine"
 )
 
-// maxBodyBytes bounds every document-carrying request body (PUT /docs
-// and POST /fold alike): past it the server answers 413, not OOM. A
-// variable only so tests can exercise the bound without 64 MB bodies.
+// maxBodyBytes bounds every request body that carries a document or an
+// edit script (PUT /docs, POST /docs/{name}/txn and POST /fold alike):
+// past it the server answers 413, not OOM. A variable only so tests can
+// exercise the bound without 64 MB bodies.
 var maxBodyBytes int64 = 64 << 20
 
 func cmdServe(args []string) error {
@@ -415,11 +420,24 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	_ = writeJSON(w, analyzeObject(name, s.analysis, wantWitness(r)))
 }
 
+// handleTxn applies an edit script as one transaction. The script is
+// read before the writer lock is taken: a client that trickles its
+// body must not hold the lock against the document's other writers.
 func (s *server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	d, ok := s.lookup(name)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no document %q", name)
+		return
+	}
+	body := distrib.NewLimitBody(w, r.Body, maxBodyBytes)
+	script, err := io.ReadAll(body)
+	if err != nil {
+		if body.TooLarge {
+			httpError(w, http.StatusRequestEntityTooLarge, "script over %d bytes", int64(maxBodyBytes))
+			return
+		}
+		httpError(w, http.StatusBadRequest, "script: %v", err)
 		return
 	}
 	d.mu.Lock()
@@ -429,7 +447,7 @@ func (s *server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	tx := sess.Begin()
 	var inserted []insertedJSON
 	edits := 0
-	sc := bufio.NewScanner(r.Body)
+	sc := bufio.NewScanner(bytes.NewReader(script))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") || line == "verdict" {

@@ -442,9 +442,10 @@ func TestServeAnalyze(t *testing.T) {
 	}
 }
 
-// TestServeBodyBounds pins the 413 surface: both document-carrying
-// endpoints bound their bodies and answer 413 — not 400, not OOM —
-// past the limit.
+// TestServeBodyBounds pins the 413 surface: the document-carrying
+// endpoints and the transaction route bound their bodies and answer
+// 413 — not 400, not OOM — past the limit, and an oversized
+// transaction leaves its document untouched.
 func TestServeBodyBounds(t *testing.T) {
 	old := maxBodyBytes
 	maxBodyBytes = 4 << 10
@@ -476,6 +477,70 @@ func TestServeBodyBounds(t *testing.T) {
 	}
 	if rec := rawReq(h, "POST", "/fold?spec="+hash, small); rec.Code != http.StatusOK {
 		t.Fatalf("small fold status = %d", rec.Code)
+	}
+	// An oversized script whose first line is a valid edit: nothing of
+	// it may be applied.
+	script := "settext courses.course[1].taken_by.student.name Boeing\n" +
+		strings.Repeat("# padding\n", int(maxBodyBytes)/10+1)
+	if rec := rawReq(h, "POST", "/docs/ok/txn", script); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized txn status = %d", rec.Code)
+	}
+	var v verdictJSON
+	doReq(t, h, "GET", "/docs/ok/report", "", &v)
+	if v.Seq != 1 || !v.Satisfied {
+		t.Fatalf("oversized txn moved the document: %+v", v)
+	}
+}
+
+// TestServeTxnBodyReadBeforeLock pins that a transaction reads its
+// whole script before taking the document's writer lock: while one
+// transaction's body is still open, a second transaction on the same
+// document commits.
+func TestServeTxnBodyReadBeforeLock(t *testing.T) {
+	h := mustServer(t, serveSpec(t)).handler()
+	doReq(t, h, "PUT", "/docs/fig1", coursesXML(t), nil)
+
+	pr, pw := io.Pipe()
+	defer pw.Close() // lets the slow transaction finish on every path
+	slowDone := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/docs/fig1/txn", pr))
+		slowDone <- rec.Code
+	}()
+	// The handler has consumed the first edit once this write returns;
+	// the body stays open after it.
+	if _, err := io.WriteString(pw, "settext courses.course[1].title Slow\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	fast := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		fast <- rawReq(h, "POST", "/docs/fig1/txn", "settext courses.course[1].taken_by.student.name Boeing\n")
+	}()
+	select {
+	case rec := <-fast:
+		var v verdictJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("second txn: status %d, body %q", rec.Code, rec.Body)
+		}
+		if v.Seq != 2 || v.Edits != 1 {
+			t.Fatalf("second txn verdict = %+v, want epoch 2 with one edit", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a transaction with an open body blocked another transaction on the same document")
+	}
+
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code := <-slowDone; code != http.StatusOK {
+		t.Fatalf("slow txn status = %d", code)
+	}
+	var v verdictJSON
+	doReq(t, h, "GET", "/docs/fig1/report", "", &v)
+	if v.Seq != 3 {
+		t.Fatalf("after both transactions: epoch %d, want 3", v.Seq)
 	}
 }
 

@@ -348,11 +348,11 @@ func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, err
 			if in[q.String()] {
 				continue
 			}
-			ans, err := eng.Implies(xfd.FD{LHS: lhs, RHS: []dtd.Path{q}})
+			implied, err := eng.Implied(xfd.FD{LHS: lhs, RHS: []dtd.Path{q}})
 			if err != nil {
 				return FourXNF{}, err
 			}
-			if ans.Implied {
+			if implied {
 				rfds = append(rfds, relational.FD{LHS: lhsAttrs, RHS: relational.NewAttrSet(q.String())})
 			}
 		}

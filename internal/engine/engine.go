@@ -13,8 +13,10 @@
 //     counterexample searches) across up to GOMAXPROCS goroutines.
 //
 // Both layers preserve answers exactly: a cached or parallel run
-// returns the same Implied bit, and counterexamples are cloned on every
-// cache hit so callers can never observe shared mutable state.
+// returns the same Implied bit. Implies, ImpliesBatch and BruteForce
+// hand every caller its own clone of a counterexample, so callers can
+// never observe shared mutable state; Implied, ImpliesAll and Trivial
+// return verdicts only and clone nothing.
 //
 // The package also hosts the process-global Registry sharing one
 // engine and one compiled xfd.CheckerSet per canonicalized spec —
@@ -137,8 +139,24 @@ func (e *Engine) Stats() Stats {
 
 // Implies decides (D, Σ) ⊢ q, answering from the cache when possible.
 // A query with several RHS paths is implied iff each single-RHS split
-// is; splits are cached individually.
+// is; splits are cached individually. A refutation's counterexample is
+// the caller's own clone.
 func (e *Engine) Implies(q xfd.FD) (implication.Answer, error) {
+	ans, err := e.implies(q)
+	return owned(ans), err
+}
+
+// Implied is Implies for callers that read only the verdict: same
+// cache entries, same single-flight, same counters, but no
+// counterexample is cloned.
+func (e *Engine) Implied(q xfd.FD) (bool, error) {
+	ans, err := e.implies(q)
+	return ans.Implied, err
+}
+
+// implies is Implies without the clone: a refutation carries the
+// cached counterexample itself, which callers must not let escape.
+func (e *Engine) implies(q xfd.FD) (implication.Answer, error) {
 	for _, single := range q.SingleRHS() {
 		ans, err := e.single("", single, func() (implication.Answer, error) {
 			return e.imp.Implies(single)
@@ -190,7 +208,7 @@ func (e *Engine) BruteForce(q xfd.FD, bounds implication.Bounds) (implication.An
 			return implication.Answer{}, err
 		}
 		if !ans.Implied {
-			return ans, nil
+			return owned(ans), nil
 		}
 	}
 	return implication.Answer{Implied: true}, nil
@@ -198,7 +216,9 @@ func (e *Engine) BruteForce(q xfd.FD, bounds implication.Bounds) (implication.An
 
 // single answers one single-RHS query through the cache (or directly
 // when caching is off). space prefixes the key so closure, trivial and
-// brute-force answers never collide.
+// brute-force answers never collide. The answer's counterexample is
+// the cached tree itself; exported methods that return it hand out a
+// clone (owned).
 func (e *Engine) single(space string, q xfd.FD, compute func() (implication.Answer, error)) (implication.Answer, error) {
 	if e.opts.NoCache {
 		return compute()
@@ -224,14 +244,17 @@ func (e *Engine) single(space string, q xfd.FD, compute func() (implication.Answ
 	if ent.err != nil {
 		return implication.Answer{}, ent.err
 	}
-	ans := ent.ans
+	return ent.ans, nil
+}
+
+// owned hands the caller its own counterexample tree — every caller,
+// including the miss that computed it: the cached counterexample must
+// never alias across goroutines or absorb a caller's mutations.
+func owned(ans implication.Answer) implication.Answer {
 	if ans.Counterexample != nil {
-		// Hand every caller its own tree — including the miss that
-		// computed it: the cached counterexample must never alias across
-		// goroutines or absorb a caller's mutations.
 		ans.Counterexample = ans.Counterexample.Clone()
 	}
-	return ans, nil
+	return ans
 }
 
 // ImpliesBatch decides a batch of queries across the worker pool,
@@ -264,13 +287,13 @@ func (e *Engine) ImpliesBatch(qs []xfd.FD) ([]implication.Answer, error) {
 // lowest failing index is returned, errors beyond it are unreachable.
 func (e *Engine) ImpliesAll(qs []xfd.FD) (int, error) {
 	idx := pool.First(e.opts.workers(), len(qs), func(i int) bool {
-		ans, err := e.Implies(qs[i])
-		return err != nil || !ans.Implied
+		implied, err := e.Implied(qs[i])
+		return err != nil || !implied
 	})
 	if idx < 0 {
 		return -1, nil
 	}
-	if _, err := e.Implies(qs[idx]); err != nil {
+	if _, err := e.Implied(qs[idx]); err != nil {
 		return 0, err
 	}
 	return idx, nil

@@ -49,6 +49,41 @@ func TestCacheCounters(t *testing.T) {
 	}
 }
 
+// TestImpliedSharesCache: Implied and Implies answer from one cache
+// entry per query — whichever asks first takes the one miss, every
+// later call of either is a hit — and an entry Implied computed still
+// serves Implies its counterexample.
+func TestImpliedSharesCache(t *testing.T) {
+	e := chainEngine(t, 4, Options{})
+	lhs := gen.ChainPaths(4)[2].Child("@a2_0")
+	rhs := gen.ChainPaths(4)[4].Child("@a4_0")
+	refuted := xfd.FD{LHS: []dtd.Path{lhs}, RHS: []dtd.Path{rhs}}
+	implied, err := e.Implied(refuted)
+	if err != nil || implied {
+		t.Fatalf("Implied(%s) = %v, %v; want false", refuted, implied, err)
+	}
+	ans, err := e.Implies(refuted)
+	if err != nil || ans.Implied || ans.Counterexample == nil {
+		t.Fatalf("Implies(%s) after Implied = %+v, %v; want a counterexample", refuted, ans, err)
+	}
+	if s := e.Stats(); s.Misses != 1 || s.Hits != 1 {
+		t.Errorf("after Implied then Implies: stats = %+v, want 1 miss and 1 hit", s)
+	}
+	q := chainQuery(4)
+	want, err := e.Implies(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if got, err := e.Implied(q); err != nil || got != want.Implied {
+			t.Fatalf("Implied(%s) = %v, %v; Implies said %v", q, got, err, want.Implied)
+		}
+	}
+	if s := e.Stats(); s.Misses != 2 || s.Hits != 3 {
+		t.Errorf("after Implies then Implied twice: stats = %+v, want 2 misses and 3 hits", s)
+	}
+}
+
 func TestNoCacheBypassesCounters(t *testing.T) {
 	e := chainEngine(t, 6, Options{NoCache: true})
 	q := chainQuery(6)

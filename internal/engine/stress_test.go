@@ -139,6 +139,58 @@ func TestStressImplies(t *testing.T) {
 	}
 }
 
+// TestStressImplied: goroutines interleave the verdict-only Implied
+// with Implies over the stress suite's query pools; both must return
+// the sequential uncached reference's verdict, and a refutation must
+// still hand Implies callers a counterexample, whichever of the two
+// computed the shared cache entry.
+func TestStressImplied(t *testing.T) {
+	for _, sp := range stressSpecs(t) {
+		for _, opts := range []Options{{}, {Workers: 4, NoCache: true}} {
+			opts := opts
+			sp := sp
+			t.Run(fmt.Sprintf("%s/nocache=%v", sp.name, opts.NoCache), func(t *testing.T) {
+				qs := queryPool(t, sp.d, 48, sp.seed)
+				want := reference(t, sp.d, sp.sigma, qs)
+				e, err := New(sp.d, sp.sigma, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				errs := make(chan error, stressGoroutines)
+				for g := 0; g < stressGoroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(sp.seed<<9 + int64(g)))
+						for k := 0; k < 2*len(qs); k++ {
+							i := rng.Intn(len(qs))
+							if (g+k)%2 == 0 {
+								got, err := e.Implied(qs[i])
+								if err != nil || got != want[i].Implied {
+									errs <- fmt.Errorf("goroutine %d: Implied(%s) = %v, %v; want %v", g, qs[i], got, err, want[i].Implied)
+									return
+								}
+								continue
+							}
+							got, err := e.Implies(qs[i])
+							if err != nil || got.Implied != want[i].Implied || (got.Counterexample == nil) != got.Implied {
+								errs <- fmt.Errorf("goroutine %d: Implies(%s) = %+v, %v; want %v", g, qs[i], got, err, want[i].Implied)
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}
+
 // TestStressImpliesBatch: concurrent batches over goroutine-specific
 // shuffles of one pool; answers must land at the right indices.
 func TestStressImpliesBatch(t *testing.T) {

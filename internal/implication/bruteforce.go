@@ -11,7 +11,6 @@ import (
 	"xmlnorm/internal/paths"
 	"xmlnorm/internal/pool"
 	"xmlnorm/internal/regex"
-	"xmlnorm/internal/tuples"
 	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xmltree"
 )
@@ -96,6 +95,7 @@ func BruteForceParallel(d *dtd.DTD, sigma []xfd.FD, q xfd.FD, bounds Bounds, wor
 	if err != nil {
 		return Answer{}, err
 	}
+	conform := xmltree.NewConformer(d)
 	budget := bounds.MaxTrees
 	shapes, err := enumerateShapes(d, d.Root(), bounds, map[string][]*xmltree.Node{}, &budget)
 	if err != nil {
@@ -111,7 +111,7 @@ func BruteForceParallel(d *dtd.DTD, sigma []xfd.FD, q xfd.FD, bounds Bounds, wor
 	if workers <= 1 {
 		for _, shape := range shapes {
 			tree := &xmltree.Tree{Root: shape}
-			found, err := searchValues(tree, d, checks, len(sigma), bounds, &checked)
+			found, err := searchValues(tree, conform, checks, len(sigma), bounds, &checked)
 			if err != nil {
 				return Answer{}, err
 			}
@@ -134,7 +134,7 @@ func BruteForceParallel(d *dtd.DTD, sigma []xfd.FD, q xfd.FD, bounds Bounds, wor
 	var errOnce sync.Once
 	min := pool.First(workers, len(shapes), func(i int) bool {
 		tree := &xmltree.Tree{Root: shapes[i].Clone()}
-		f, err := searchValues(tree, d, checks, len(sigma), bounds, &checked)
+		f, err := searchValues(tree, conform, checks, len(sigma), bounds, &checked)
 		if err != nil {
 			errOnce.Do(func() { searchErr = err })
 			return false // a later shape may still hold a counterexample
@@ -339,8 +339,9 @@ type valueSlot struct {
 // pool exactly like the sequential scan does. checks is Σ followed by
 // q compiled into one CheckerSet (nSigma = |Σ|), so each instance is
 // decided — all of Σ satisfied, q violated — in one streaming walk;
-// the set arrives precompiled and is shared read-only across workers.
-func searchValues(tree *xmltree.Tree, d *dtd.DTD, checks *xfd.CheckerSet, nSigma int, bounds Bounds, checked *atomic.Int64) (*xmltree.Tree, error) {
+// the set and the DTD's compiled content models (conform) arrive
+// precompiled and are shared read-only across workers.
+func searchValues(tree *xmltree.Tree, conform *xmltree.Conformer, checks *xfd.CheckerSet, nSigma int, bounds Bounds, checked *atomic.Int64) (*xmltree.Tree, error) {
 	groups := map[string][]valueSlot{}
 	var order []string
 	tree.Walk(func(n *xmltree.Node, path []string) bool {
@@ -383,22 +384,15 @@ func searchValues(tree *xmltree.Tree, d *dtd.DTD, checks *xfd.CheckerSet, nSigma
 			if checked.Add(1) > int64(bounds.MaxTrees) {
 				return nil, ErrBoundsExceeded
 			}
-			if err := xmltree.Conforms(tree, d); err != nil {
+			if err := conform.Conforms(tree); err != nil {
 				return nil, nil // shape bug; skip defensively
 			}
-			// One walk decides the whole candidate: abort on any Σ
-			// violation (the instance satisfies Σ or it is worthless),
-			// and remember whether q was violated.
-			sigmaOK, qViolated := true, false
-			checks.Check(tree, func(i int, _ [2]tuples.Tuple) bool {
-				if i < nSigma {
-					sigmaOK = false
-					return false
-				}
-				qViolated = true
-				return true
-			})
-			if sigmaOK && qViolated {
+			// One verdict-only walk decides the whole candidate: abort
+			// on any Σ violation (the instance satisfies Σ or it is
+			// worthless); a q violation alone keeps the walk going. The
+			// instance refutes q iff q is the only violated FD.
+			bad := checks.Verdict(tree, func(i int) bool { return i == nSigma })
+			if len(bad) == 1 && bad[nSigma] {
 				return tree.Clone(), nil
 			}
 			return nil, nil

@@ -54,6 +54,7 @@ type state struct {
 	forced2    []bool
 	maxOk      []int // per node: deepest element ancestor usable as a swap point (0 = none)
 	infeasible bool
+	rounds     int // rounds run has completed
 }
 
 // compiledFD is an FD with paths resolved to skeleton ids. lcp[i] is the
@@ -160,111 +161,161 @@ func (s *state) computeMaxOk() {
 }
 
 // run closes the propositions under the rules, returning false when the
-// assignment is infeasible.
+// assignment is infeasible. Each round sweeps the node rules (visit)
+// parents-first and, when that changed anything, children-first, then
+// fires Σ (R6); rounds repeat until one changes nothing. A sweep
+// carries a fact along a whole chain only in its own direction — R2,
+// R3 and R7 down, R1 and R5 up — so the second sweep saves the upward
+// rules a round per level. Each round derives everything a
+// parents-first round would, and the rules are monotone, so the
+// closure reaches the same least fixpoint in no more rounds
+// (closure_test.go holds it to the parents-first loop). A sweep that
+// changes nothing shows the state closed under the node rules, so the
+// last round costs one sweep.
 func (s *state) run() bool {
-	for changed := true; changed && !s.infeasible; {
-		changed = false
+	for changed := true; changed && !s.infeasible; s.rounds++ {
 		s.computeMaxOk()
-		step := func(did bool) {
-			if did {
-				changed = true
-			}
+		changed = s.sweep(false)
+		if changed && !s.infeasible {
+			s.sweep(true)
 		}
-		for _, n := range s.sk.nodes {
-			// R1: non-nullness propagates to the parent.
-			if n.parent >= 0 {
-				if s.nn1[n.id] && !s.nn1[n.parent] {
-					s.markNN(n.parent, true)
-					step(true)
-				}
-				if s.nn2[n.id] && !s.nn2[n.parent] {
-					s.markNN(n.parent, false)
-					step(true)
-				}
-			}
-			// R4: equal values share nullness.
-			if s.eq[n.id] {
-				if s.nn1[n.id] && !s.nn2[n.id] {
-					s.markNN(n.id, false)
-					step(true)
-				}
-				if s.nn2[n.id] && !s.nn1[n.id] {
-					s.markNN(n.id, true)
-					step(true)
-				}
-			}
-			// R5: a shared non-null element vertex has a shared parent.
-			if n.kind == elemPath && n.parent >= 0 && s.eq[n.id] && s.nn1[n.id] && !s.eq[n.parent] {
-				s.markEq(n.parent)
-				step(true)
-			}
-			// R2 and R3: downward propagation to children.
-			for _, k := range n.kids {
-				kid := s.sk.nodes[k]
-				if required(s, n.id, kid) {
-					if s.nn1[n.id] && !s.nn1[k] {
-						s.markNN(k, true)
-						step(true)
-					}
-					if s.nn2[n.id] && !s.nn2[k] {
-						s.markNN(k, false)
-						step(true)
-					}
-				} else if kid.group >= 0 {
-					// Chosen group branches are required per tuple.
-					if s.asg.b1[kid.group] == k && s.nn1[n.id] && !s.nn1[k] {
-						s.markNN(k, true)
-						step(true)
-					}
-					if s.asg.b2[kid.group] == k && s.nn2[n.id] && !s.nn2[k] {
-						s.markNN(k, false)
-						step(true)
-					}
-				}
-				if s.eq[n.id] && !s.eq[k] && atMostOnce(kid) {
-					s.markEq(k)
-					step(true)
-				}
-				// R7 (maximality): a shared vertex that has a child with
-				// some label in one tuple has children with that label in
-				// the tree, so the other maximal tuple must also contain
-				// one (not necessarily the same one).
-				if kid.kind == elemPath && s.eq[n.id] && s.nn1[n.id] && s.nn2[n.id] {
-					if s.nn1[k] && !s.nn2[k] {
-						s.markNN(k, false)
-						step(true)
-					}
-					if s.nn2[k] && !s.nn1[k] {
-						s.markNN(k, true)
-						step(true)
-					}
-				}
-			}
-			// Feasibility: a shared non-null vertex cannot take two
-			// different group branches.
-			if n.kind == elemPath && s.eq[n.id] && s.nn1[n.id] && s.nn2[n.id] {
-				for _, g := range s.sk.groups {
-					if g.parent == n.id && s.asg.b1[g.id] != s.asg.b2[g.id] {
-						s.infeasible = true
-					}
-				}
-			}
-			if s.infeasible {
-				return false
-			}
+		if s.infeasible {
+			return false
 		}
-		// R6: FD firing, in both orientations.
-		for _, fd := range s.sigma {
-			if s.eq[fd.rhs] {
-				continue
-			}
-			if s.fires(fd, true) || s.fires(fd, false) {
-				s.markEq(fd.rhs)
-				changed = true
-			}
+		if s.fireSigma() {
+			changed = true
 		}
 	}
 	return !s.infeasible
+}
+
+// sweep visits every skeleton node once — parents-first, or
+// children-first when reverse is set — stopping early once the
+// assignment turns out infeasible, and reports whether any
+// proposition changed.
+func (s *state) sweep(reverse bool) bool {
+	nodes := s.sk.nodes
+	changed := false
+	for i := range nodes {
+		n := nodes[i]
+		if reverse {
+			n = nodes[len(nodes)-1-i]
+		}
+		if s.visit(n) {
+			changed = true
+		}
+		if s.infeasible {
+			break
+		}
+	}
+	return changed
+}
+
+// visit applies every rule anchored at one node — R1, R4 and R5 at the
+// node itself, R2, R3 and R7 towards its children — and the branch
+// feasibility check, reporting whether any proposition changed.
+func (s *state) visit(n *pnode) bool {
+	changed := false
+	step := func(did bool) {
+		if did {
+			changed = true
+		}
+	}
+	// R1: non-nullness propagates to the parent.
+	if n.parent >= 0 {
+		if s.nn1[n.id] && !s.nn1[n.parent] {
+			s.markNN(n.parent, true)
+			step(true)
+		}
+		if s.nn2[n.id] && !s.nn2[n.parent] {
+			s.markNN(n.parent, false)
+			step(true)
+		}
+	}
+	// R4: equal values share nullness.
+	if s.eq[n.id] {
+		if s.nn1[n.id] && !s.nn2[n.id] {
+			s.markNN(n.id, false)
+			step(true)
+		}
+		if s.nn2[n.id] && !s.nn1[n.id] {
+			s.markNN(n.id, true)
+			step(true)
+		}
+	}
+	// R5: a shared non-null element vertex has a shared parent.
+	if n.kind == elemPath && n.parent >= 0 && s.eq[n.id] && s.nn1[n.id] && !s.eq[n.parent] {
+		s.markEq(n.parent)
+		step(true)
+	}
+	// R2 and R3: downward propagation to children.
+	for _, k := range n.kids {
+		kid := s.sk.nodes[k]
+		if required(s, n.id, kid) {
+			if s.nn1[n.id] && !s.nn1[k] {
+				s.markNN(k, true)
+				step(true)
+			}
+			if s.nn2[n.id] && !s.nn2[k] {
+				s.markNN(k, false)
+				step(true)
+			}
+		} else if kid.group >= 0 {
+			// Chosen group branches are required per tuple.
+			if s.asg.b1[kid.group] == k && s.nn1[n.id] && !s.nn1[k] {
+				s.markNN(k, true)
+				step(true)
+			}
+			if s.asg.b2[kid.group] == k && s.nn2[n.id] && !s.nn2[k] {
+				s.markNN(k, false)
+				step(true)
+			}
+		}
+		if s.eq[n.id] && !s.eq[k] && atMostOnce(kid) {
+			s.markEq(k)
+			step(true)
+		}
+		// R7 (maximality): a shared vertex that has a child with
+		// some label in one tuple has children with that label in
+		// the tree, so the other maximal tuple must also contain
+		// one (not necessarily the same one).
+		if kid.kind == elemPath && s.eq[n.id] && s.nn1[n.id] && s.nn2[n.id] {
+			if s.nn1[k] && !s.nn2[k] {
+				s.markNN(k, false)
+				step(true)
+			}
+			if s.nn2[k] && !s.nn1[k] {
+				s.markNN(k, true)
+				step(true)
+			}
+		}
+	}
+	// Feasibility: a shared non-null vertex cannot take two
+	// different group branches.
+	if n.kind == elemPath && s.eq[n.id] && s.nn1[n.id] && s.nn2[n.id] {
+		for _, g := range s.sk.groups {
+			if g.parent == n.id && s.asg.b1[g.id] != s.asg.b2[g.id] {
+				s.infeasible = true
+			}
+		}
+	}
+	return changed
+}
+
+// fireSigma applies R6 — every FD of Σ in both orientations — and
+// reports whether some RHS equality was derived.
+func (s *state) fireSigma() bool {
+	changed := false
+	for _, fd := range s.sigma {
+		if s.eq[fd.rhs] {
+			continue
+		}
+		if s.fires(fd, true) || s.fires(fd, false) {
+			s.markEq(fd.rhs)
+			changed = true
+		}
+	}
+	return changed
 }
 
 // required reports whether the child is present whenever the parent is:

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"xmlnorm/internal/dtd"
+	"xmlnorm/internal/gen"
 	"xmlnorm/internal/xfd"
 )
 
@@ -154,4 +156,122 @@ func TestClosureIdempotent(t *testing.T) {
 			t.Fatalf("run %d: %+v %v", i, a2, err)
 		}
 	}
+}
+
+// runParentsFirst is the closure loop run replaced, kept as the oracle
+// for run's sweep order: every round visits the nodes parents-first
+// only, so R1 and R5 climb one level per round. It returns the rounds
+// it completed and whether the assignment is feasible.
+func (s *state) runParentsFirst() (rounds int, feasible bool) {
+	for changed := true; changed && !s.infeasible; rounds++ {
+		changed = false
+		s.computeMaxOk()
+		for _, n := range s.sk.nodes {
+			if s.visit(n) {
+				changed = true
+			}
+			if s.infeasible {
+				return rounds, false
+			}
+		}
+		if s.fireSigma() {
+			changed = true
+		}
+	}
+	return rounds, !s.infeasible
+}
+
+// randomSigma draws n FDs with one or two LHS paths and one RHS path.
+func randomSigma(rng *rand.Rand, ps []dtd.Path, n int) []xfd.FD {
+	sigma := make([]xfd.FD, n)
+	for i := range sigma {
+		for j := 0; j < 1+rng.Intn(2); j++ {
+			sigma[i].LHS = append(sigma[i].LHS, ps[rng.Intn(len(ps))])
+		}
+		sigma[i].RHS = []dtd.Path{ps[rng.Intn(len(ps))]}
+	}
+	return sigma
+}
+
+// TestRunMatchesParentsFirst is the differential oracle for run's
+// two-way sweeps: over 500+ seeded (spec, query) pairs — shallow
+// random specs with disjunction groups, random simple DTDs with random
+// Σ, and the chain family at depths 2–18 — every branch assignment
+// must close to the same feasibility as the parents-first loop, to the
+// same eq, nn1 and nn2 state when feasible, and in no more rounds.
+func TestRunMatchesParentsFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(20020604))
+	type spec struct {
+		d     *dtd.DTD
+		sigma []xfd.FD
+	}
+	var specs []spec
+	for i := 0; i < 200; i++ {
+		d, sigma, _ := randomSpec(rng)
+		specs = append(specs, spec{d, sigma})
+	}
+	for i := 0; i < 200; i++ {
+		d := gen.RandomSimpleDTD(rng)
+		ps, err := d.Paths()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec{d, randomSigma(rng, ps, rng.Intn(4))})
+	}
+	for depth := 2; depth <= 18; depth++ {
+		for i := 0; i < 8; i++ {
+			specs = append(specs, spec{gen.ChainDTD(depth, 2), gen.ChainFDs(depth, 2)})
+		}
+	}
+	pairs, runs, newRounds, refRounds := 0, 0, 0, 0
+	for si, sp := range specs {
+		sk, err := buildSkeleton(sp.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := compileFDs(sk, sp.sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hyp []int
+		for j := 0; j < 1+rng.Intn(2); j++ {
+			hyp = append(hyp, rng.Intn(len(sk.nodes)))
+		}
+		goal := rng.Intn(len(sk.nodes))
+		pairs++
+		for ai, asg := range enumerateAssignments(sk) {
+			got := newState(sk, compiled, asg, hyp, goal)
+			want := newState(sk, compiled, asg, hyp, goal)
+			if got.infeasible {
+				continue
+			}
+			runs++
+			feasible := got.run()
+			rounds, wantFeasible := want.runParentsFirst()
+			newRounds += got.rounds
+			refRounds += rounds
+			where := fmt.Sprintf("spec %d, assignment %d:\n%sΣ = %s\nhyp %v goal %d", si, ai, sp.d, xfd.FormatSet(sp.sigma), hyp, goal)
+			if feasible != wantFeasible {
+				t.Fatalf("%s: feasible = %v, parents-first %v", where, feasible, wantFeasible)
+			}
+			if got.rounds > rounds {
+				t.Fatalf("%s: %d rounds, parents-first %d", where, got.rounds, rounds)
+			}
+			if !feasible {
+				continue
+			}
+			for _, c := range []struct {
+				name      string
+				got, want []bool
+			}{{"eq", got.eq, want.eq}, {"nn1", got.nn1, want.nn1}, {"nn2", got.nn2, want.nn2}} {
+				if !slices.Equal(c.got, c.want) {
+					t.Fatalf("%s: %s = %v, parents-first %v", where, c.name, c.got, c.want)
+				}
+			}
+		}
+	}
+	if pairs < 500 {
+		t.Fatalf("only %d (spec, query) pairs generated", pairs)
+	}
+	t.Logf("%d pairs, %d closure runs: %d rounds two-way, %d parents-first", pairs, runs, newRounds, refRounds)
 }

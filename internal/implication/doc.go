@@ -91,6 +91,7 @@ package implication
 // proposition state is *realized*: two concrete tuples are built that
 // are non-null exactly on the nn sets and share vertices/values exactly
 // on the eq set, glued with trees_D, and the resulting document is
-// re-checked semantically ([T] ⊨ D, T ⊨ Σ, T ⊭ query). Only a verified
-// document is reported as a refutation, so false negatives cannot
-// escape silently even if a closure rule were too weak.
+// re-checked semantically ([T] ⊨ D, T ⊨ Σ, T ⊭ query), against
+// content models and a Σ checker the engine compiled once. Only a
+// verified document is reported as a refutation, so false negatives
+// cannot escape silently even if a closure rule were too weak.

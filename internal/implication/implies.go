@@ -60,13 +60,15 @@ func Implies(d *dtd.DTD, sigma []xfd.FD, q xfd.FD) (Answer, error) {
 // amortizes skeleton construction, FD compilation and branch-assignment
 // enumeration across many queries (the XNF checker issues O(|Σ|) of
 // them). Σ is compiled twice, once for the closure and once as an
-// xfd.CheckerSet over the skeleton's universe that certifies every
-// refutation. An Engine is read-only after construction, so concurrent
-// queries (internal/engine's worker pool) share both.
+// xfd.CheckerSet over the skeleton's universe, and D's content models
+// are compiled once into an xmltree.Conformer; the last two certify
+// every refutation. An Engine is read-only after construction, so
+// concurrent queries (internal/engine's worker pool) share all of it.
 type Engine struct {
 	sk       *skeleton
 	compiled []compiledFD
 	sigma    *xfd.CheckerSet
+	conform  *xmltree.Conformer
 	asgs     []assignment
 }
 
@@ -111,7 +113,13 @@ func newEngine(sk *skeleton, sigma []xfd.FD) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{sk: sk, compiled: compiled, sigma: check, asgs: enumerateAssignments(sk)}, nil
+	return &Engine{
+		sk:       sk,
+		compiled: compiled,
+		sigma:    check,
+		conform:  xmltree.NewConformer(sk.d),
+		asgs:     enumerateAssignments(sk),
+	}, nil
 }
 
 // Universe returns the interned path universe of the engine's DTD.
@@ -254,17 +262,24 @@ func enumerateAssignments(sk *skeleton) []assignment {
 	return res
 }
 
-// verifyCounterexample re-checks a candidate counterexample
-// semantically: [T] ⊨ D, T ⊨ Σ (through the engine's compiled Σ, one
-// streaming walk per cluster) and T ⊭ q.
+// verifyCounterexample certifies a candidate refutation with three
+// semantic checks on the realized tree, each against a structure the
+// engine or the skeleton already holds: [T] ⊨ D through the engine's
+// compiled content models, T ⊨ Σ through its compiled Σ (verdict-only,
+// stopping at the first violated FD), and T ⊭ q through q compiled
+// over the skeleton's universe, which interns every path q can name.
 func (e *Engine) verifyCounterexample(q xfd.FD, tree *xmltree.Tree) bool {
-	if err := xmltree.ConformsUnordered(tree, e.sk.d); err != nil {
+	if err := e.conform.ConformsUnordered(tree); err != nil {
 		return false
 	}
 	if !e.sigma.SatisfiesAll(tree) {
 		return false
 	}
-	return !xfd.Satisfies(tree, q)
+	qc, err := xfd.NewCheckerSet(e.sk.u, []xfd.FD{q})
+	if err != nil {
+		return false // unreachable: q's paths are skeleton paths
+	}
+	return !qc.SatisfiesAll(tree)
 }
 
 // Method identifies which decider produced an Answer.

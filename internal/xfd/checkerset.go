@@ -334,14 +334,25 @@ func (cf *compiledFD) appendFoldKeys(tup tuples.Tuple, addrs map[xmltree.NodeID]
 	return lhsK, rhsK, true
 }
 
-// SatisfiesAll checks T ⊨ Σ, stopping at the first violation.
+// Verdict decides every FD of the set against the document without
+// witnesses: it returns the indices (Σ order) of the violated FDs, nil
+// when T ⊨ Σ. It runs FoldState's accumulator keyed by vertex IDs, so
+// each LHS group keeps one RHS key and no tuple is cloned — the path
+// for callers that read only which FDs fail. onViolation, when non-nil,
+// sees each FD index as it is found violated (discovery order);
+// returning false ends the check there, and the set then holds the
+// violations found so far. Verdict(t, nil) is exactly the violated set
+// of Violations.
+func (cs *CheckerSet) Verdict(t *xmltree.Tree, onViolation func(i int) bool) map[int]bool {
+	st := cs.NewFoldState()
+	_ = st.fold(context.Background(), t, nil, onViolation) // never cancelled
+	return st.ViolatedSet()
+}
+
+// SatisfiesAll checks T ⊨ Σ verdict-only (see Verdict), stopping at
+// the first violated FD.
 func (cs *CheckerSet) SatisfiesAll(t *xmltree.Tree) bool {
-	ok := true
-	cs.Check(t, func(int, [2]tuples.Tuple) bool {
-		ok = false
-		return false
-	})
-	return ok
+	return cs.Verdict(t, func(int) bool { return false }) == nil
 }
 
 // Violations checks every FD and returns the violated ones with

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -109,7 +110,8 @@ func sameReports(t *testing.T, seq, shard []xfd.Violated, context string) {
 // instances and checks, per instance:
 //
 //   - CheckerSet.SatisfiesAll and the package SatisfiesAll agree with
-//     the pairwise reference over materialized tuples;
+//     the pairwise reference over materialized tuples, and the
+//     verdict-only fold (Verdict) reports exactly its violated set;
 //   - Violations reports exactly the reference's violated FDs, in Σ
 //     order, each with a witness pair that really violates its FD;
 //   - the sharded mode (4 workers) reproduces the sequential verdict
@@ -166,6 +168,9 @@ func TestCheckerSetDifferential(t *testing.T) {
 		}
 		if got := xfd.SatisfiesAll(doc, sigma); got != allOK {
 			t.Fatalf("instance %d: package SatisfiesAll = %v, reference %v", instances, got, allOK)
+		}
+		if got := cs.Verdict(doc, nil); !maps.Equal(got, wantBad) {
+			t.Fatalf("instance %d: Verdict = %v, reference %v\nDTD:\n%s\ndoc:\n%s", instances, got, wantBad, d, doc)
 		}
 
 		seq := cs.Violations(doc)

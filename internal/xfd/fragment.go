@@ -108,34 +108,44 @@ func (cs *CheckerSet) NewFoldState() *FoldState {
 	return st
 }
 
-// FoldFragment folds one fragment into the state: every cluster whose
-// root label matches streams its projection once, and each tuple's
-// (LHS key, RHS key) lands in the group maps of the cluster's FDs.
-// Element values are keyed by their positional address offset by
-// f.Start (see the package comment), so a state folded from the whole
-// document {t, "", 0} decides each FD exactly like CheckerSet.Check,
-// and states folded from SplitFragments' fragments — in this process
-// or any other — merge to the whole-document verdict. Folding several
-// fragments into one state is equivalent to folding each into its own
-// state and merging. A cluster walk short-circuits once all its FDs
-// are violated (violation is absorbing). ctx is checked before the
-// fold and per tuple; on cancellation FoldFragment returns the
-// context's error and the state is partial: discard it, never merge or
-// ship it.
+// FoldFragment folds one fragment into the state through fold. Element
+// values are keyed by their positional address offset by f.Start (see
+// the package comment), so a state folded from the whole document
+// {t, "", 0} decides each FD exactly like CheckerSet.Check, and states
+// folded from SplitFragments' fragments — in this process or any other
+// — merge to the whole-document verdict. Folding several fragments
+// into one state is equivalent to folding each into its own state and
+// merging. ctx is checked before the fold and per tuple; on
+// cancellation FoldFragment returns the context's error and the state
+// is partial: discard it, never merge or ship it.
 func (st *FoldState) FoldFragment(ctx context.Context, f Fragment) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	cs := st.cs
 	var addrs map[xmltree.NodeID]string
-	if cs.elemSides {
+	if st.cs.elemSides {
 		addrs = fragmentAddrs(f)
 	}
+	return st.fold(ctx, f.Tree, addrs, nil)
+}
+
+// fold is the one accumulator loop behind FoldFragment and
+// CheckerSet.Verdict: every cluster whose root label matches t's
+// streams its projection once, and each tuple's (LHS key, RHS key)
+// lands in the group maps of the cluster's FDs. Element values are
+// keyed by their entry in addrs, or by vertex ID when addrs is nil.
+// A cluster walk short-circuits once all its FDs are violated
+// (violation is absorbing). onViolation, when non-nil, sees each FD index as it becomes
+// violated; returning false stops the whole fold there. ctx is checked
+// per tuple; its error is returned and leaves the state partial.
+func (st *FoldState) fold(ctx context.Context, t *xmltree.Tree, addrs map[xmltree.NodeID]string, onViolation func(i int) bool) error {
+	cs := st.cs
 	done := ctx.Done()
 	var err error
+	stopped := false
 	for ci := range cs.clusters {
 		cl := &cs.clusters[ci]
-		if cl.label != f.Tree.Root.Label {
+		if cl.label != t.Root.Label {
 			continue
 		}
 		remaining := 0
@@ -148,12 +158,14 @@ func (st *FoldState) FoldFragment(ctx context.Context, f Fragment) error {
 			continue
 		}
 		var lhsBuf, rhsBuf []byte
-		cl.pr.Stream(f.Tree, func(tup tuples.Tuple) bool {
-			select {
-			case <-done:
-				err = ctx.Err()
-				return false
-			default:
+		cl.pr.Stream(t, func(tup tuples.Tuple) bool {
+			if done != nil {
+				select {
+				case <-done:
+					err = ctx.Err()
+					return false
+				default:
+				}
 			}
 			for _, fi := range cl.fds {
 				fd := &st.fds[fi]
@@ -176,10 +188,14 @@ func (st *FoldState) FoldFragment(ctx context.Context, f Fragment) error {
 				fd.violated = true
 				fd.groups = nil
 				remaining--
+				if onViolation != nil && !onViolation(fi) {
+					stopped = true
+					return false
+				}
 			}
 			return remaining > 0
 		})
-		if err != nil {
+		if err != nil || stopped {
 			return err
 		}
 	}

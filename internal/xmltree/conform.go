@@ -8,20 +8,61 @@ import (
 	"xmlnorm/internal/regex"
 )
 
+// Conformer checks trees against one DTD with every content model
+// compiled once, at construction. It is read-only afterwards and safe
+// for concurrent use: an implication engine's pool workers share one
+// to certify their counterexamples.
+type Conformer struct {
+	d        *dtd.DTD
+	matchers map[string]*regex.Matcher // element label -> compiled content model
+}
+
+// NewConformer compiles the content model of every element type the
+// DTD declares with element content.
+func NewConformer(d *dtd.DTD) *Conformer {
+	c := &Conformer{d: d, matchers: make(map[string]*regex.Matcher)}
+	for _, name := range d.Names() {
+		if e := d.Element(name); e.Kind == dtd.ModelContent {
+			c.matchers[name] = regex.Compile(e.Model)
+		}
+	}
+	return c
+}
+
 // Conforms checks T ⊨ D (Definition 3): every node's label is a declared
 // element type, its children sequence is in the language of the content
 // model (string content for #PCDATA elements, nothing for EMPTY ones),
 // the defined attributes are exactly R(label), and the root is labelled
 // r. The first violation found is returned as a non-nil error; nil means
-// the tree conforms.
-func Conforms(t *Tree, d *dtd.DTD) error {
-	if t.Root.Label != d.Root() {
-		return fmt.Errorf("xmltree: root is <%s>, DTD root is <%s>", t.Root.Label, d.Root())
+// the tree conforms. It is the one-shot form of Conformer.Conforms.
+func Conforms(t *Tree, d *dtd.DTD) error { return NewConformer(d).Conforms(t) }
+
+// ConformsUnordered checks [T] ⊨ D: whether some reordering of each
+// node's children conforms to the DTD (the paper works with trees up to
+// the equivalence ≡, writing [T] ⊨ D when some T' ≡ T conforms). For
+// arbitrary regular expressions this is decided per node by searching
+// the NFA over the multiset of child labels. It is the one-shot form of
+// Conformer.ConformsUnordered.
+func ConformsUnordered(t *Tree, d *dtd.DTD) error { return NewConformer(d).ConformsUnordered(t) }
+
+// Conforms checks T ⊨ D against the compiled DTD (see the package-level
+// Conforms).
+func (c *Conformer) Conforms(t *Tree) error { return c.check(t, false) }
+
+// ConformsUnordered checks [T] ⊨ D against the compiled DTD (see the
+// package-level ConformsUnordered).
+func (c *Conformer) ConformsUnordered(t *Tree) error { return c.check(t, true) }
+
+// check walks the tree top-down and returns the first violation; the
+// two conformance notions differ only in how a child sequence is
+// matched against its content model.
+func (c *Conformer) check(t *Tree, unordered bool) error {
+	if t.Root.Label != c.d.Root() {
+		return fmt.Errorf("xmltree: root is <%s>, DTD root is <%s>", t.Root.Label, c.d.Root())
 	}
-	matchers := map[string]*regex.Matcher{}
 	var check func(n *Node) error
 	check = func(n *Node) error {
-		e := d.Element(n.Label)
+		e := c.d.Element(n.Label)
 		if e == nil {
 			return fmt.Errorf("xmltree: element <%s> not declared", n.Label)
 		}
@@ -49,83 +90,21 @@ func Conforms(t *Tree, d *dtd.DTD) error {
 			if n.HasText {
 				return fmt.Errorf("xmltree: <%s> has string content but element content was declared", n.Label)
 			}
-			m := matchers[n.Label]
-			if m == nil {
-				m = regex.Compile(e.Model)
-				matchers[n.Label] = m
-			}
+			m := c.matchers[n.Label]
 			labels := make([]string, len(n.Children))
-			for i, c := range n.Children {
-				labels[i] = c.Label
+			for i, kid := range n.Children {
+				labels[i] = kid.Label
 			}
-			if !m.Match(labels) {
+			if unordered {
+				if !matchAnyPermutation(m, labels) {
+					return fmt.Errorf("xmltree: no ordering of children %v of <%s> is in (%s)", labels, n.Label, e.Model)
+				}
+			} else if !m.Match(labels) {
 				return fmt.Errorf("xmltree: children of <%s> are %v, not in (%s)", n.Label, labels, e.Model)
 			}
 		}
-		for _, c := range n.Children {
-			if err := check(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return check(t.Root)
-}
-
-// ConformsUnordered checks [T] ⊨ D: whether some reordering of each
-// node's children conforms to the DTD (the paper works with trees up to
-// the equivalence ≡, writing [T] ⊨ D when some T' ≡ T conforms). For
-// arbitrary regular expressions this is decided per node by searching
-// the NFA over the multiset of child labels.
-func ConformsUnordered(t *Tree, d *dtd.DTD) error {
-	if t.Root.Label != d.Root() {
-		return fmt.Errorf("xmltree: root is <%s>, DTD root is <%s>", t.Root.Label, d.Root())
-	}
-	matchers := map[string]*regex.Matcher{}
-	var check func(n *Node) error
-	check = func(n *Node) error {
-		e := d.Element(n.Label)
-		if e == nil {
-			return fmt.Errorf("xmltree: element <%s> not declared", n.Label)
-		}
-		for a := range n.Attrs {
-			if !e.HasAttr(a) {
-				return fmt.Errorf("xmltree: <%s> has undeclared attribute %q", n.Label, a)
-			}
-		}
-		for _, a := range e.Attrs {
-			if _, ok := n.Attrs[a]; !ok {
-				return fmt.Errorf("xmltree: <%s> missing attribute %q", n.Label, a)
-			}
-		}
-		switch e.Kind {
-		case dtd.EmptyContent:
-			if n.HasText || len(n.Children) > 0 {
-				return fmt.Errorf("xmltree: <%s> must be empty", n.Label)
-			}
-		case dtd.TextContent:
-			if !n.HasText {
-				return fmt.Errorf("xmltree: <%s> must have string content", n.Label)
-			}
-		case dtd.ModelContent:
-			if n.HasText {
-				return fmt.Errorf("xmltree: <%s> has string content but element content was declared", n.Label)
-			}
-			m := matchers[n.Label]
-			if m == nil {
-				m = regex.Compile(e.Model)
-				matchers[n.Label] = m
-			}
-			labels := make([]string, len(n.Children))
-			for i, c := range n.Children {
-				labels[i] = c.Label
-			}
-			if !matchAnyPermutation(m, labels) {
-				return fmt.Errorf("xmltree: no ordering of children %v of <%s> is in (%s)", labels, n.Label, e.Model)
-			}
-		}
-		for _, c := range n.Children {
-			if err := check(c); err != nil {
+		for _, kid := range n.Children {
+			if err := check(kid); err != nil {
 				return err
 			}
 		}
