@@ -384,7 +384,7 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	// fresh=1: a from-scratch sharded pass over the hosted tree under
 	// the request context — the client's deadline (and the server's
-	// shutdown) stops every fragment fold at its next tuple. Takes the
+	// shutdown) stops every fold of the pass at its next tuple. Takes the
 	// document's writer lock so the tree cannot move under the fold.
 	d.mu.Lock()
 	sn := d.session().Snapshot()

@@ -595,3 +595,63 @@ func TestServeFollow(t *testing.T) {
 	}
 	t.Fatal("follow never re-hosted the changed document")
 }
+
+// FuzzServeTxn posts arbitrary edit scripts to /docs/{name}/txn on the
+// Figure 1 document, with the session in reporting mode. A fuzz input
+// is a sequence of scripts separated by NUL bytes, applied in order to
+// one hosted document. The server must never panic or answer 5xx; a
+// rejected script must leave the ?witness=1 report byte-identical; and
+// after every script the snapshot report must equal the ?fresh=1
+// report byte for byte, which holds the session's sealed witnesses to
+// the sharded from-scratch check.
+func FuzzServeTxn(f *testing.F) {
+	for _, seed := range []string{
+		"settext courses.course[1].taken_by.student.name Boeing\n",
+		"settext courses.course[1].taken_by.student.name Boeing\x00settext courses.course[1].taken_by.student.name Deere\n",
+		"insert courses <course cno=\"csc200\"><title>Dup</title><taken_by></taken_by></course>\n",
+		"delete courses.course[2]\nsetattr courses.nowhere cno x\n",
+		"setattr courses.course[1] cno csc200\nverdict\n# comment\n\n",
+		"insert courses.course.taken_by <student sno=\"st2\"><name>Jones</name><grade>C</grade></student>\x00delete courses.course.taken_by.student[2]\n",
+		"delete courses.course.taken_by.student.name\x00settext courses.course.taken_by.student Deere\n",
+		"setattr courses.course.taken_by.student[1] sno st1\x00delete courses.course[1].taken_by\n",
+		"settext #1 x\ninsert #2 <a/>\ndelete courses\n",
+	} {
+		f.Add(seed)
+	}
+	spec, err := loadSpec(td("courses.spec"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	doc, err := os.ReadFile(td("courses.xml"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		h := mustServer(t, spec).handler()
+		if rec := rawReq(h, "PUT", "/docs/f", string(doc)); rec.Code != http.StatusCreated {
+			t.Fatalf("PUT status %d: %s", rec.Code, rec.Body)
+		}
+		report := func(query string) string {
+			rec := rawReq(h, "GET", "/docs/f/report?witness=1"+query, "")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("report%s status %d: %s", query, rec.Code, rec.Body)
+			}
+			return rec.Body.String()
+		}
+		last := report("") // turns reporting mode on
+		for i, script := range strings.Split(input, "\x00") {
+			rec := rawReq(h, "POST", "/docs/f/txn", script)
+			if rec.Code >= 500 {
+				t.Fatalf("script %d %q: status %d: %s", i, script, rec.Code, rec.Body)
+			}
+			got := report("")
+			if rec.Code != http.StatusOK && got != last {
+				t.Fatalf("rejected script %d %q (status %d) moved the report:\n%s\nwant\n%s", i, script, rec.Code, got, last)
+			}
+			if fresh := report("&fresh=1"); fresh != got {
+				t.Fatalf("after script %d %q: snapshot report\n%s\ndiffers from the fresh check's\n%s", i, script, got, fresh)
+			}
+			last = got
+		}
+	})
+}

@@ -10,8 +10,8 @@
 // however, factorizes at every sibling-group choice point (see
 // tuples.StreamPinned): the tuples an edit at node v can touch are
 // exactly those whose choices select v's ancestor spine, a sub-
-// multiset the compiled plan enumerates directly, without visiting the
-// unaffected regions of the product.
+// multiset the pinned node walk enumerates directly, without visiting
+// the unaffected regions of the product or building anything for them.
 //
 // A Session exploits this by keeping the group maps ALIVE between
 // edits, with reference counts: per cluster, per FD, a two-level map

@@ -1,18 +1,19 @@
 package tuples
 
-// Delta (plan-region) streaming for incremental re-checking. A
+// Delta (pinned-region) streaming for incremental re-checking. A
 // projection stream factors at every relevant sibling group: the full
 // multiset of projected tuples is the disjoint union, over the choices
 // of any one group, of the streams with that group pinned to a single
 // child. An edit inside a subtree therefore touches exactly the tuples
 // whose choices select the subtree's ancestor chain — its spine — and
-// StreamPinned enumerates precisely that sub-multiset, opening choice
-// points only off the spine and below its last node. The relevance
-// probes (Sees, SeesAttr, SeesText) answer the complementary question:
-// whether the projection can distinguish documents differing at a
-// given region at all — when they say no, the pinned streams before
-// and after an edit would be identical and an incremental consumer
-// skips the region outright.
+// StreamPinned enumerates precisely that sub-multiset: it runs
+// Projector.Stream's node walk with each spine node's group restricted
+// to its spine child, so choice points open only off the spine and
+// below its last node. The relevance probes (Sees, SeesAttr, SeesText)
+// answer the complementary question: whether the projection can
+// distinguish documents differing at a given region at all — when they
+// say no, the pinned streams before and after an edit would be
+// identical and an incremental consumer skips the region outright.
 
 import (
 	"xmlnorm/internal/paths"
@@ -79,50 +80,6 @@ func (pr *Projector) SeesText(labels []string) bool {
 	return r.textID != paths.None
 }
 
-// compilePinned builds the plan of the pinned sub-stream: at every
-// spine node, the sibling group containing the next spine node is
-// pinned to that single child, while all other relevant groups (and
-// everything below the last spine node) open their full choice points.
-// The spine must start at the tree's root and each element must be a
-// child of its predecessor; a spine the projection cannot see yields a
-// nil plan root.
-func (pr *Projector) compilePinned(t *xmltree.Tree, spine []*xmltree.Node) *plan {
-	if len(spine) == 0 || spine[0] != t.Root {
-		return &plan{u: pr.u}
-	}
-	labels := make([]string, len(spine))
-	for i, n := range spine {
-		labels[i] = n.Label
-	}
-	if _, ok := pr.relevantAt(labels); !ok {
-		return &plan{u: pr.u}
-	}
-	var build func(n *xmltree.Node, r *relevant, rest []*xmltree.Node) *planNode
-	build = func(n *xmltree.Node, r *relevant, rest []*xmltree.Node) *planNode {
-		sn := &planNode{self: r.selfValues(n)}
-		for _, label := range r.kidOrder {
-			kr := r.kids[label]
-			if len(rest) > 0 && rest[0].Label == label {
-				// The group the spine passes through: one pinned choice.
-				sn.groups = append(sn.groups, []*planNode{build(rest[0], kr, rest[1:])})
-				continue
-			}
-			var kids []*planNode
-			for _, c := range n.Children {
-				if c.Label == label {
-					kids = append(kids, pr.buildProj(c, kr))
-				}
-			}
-			if len(kids) == 0 {
-				continue // whole branch is ⊥
-			}
-			sn.groups = append(sn.groups, kids)
-		}
-		return sn
-	}
-	return &plan{u: pr.u, root: build(spine[0], pr.rel, spine[1:])}
-}
-
 // StreamPinned enumerates the sub-multiset of Stream(t) consisting of
 // the projected tuples whose sibling-group choices select every node
 // of the spine (the ancestor chain root..node, as xmltree.Index.Spine
@@ -131,14 +88,22 @@ func (pr *Projector) compilePinned(t *xmltree.Tree, spine []*xmltree.Node) *plan
 // included — which is what lets an incremental checker retract and
 // re-assert only the tuples an edit can touch. Tuples stream through a
 // reused scratch (Clone to retain); yield returning false stops the
-// enumeration. The return value reports whether the projection sees
-// the spine at all: false means nothing was yielded and no edit at or
-// below the spine's last node can change the projection stream.
+// enumeration. The spine must start at the tree's root and each node
+// must be a child of its predecessor. The return value reports whether
+// the projection sees the spine at all: false means nothing was
+// yielded and no edit at or below the spine's last node can change the
+// projection stream.
 func (pr *Projector) StreamPinned(t *xmltree.Tree, spine []*xmltree.Node, yield func(Tuple) bool) bool {
-	p := pr.compilePinned(t, spine)
-	if p.root == nil {
+	if len(spine) == 0 || spine[0] != t.Root {
 		return false
 	}
-	p.stream(yield)
+	labels := make([]string, len(spine))
+	for i, n := range spine {
+		labels[i] = n.Label
+	}
+	if _, ok := pr.relevantAt(labels); !ok {
+		return false
+	}
+	pr.walk(t, spine, yield)
 	return true
 }

@@ -377,7 +377,7 @@ func newRelevant() *relevant {
 	return &relevant{wanted: paths.None, textID: paths.None, kids: map[string]*relevant{}}
 }
 
-// Projector is a compiled projection plan: the relevant tree of a fixed
+// Projector is a compiled projection: the relevant tree of a fixed
 // path list with every requested path resolved to its universe ID once.
 // Build it once per query and reuse it across trees — this is the hot
 // entry point for FD checking.
@@ -387,7 +387,7 @@ type Projector struct {
 	first []string // first step of each query path, checked against each tree's root
 }
 
-// NewProjector compiles a projection plan over the universe. Every path
+// NewProjector compiles a projection over the universe. Every path
 // must be interned in the universe and non-empty.
 func NewProjector(u *paths.Universe, ps []dtd.Path) (*Projector, error) {
 	pr := &Projector{u: u, rel: newRelevant(), first: make([]string, 0, len(ps))}

@@ -4,13 +4,16 @@ package tuples
 // tuples_D(T) as the cross product of sibling-group choices, which is
 // exponential in fan-out and hard-capped at MaxTuples. The enumerators
 // here walk the same choice points by backtracking over ONE scratch
-// tuple instead: a compiled per-tree plan resolves every path once, and
-// the enumeration itself allocates nothing per tuple, so documents far
-// past the materialization cap stream in O(|T| + |paths(D)|) additional
-// memory regardless of how many maximal tuples they have. Both the
-// maximal-tuple enumeration (Stream) and the projection enumeration
-// (Projector.Stream) yield tuples in exactly the order their
-// materializing counterparts produce them.
+// tuple instead, allocating nothing per tuple, so documents far past
+// the materialization cap stream in O(|T| + |paths(D)|) additional
+// memory regardless of how many maximal tuples they have. The
+// maximal-tuple enumeration (Stream) first compiles a per-tree plan,
+// which resolves every tree path against the universe before the first
+// yield; the projection enumeration (Projector.Stream) walks the tree's
+// nodes directly, guided by the projector's relevant tree, so it builds
+// nothing per tree and a stopped stream never touches the nodes it did
+// not reach. Both yield tuples in exactly the order their materializing
+// counterparts produce them.
 
 import (
 	"fmt"
@@ -35,14 +38,6 @@ type planNode struct {
 	groups [][]*planNode
 }
 
-// plan is a compiled enumeration: every path of the walk resolved
-// against the universe once, so the backtracking enumeration below runs
-// without lookups or allocations.
-type plan struct {
-	u    *paths.Universe
-	root *planNode // nil: the enumeration is empty (e.g. root mismatch)
-}
-
 // cont is one suspended choice point of the backtracking enumeration:
 // after finishing a child subtree, resume sn's groups at index g, then
 // the continuation at next (-1 for "yield"). Lifetimes nest strictly,
@@ -53,20 +48,9 @@ type cont struct {
 	next int
 }
 
-// stream runs the backtracking enumeration: every complete assignment
-// of the plan's choice points is presented to yield as the scratch
-// tuple. The scratch is reused across yields — callers that retain a
-// tuple must Clone it. yield returning false stops the enumeration;
-// stream reports whether it ran to completion.
-func (p *plan) stream(yield func(Tuple) bool) bool {
-	if p.root == nil {
-		return true
-	}
-	return enumerate(p.root, NewTuple(p.u), yield)
-}
-
 // enumerate backtracks over sn's choice points, presenting every
-// complete assignment of the subtree through the scratch tuple.
+// complete assignment of the subtree through the scratch tuple, which
+// is reused across yields (callers that retain a tuple must Clone it).
 // Assignments already present in the scratch (an ancestor context set
 // by the caller, as the token streamer does for the live spine) are
 // part of every yielded tuple and are left untouched. Reports whether
@@ -109,10 +93,10 @@ func enumerate(sn *planNode, scratch Tuple, yield func(Tuple) bool) bool {
 }
 
 // compileTree builds the maximal-tuple plan of a tree against a path
-// universe: every node contributes its vertex, attributes and text;
-// every label group is a choice point. Tree paths outside the universe
-// are an error, exactly as in TuplesOf.
-func compileTree(u *paths.Universe, t *xmltree.Tree) (*plan, error) {
+// universe, resolving every path once: every node contributes its
+// vertex, attributes and text; every label group is a choice point.
+// Tree paths outside the universe are an error, exactly as in TuplesOf.
+func compileTree(u *paths.Universe, t *xmltree.Tree) (*planNode, error) {
 	rootID, ok := u.LookupString(t.Root.Label)
 	if !ok {
 		return nil, fmt.Errorf("tuples: root %q is not in the path universe", t.Root.Label)
@@ -152,11 +136,7 @@ func compileTree(u *paths.Universe, t *xmltree.Tree) (*plan, error) {
 		}
 		return sn, nil
 	}
-	root, err := build(t.Root, rootID)
-	if err != nil {
-		return nil, err
-	}
-	return &plan{u: u, root: root}, nil
+	return build(t.Root, rootID)
 }
 
 // Stream enumerates tuples_D(T) (Definition 6) without materializing
@@ -168,69 +148,112 @@ func compileTree(u *paths.Universe, t *xmltree.Tree) (*plan, error) {
 // O(|T| + |paths|) however many maximal tuples the tree has. Tree paths
 // outside the universe are an error, reported before the first yield.
 func Stream(u *paths.Universe, t *xmltree.Tree, yield func(Tuple) bool) error {
-	p, err := compileTree(u, t)
+	root, err := compileTree(u, t)
 	if err != nil {
 		return err
 	}
-	p.stream(yield)
+	enumerate(root, NewTuple(u), yield)
 	return nil
 }
 
-// selfValues returns the assignments a node contributes to any
-// projected tuple containing it, in plan order (element vertex,
-// requested attributes, text).
-func (r *relevant) selfValues(n *xmltree.Node) []pathValue {
-	var self []pathValue
+// walkCont is cont for the projection walk: after finishing a child
+// subtree, resume node n's relevant groups (r) at index g, then the
+// continuation at next. pin is n's index on the pinned spine, or -1.
+type walkCont struct {
+	n            *xmltree.Node
+	r            *relevant
+	g, pin, next int
+}
+
+// projWalk is one backtracking walk behind Projector.Stream and
+// StreamPinned. Choice points open in the order enumerate opens a
+// plan's: a node's requested values, then its relevant child labels in
+// relevant order, each label's children in document order. A non-nil
+// spine restricts, at every spine node, the group holding the next
+// spine node to that one child.
+type projWalk struct {
+	spine   []*xmltree.Node
+	scratch Tuple
+	conts   []walkCont
+	yield   func(Tuple) bool
+}
+
+// walk runs the projection walk from the tree's root, which is the
+// spine's first node when a spine is given.
+func (pr *Projector) walk(t *xmltree.Tree, spine []*xmltree.Node, yield func(Tuple) bool) {
+	w := projWalk{spine: spine, scratch: NewTuple(pr.u), conts: make([]walkCont, 0, 16), yield: yield}
+	w.visit(t.Root, pr.rel, 0, -1)
+}
+
+// visit assigns n's requested values (element vertex, attributes,
+// text) into the scratch, enumerates its groups, then clears them.
+func (w *projWalk) visit(n *xmltree.Node, r *relevant, pin, rest int) bool {
 	if r.wanted != paths.None {
-		self = append(self, pathValue{id: r.wanted, v: NodeValue(n.ID)})
+		w.scratch.SetID(r.wanted, NodeValue(n.ID))
 	}
 	for _, a := range r.attrs {
-		if v, ok := n.Attr(a.name); ok {
-			self = append(self, pathValue{id: a.id, v: StringValue(v)})
+		if v, ok := n.Attrs[a.name]; ok {
+			w.scratch.SetID(a.id, StringValue(v))
 		}
 	}
 	if r.textID != paths.None && n.HasText {
-		self = append(self, pathValue{id: r.textID, v: StringValue(n.Text)})
+		w.scratch.SetID(r.textID, StringValue(n.Text))
 	}
-	return self
+	ok := w.groupsFrom(n, r, 0, pin, rest)
+	if r.wanted != paths.None {
+		w.scratch.ClearID(r.wanted)
+	}
+	for _, a := range r.attrs {
+		w.scratch.ClearID(a.id)
+	}
+	if r.textID != paths.None {
+		w.scratch.ClearID(r.textID)
+	}
+	return ok
 }
 
-// buildProj builds the projection plan node for one tree node: only
-// requested paths contribute assignments, only relevant labels open
-// choice points, and branches with no children of a relevant label are
-// ⊥, mirroring Projector.Of.
-func (pr *Projector) buildProj(n *xmltree.Node, r *relevant) *planNode {
-	sn := &planNode{self: r.selfValues(n)}
-	for _, label := range r.kidOrder {
+// groupsFrom opens n's relevant groups from index g on, in relevant
+// order: every child of the group's label is one choice, a label with
+// no children is ⊥ and opens none, and on a pinned spine node the
+// group of the next spine node offers that node alone. Past the last
+// group it resumes the continuation at rest, or yields.
+func (w *projWalk) groupsFrom(n *xmltree.Node, r *relevant, g, pin, rest int) bool {
+	var pinned *xmltree.Node
+	if pin >= 0 && pin+1 < len(w.spine) {
+		pinned = w.spine[pin+1]
+	}
+	for ; g < len(r.kidOrder); g++ {
+		label := r.kidOrder[g]
 		kr := r.kids[label]
-		var kids []*planNode
-		for _, c := range n.Children {
-			if c.Label == label {
-				kids = append(kids, pr.buildProj(c, kr))
+		me := len(w.conts)
+		w.conts = append(w.conts, walkCont{n: n, r: r, g: g + 1, pin: pin, next: rest})
+		opened, ok := false, true
+		if pinned != nil && pinned.Label == label {
+			opened, ok = true, w.visit(pinned, kr, pin+1, me)
+		} else {
+			for _, c := range n.Children {
+				if c.Label == label {
+					opened = true
+					if ok = w.visit(c, kr, -1, me); !ok {
+						break
+					}
+				}
 			}
 		}
-		if len(kids) == 0 {
-			continue // whole branch is ⊥
-		}
-		sn.groups = append(sn.groups, kids)
-	}
-	return sn
-}
-
-// compileProj builds the projection plan of a tree against a
-// projector's relevant tree. A nil plan root means the enumeration is
-// empty (some query path does not start at the tree's root label).
-func (pr *Projector) compileProj(t *xmltree.Tree) *plan {
-	for _, f := range pr.first {
-		if f != t.Root.Label {
-			return &plan{u: pr.u}
+		w.conts = w.conts[:me]
+		if opened {
+			return ok
 		}
 	}
-	return &plan{u: pr.u, root: pr.buildProj(t.Root, pr.rel)}
+	if rest < 0 {
+		return w.yield(w.scratch)
+	}
+	c := w.conts[rest]
+	return w.groupsFrom(c.n, c.r, c.g, c.pin, c.next)
 }
 
 // RootChoiceLabels returns the child labels of the projector's root
-// relevant node, in plan order: the top-level sibling-group choice
+// relevant node, in walk order: the top-level sibling-group choice
 // points of the projection. Sharded checkers split the enumeration
 // across a tree's children of one of these labels; labels absent from
 // the list never open a choice point, so sharding on them would be
@@ -245,7 +268,14 @@ func (pr *Projector) RootChoiceLabels() []string { return pr.rel.kidOrder }
 // relevant sibling choices that produce it, so consumers aggregating
 // into keyed maps (FD checking, redundancy counting) see the same set
 // of tuples with harmless repeats, while never paying for the
-// materialized product. yield returning false stops the enumeration.
+// materialized product. yield returning false stops the enumeration;
+// the walk builds nothing per tree, so the nodes it never reached cost
+// nothing either.
 func (pr *Projector) Stream(t *xmltree.Tree, yield func(Tuple) bool) {
-	pr.compileProj(t).stream(yield)
+	for _, f := range pr.first {
+		if f != t.Root.Label {
+			return
+		}
+	}
+	pr.walk(t, nil, yield)
 }

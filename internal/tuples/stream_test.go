@@ -77,7 +77,11 @@ func TestStreamMatchesTuplesOfSequence(t *testing.T) {
 }
 
 // TestStreamEarlyStop checks that a yield returning false stops the
-// enumeration immediately instead of draining the product.
+// enumeration immediately instead of draining the product: the
+// maximal-tuple Stream on a fixed family, then Projector.Stream and
+// StreamPinned on seeded random instances, where stopping at the k-th
+// yield must make exactly k calls carrying the first k tuples of the
+// full sequence. Every witness short-circuit relies on this.
 func TestStreamEarlyStop(t *testing.T) {
 	doc, err := xmltree.ParseString(
 		"<r><c><l/><l/></c><c><l/><l/></c><c><l/><l/></c></r>")
@@ -97,6 +101,85 @@ func TestStreamEarlyStop(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("yield called %d times after stopping at 2", calls)
+	}
+
+	rng := rand.New(rand.NewSource(20020608))
+	stopped := 0
+	for instances := 0; instances < 300; {
+		d := gen.RandomSimpleDTD(rng)
+		doc, err := gen.Document(d, rng, 2, 3)
+		if err != nil {
+			t.Fatalf("gen.Document: %v", err)
+		}
+		if tuples.CountTuples(doc, 0) > 2000 {
+			continue
+		}
+		instances++
+		all, err := d.Paths()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ps []dtd.Path
+		for j := 0; j < 1+rng.Intn(3); j++ {
+			ps = append(ps, all[rng.Intn(len(all))])
+		}
+		pr, err := tuples.NewProjector(paths.ForQuery(ps), ps)
+		if err != nil {
+			t.Fatalf("NewProjector(%v): %v", ps, err)
+		}
+		// A random spine the projection sees, from the root down.
+		spine, labels := []*xmltree.Node{doc.Root}, []string{doc.Root.Label}
+		for n := doc.Root; rng.Intn(3) > 0; {
+			var seen []*xmltree.Node
+			for _, c := range n.Children {
+				if pr.Sees(append(labels[:len(labels):len(labels)], c.Label)) {
+					seen = append(seen, c)
+				}
+			}
+			if len(seen) == 0 {
+				break
+			}
+			n = seen[rng.Intn(len(seen))]
+			spine, labels = append(spine, n), append(labels, n.Label)
+		}
+		for _, s := range []struct {
+			name string
+			run  func(yield func(tuples.Tuple) bool)
+		}{
+			{"Projector.Stream", func(yield func(tuples.Tuple) bool) { pr.Stream(doc, yield) }},
+			{"StreamPinned", func(yield func(tuples.Tuple) bool) { pr.StreamPinned(doc, spine, yield) }},
+		} {
+			var full [][]byte
+			s.run(func(tup tuples.Tuple) bool {
+				full = append(full, tup.AppendKey(nil))
+				return true
+			})
+			if len(full) == 0 {
+				continue
+			}
+			for _, k := range []int{1, 2, 1 + rng.Intn(len(full)), len(full)} {
+				if k > len(full) {
+					continue
+				}
+				calls := 0
+				s.run(func(tup tuples.Tuple) bool {
+					if calls < len(full) && !bytes.Equal(tup.AppendKey(nil), full[calls]) {
+						t.Fatalf("instance %d %s: yield %d differs from the full sequence's\nquery %v\nDTD:\n%s\ndoc:\n%s",
+							instances, s.name, calls, ps, d, doc)
+					}
+					calls++
+					return calls < k
+				})
+				if calls != k {
+					t.Fatalf("instance %d %s: yield called %d times after stopping at %d of %d\nquery %v\nDTD:\n%s\ndoc:\n%s",
+						instances, s.name, calls, k, len(full), ps, d, doc)
+				}
+				stopped++
+			}
+		}
+	}
+	if stopped < 1000 {
+		t.Fatalf("only %d early stops exercised", stopped)
 	}
 }
 

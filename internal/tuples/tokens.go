@@ -194,7 +194,7 @@ func (ts *TokenStream) Text(text []byte) {
 
 // collectGroups assembles a frame's collected child fragments into
 // choice-point groups, in relevant-label order with empty (⊥) branches
-// dropped — exactly buildProj's shape.
+// dropped — the groups Projector.Stream's walk opens at the node.
 func collectGroups(f *tokFrame) [][]*planNode {
 	var groups [][]*planNode
 	for _, label := range f.rel.kidOrder {

@@ -13,8 +13,10 @@
 // with Validate.
 //
 // Four producers enumerate the same tuples in the same order — the
-// materialized TuplesOf, the backtracking Stream, the edit-scoped
-// StreamPinned and the parse-fused TokenStream — and the seeded
+// materialized TuplesOf, the backtracking Stream (over a compiled
+// per-tree plan for maximal tuples, straight over the tree's nodes for
+// projections), the edit-scoped StreamPinned (the same node walk with a
+// spine pinned) and the parse-fused TokenStream — and the seeded
 // differential suites hold them identical; see ARCHITECTURE.md
 // (layer 2) at the repo root for how the layers above consume them.
 package tuples

@@ -209,25 +209,27 @@ func (cs *CheckerSet) FDAt(i int) FD { return cs.fds[i].fd }
 // (remaining FDs stay unreported). onViolation may be nil. Each walk
 // short-circuits as soon as all of its cluster's FDs are decided.
 func (cs *CheckerSet) Check(t *xmltree.Tree, onViolation func(i int, witness [2]tuples.Tuple) bool) {
-	cs.check(t, nil, onViolation)
+	_ = cs.check(context.Background(), t, nil, onViolation) // never cancelled
 }
 
 // check is Check restricted to the FD indices in only (all FDs when
-// only is nil): WitnessReport re-derives witnesses through it.
-func (cs *CheckerSet) check(t *xmltree.Tree, only map[int]bool, onViolation func(i int, witness [2]tuples.Tuple) bool) {
+// only is nil), the walk behind violations. ctx is checked per tuple;
+// once it is done every walk stops and its error is returned.
+func (cs *CheckerSet) check(ctx context.Context, t *xmltree.Tree, only map[int]bool, onViolation func(i int, witness [2]tuples.Tuple) bool) error {
 	aborted := false
 	for ci := range cs.clusters {
 		cl := &cs.clusters[ci]
 		if cl.label != t.Root.Label {
 			continue
 		}
-		if fold := cs.witnessFold(cl, only, &aborted, onViolation); fold != nil {
+		if fold := cs.witnessFold(ctx.Done(), cl, only, &aborted, onViolation); fold != nil {
 			cl.pr.Stream(t, fold)
 		}
 		if aborted {
-			return
+			break
 		}
 	}
+	return ctx.Err()
 }
 
 // witnessFold returns the per-tuple fold of one cluster, restricted to
@@ -238,8 +240,9 @@ func (cs *CheckerSet) check(t *xmltree.Tree, only map[int]bool, onViolation func
 // disagrees with it. Tree walks (Projector.Stream) and token streams
 // (Projector.StartTokens) drive the same fold, so both report the same
 // witnesses. aborted is shared by every cluster of one check: set when
-// onViolation asks to stop, it stops them all.
-func (cs *CheckerSet) witnessFold(cl *cluster, only map[int]bool, aborted *bool, onViolation func(i int, witness [2]tuples.Tuple) bool) func(tuples.Tuple) bool {
+// onViolation asks to stop or done is closed (checked per tuple; nil
+// for a check that cannot be cancelled), it stops them all.
+func (cs *CheckerSet) witnessFold(done <-chan struct{}, cl *cluster, only map[int]bool, aborted *bool, onViolation func(i int, witness [2]tuples.Tuple) bool) func(tuples.Tuple) bool {
 	groups := make([]map[string]tuples.Tuple, len(cl.fds)) // LHS key -> first tuple; nil once decided
 	remaining := 0
 	for li, fi := range cl.fds {
@@ -255,6 +258,14 @@ func (cs *CheckerSet) witnessFold(cl *cluster, only map[int]bool, aborted *bool,
 	return func(tup tuples.Tuple) bool {
 		if *aborted {
 			return false
+		}
+		if done != nil {
+			select {
+			case <-done:
+				*aborted = true
+				return false
+			default:
+			}
 		}
 		for li, fi := range cl.fds {
 			g := groups[li]
@@ -358,12 +369,23 @@ func (cs *CheckerSet) SatisfiesAll(t *xmltree.Tree) bool {
 // Violations checks every FD and returns the violated ones with
 // witnesses, in Σ order. A valid document yields nil.
 func (cs *CheckerSet) Violations(t *xmltree.Tree) []Violated {
-	witnesses := make(map[int][2]tuples.Tuple)
-	cs.Check(t, func(i int, w [2]tuples.Tuple) bool {
+	out, _ := cs.violations(context.Background(), t, nil) // never cancelled
+	return out
+}
+
+// violations runs the witness fold restricted to the FD indices in
+// only (all FDs when only is nil) and returns the violated ones with
+// their witnesses, in Σ order. ctx is checked per tuple; once it is
+// done the context's error is returned with a nil report.
+func (cs *CheckerSet) violations(ctx context.Context, t *xmltree.Tree, only map[int]bool) ([]Violated, error) {
+	witnesses := make(map[int][2]tuples.Tuple, len(only))
+	if err := cs.check(ctx, t, only, func(i int, w [2]tuples.Tuple) bool {
 		witnesses[i] = w
 		return true
-	})
-	return cs.report(witnesses)
+	}); err != nil {
+		return nil, err
+	}
+	return cs.report(witnesses), nil
 }
 
 func (cs *CheckerSet) report(witnesses map[int][2]tuples.Tuple) []Violated {
@@ -390,8 +412,9 @@ func (cs *CheckerSet) ViolationsSharded(t *xmltree.Tree, workers int) []Violated
 // so the report, witnesses included, is identical to Violations' at
 // any worker count, and documents that satisfy Σ (the common case)
 // never pay for the witness pass. With nothing to split (workers <= 1,
-// or no relevant root sibling group with two children) it runs plain
-// Violations. Every fold checks ctx per tuple, the form a server uses
+// or no relevant root sibling group with two children) it runs the
+// witness fold alone, as Violations does. Every pass — fragment folds
+// and witness fold alike — checks ctx per tuple, the form a server uses
 // so shutdown and per-request deadlines stop in-flight checks: once
 // ctx is cancelled no fragment is started or merged, and the context's
 // error is returned with a nil report.
@@ -401,7 +424,7 @@ func (cs *CheckerSet) ViolationsShardedCtx(ctx context.Context, t *xmltree.Tree,
 	}
 	frags := cs.SplitFragments(t, workers)
 	if len(frags) == 1 {
-		return cs.Violations(t), nil
+		return cs.violations(ctx, t, nil)
 	}
 	states := make([]*FoldState, len(frags))
 	if err := pool.ForEachCtx(ctx, workers, len(frags), func(i int) error {
@@ -415,5 +438,9 @@ func (cs *CheckerSet) ViolationsShardedCtx(ctx context.Context, t *xmltree.Tree,
 			return nil, err
 		}
 	}
-	return cs.WitnessReport(t, states[0].ViolatedSet()), nil
+	bad := states[0].ViolatedSet()
+	if len(bad) == 0 {
+		return nil, nil
+	}
+	return cs.violations(ctx, t, bad)
 }

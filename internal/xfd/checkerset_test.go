@@ -268,9 +268,10 @@ func TestCheckerSetShardedWideFanOut(t *testing.T) {
 }
 
 // TestViolationsShardedCtxCancel pins the sharded check's cancellation
-// contract: a context that is already cancelled returns its error
-// without folding, and a deadline a few milliseconds into a check that
-// takes far longer uncancelled stops every fragment fold at its next
+// contract at one worker (where the witness fold runs alone) and at
+// two (fragment folds): a context that is already cancelled returns
+// its error without folding, and a deadline a few milliseconds into a
+// check that takes far longer uncancelled stops the fold at its next
 // tuple, returning context.DeadlineExceeded and no report.
 func TestViolationsShardedCtxCancel(t *testing.T) {
 	// Ten sibling groups of five children under the root, all carrying
@@ -296,33 +297,34 @@ func TestViolationsShardedCtxCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 2
 
 	start := time.Now()
-	report, err := cs.ViolationsShardedCtx(context.Background(), doc, workers)
+	report, err := cs.ViolationsShardedCtx(context.Background(), doc, 2)
 	full := time.Since(start)
 	if err != nil || report != nil {
 		t.Fatalf("uncancelled check = %v, %v; want a satisfied document", report, err)
 	}
 
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	start = time.Now()
-	report, err = cs.ViolationsShardedCtx(cancelled, doc, workers)
-	if elapsed := time.Since(start); !errors.Is(err, context.Canceled) || report != nil || elapsed > full/4 {
-		t.Fatalf("cancelled context: %v, %v after %v; want context.Canceled at once (full check %v)", report, err, elapsed, full)
-	}
+	for _, workers := range []int{1, 2} {
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		start = time.Now()
+		report, err = cs.ViolationsShardedCtx(cancelled, doc, workers)
+		if elapsed := time.Since(start); !errors.Is(err, context.Canceled) || report != nil || elapsed > full/4 {
+			t.Fatalf("%d workers, cancelled context: %v, %v after %v; want context.Canceled at once (full check %v)", workers, report, err, elapsed, full)
+		}
 
-	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	start = time.Now()
-	report, err = cs.ViolationsShardedCtx(deadline, doc, workers)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) || report != nil {
-		t.Fatalf("5ms deadline: %v, %v; want context.DeadlineExceeded", report, err)
+		deadline, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		start = time.Now()
+		report, err = cs.ViolationsShardedCtx(deadline, doc, workers)
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || report != nil {
+			t.Fatalf("%d workers, 5ms deadline: %v, %v; want context.DeadlineExceeded", workers, report, err)
+		}
+		if elapsed > full/4 {
+			t.Fatalf("%d workers, 5ms deadline stopped after %v, want under a quarter of the uncancelled %v", workers, elapsed, full)
+		}
+		t.Logf("%d workers: uncancelled %v, 5ms deadline stopped after %v", workers, full, elapsed)
 	}
-	if elapsed > full/4 {
-		t.Fatalf("5ms deadline stopped after %v, want under a quarter of the uncancelled %v", elapsed, full)
-	}
-	t.Logf("uncancelled %v, 5ms deadline stopped after %v", full, elapsed)
 }

@@ -13,6 +13,8 @@ package xfd
 // them bit-identical to Violations.
 
 import (
+	"context"
+
 	"xmlnorm/internal/tuples"
 	"xmlnorm/internal/xmltree"
 )
@@ -61,10 +63,6 @@ func (cs *CheckerSet) WitnessReport(t *xmltree.Tree, bad map[int]bool) []Violate
 	if len(bad) == 0 {
 		return nil
 	}
-	witnesses := make(map[int][2]tuples.Tuple, len(bad))
-	cs.check(t, bad, func(i int, w [2]tuples.Tuple) bool {
-		witnesses[i] = w
-		return true
-	})
-	return cs.report(witnesses)
+	out, _ := cs.violations(context.Background(), t, bad) // never cancelled
+	return out
 }

@@ -80,7 +80,7 @@ func (cs *CheckerSet) CheckReader(r io.Reader, opts ReaderOptions, onViolation f
 					if cl.label != label {
 						continue // vacuously satisfied on this document
 					}
-					fold := cs.witnessFold(cl, nil, &aborted, onViolation)
+					fold := cs.witnessFold(nil, cl, nil, &aborted, onViolation)
 					streams = append(streams, cl.pr.StartTokens(fold))
 				}
 			}
