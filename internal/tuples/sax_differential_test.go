@@ -1,16 +1,15 @@
 package tuples_test
 
-// Differential property suite for the token-fused enumerators: on
-// serialized random documents, StreamTokens off the raw bytes must
-// reproduce Stream off the parsed tree — same tuples, same order — and
-// Projector.StreamTokens must reproduce Projector.Stream for random
-// projections. Vertex IDs are process-global and minted afresh by
-// every walk, so streams are compared through a canonical rendering
-// that renumbers vertices by first appearance across the whole stream:
-// equal renderings mean the streams agree on everything the checker
-// layer can observe, including enumeration order (which is what makes
-// first-conflict witnesses deterministic) and vertex-sharing structure
-// within and across tuples.
+// Differential property suite for the token-fused enumerator: on
+// serialized random documents, Projector.StreamTokens off the raw bytes
+// must reproduce Projector.Stream off the parsed tree for random
+// projections — same tuples, same order. Vertex IDs are process-global
+// and minted afresh by every walk, so streams are compared through a
+// canonical rendering that renumbers vertices by first appearance
+// across the whole stream: equal renderings mean the streams agree on
+// everything the checker layer can observe, including enumeration
+// order (which is what makes first-conflict witnesses deterministic)
+// and vertex-sharing structure within and across tuples.
 
 import (
 	"math/rand"
@@ -79,8 +78,8 @@ func itoa(n int) string {
 func quoted(s string) string { return "\"" + s + "\"" }
 
 // TestStreamTokensDifferential drives ≥1000 random instances through
-// both the maximal and the projection token streamers and requires the
-// canonical streams to match the tree streamers' exactly.
+// the projection token streamer and requires the canonical streams to
+// match the tree walk's exactly.
 func TestStreamTokensDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20020608))
 	instances := 0
@@ -100,18 +99,6 @@ func TestStreamTokensDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reparse: %v", err)
 		}
-
-		// Maximal tuples: Stream(parsed tree) vs StreamTokens(bytes).
-		u := tuples.UniverseForTree(tree)
-		want := newCanonStream()
-		if err := tuples.Stream(u, tree, want.yield); err != nil {
-			t.Fatalf("Stream: %v", err)
-		}
-		got := newCanonStream()
-		if err := tuples.StreamTokens(u, strings.NewReader(text), 0, got.yield); err != nil {
-			t.Fatalf("StreamTokens: %v", err)
-		}
-		diffStreams(t, "maximal", text, want.lines, got.lines)
 
 		// Projections: random path subsets, tree vs token streams.
 		ps, err := d.Paths()
@@ -166,29 +153,49 @@ func diffStreams(t *testing.T, what, doc string, want, got []string) {
 }
 
 // TestStreamTokensEarlyStop checks that stopping the yield mid-stream
-// leaves the walk intact: the reader is still consumed and structural
-// errors still surface.
+// leaves the walk intact: a stop inside a collected cross product makes
+// exactly k calls carrying the first k tuples of the full stream, the
+// reader is still consumed, and structural errors still surface.
 func TestStreamTokensEarlyStop(t *testing.T) {
-	text := "<r><c k=\"1\"/><c k=\"2\"/><c k=\"3\"/></r>"
-	tree := xmltree.MustParseString(text)
-	u := tuples.UniverseForTree(tree)
-	n := 0
-	if err := tuples.StreamTokens(u, strings.NewReader(text), 0, func(tuples.Tuple) bool {
-		n++
+	// Each g roots a cross product of its a and b children, enumerated
+	// when the g closes: tuples (1,p) (2,p) from the first, (3,q) from
+	// the second.
+	pr := mustProjector(t, "r.g.a.@x", "r.g.b.@y")
+	text := `<r><g><a x="1"/><b y="p"/><a x="2"/></g><g><a x="3"/><b y="q"/></g></r>`
+	full := newCanonStream()
+	if err := pr.StreamTokens(strings.NewReader(text), 0, full.yield); err != nil {
+		t.Fatal(err)
+	}
+	if len(full.lines) != 3 {
+		t.Fatalf("full stream has %d tuples, want 3:\n%s", len(full.lines), strings.Join(full.lines, "\n"))
+	}
+	for k := 1; k <= len(full.lines); k++ {
+		got := newCanonStream()
+		if err := pr.StreamTokens(strings.NewReader(text), 0, func(tup tuples.Tuple) bool {
+			got.yield(tup)
+			return len(got.lines) < k
+		}); err != nil {
+			t.Fatalf("stop at %d: %v", k, err)
+		}
+		diffStreams(t, "stop at "+itoa(k), text, full.lines[:k], got.lines)
+	}
+	// Stopped inside the first g's cross product, the truncated rest
+	// of the document must still fail.
+	truncated := text[:strings.Index(text, "</g>")+len("</g><g>")]
+	calls := 0
+	if err := pr.StreamTokens(strings.NewReader(truncated), 0, func(tuples.Tuple) bool {
+		calls++
 		return false
-	}); err != nil {
-		t.Fatal(err)
+	}); err == nil {
+		t.Fatal("truncated document after a stop: want error, got nil")
 	}
-	if n != 1 {
-		t.Fatalf("yield ran %d times after stopping, want 1", n)
+	if calls != 1 {
+		t.Fatalf("yield ran %d times after stopping, want 1", calls)
 	}
-	// Same document, truncated: the error must surface even though the
-	// projection path yields nothing relevant.
-	pr, err := tuples.NewProjector(paths.ForQuery([]dtd.Path{dtd.MustParsePath("z.q")}), []dtd.Path{dtd.MustParsePath("z.q")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.StreamTokens(strings.NewReader("<r><c>"), 0, func(tuples.Tuple) bool { return true }); err == nil {
+	// The error must surface even when the projection yields nothing
+	// relevant.
+	irrelevant := mustProjector(t, "z.q")
+	if err := irrelevant.StreamTokens(strings.NewReader("<r><c>"), 0, func(tuples.Tuple) bool { return true }); err == nil {
 		t.Fatal("truncated document: want error, got nil")
 	}
 }

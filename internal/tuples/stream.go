@@ -1,180 +1,55 @@
 package tuples
 
-// Streaming enumeration of tree tuples. TuplesOf (ops.go) materializes
-// tuples_D(T) as the cross product of sibling-group choices, which is
-// exponential in fan-out and hard-capped at MaxTuples. The enumerators
-// here walk the same choice points by backtracking over ONE scratch
-// tuple instead, allocating nothing per tuple, so documents far past
-// the materialization cap stream in O(|T| + |paths(D)|) additional
-// memory regardless of how many maximal tuples they have. The
-// maximal-tuple enumeration (Stream) first compiles a per-tree plan,
-// which resolves every tree path against the universe before the first
-// yield; the projection enumeration (Projector.Stream) walks the tree's
-// nodes directly, guided by the projector's relevant tree, so it builds
-// nothing per tree and a stopped stream never touches the nodes it did
-// not reach. Both yield tuples in exactly the order their materializing
-// counterparts produce them.
+// Streaming enumeration of projected tree tuples. TuplesOf (ops.go)
+// materializes tuples_D(T) as the cross product of sibling-group
+// choices, which is exponential in fan-out and hard-capped at
+// MaxTuples. The projection walk here visits the same choice points by
+// backtracking over ONE scratch tuple instead, allocating nothing per
+// tuple, so documents far past the materialization cap stream with
+// memory bounded by the scratch, the tree's depth and the relevant
+// children of the nodes on the current path, however many tuples they
+// have. It walks the tree's nodes directly, guided by the projector's
+// relevant tree, so it builds nothing per tree and a stopped stream
+// never touches the nodes it did not reach. It is the package's only
+// enumeration kernel: Projector.Stream, StreamPinned (delta.go) and
+// the token streamer's cross products (tokens.go) all run it, so their
+// yield orders agree by construction. A node with two or more relevant
+// child labels has its relevant children bucketed by label once per
+// visit, so resuming one of its groups touches only that group's
+// children: the walk's time is linear in its output and in the child
+// lists of the nodes it visits, never quadratic in a wide node's
+// fan-out.
 
 import (
-	"fmt"
-
-	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/paths"
 	"xmlnorm/internal/xmltree"
 )
 
-// pathValue is one resolved (path ID, value) assignment of a plan node.
-type pathValue struct {
-	id paths.ID
-	v  Value
-}
-
-// planNode is one tree node of a compiled enumeration plan: the
-// assignments the node itself contributes to a tuple containing it, and
-// its sibling-group choice points (one child per group is chosen by
-// every tuple that contains the node).
-type planNode struct {
-	self   []pathValue
-	groups [][]*planNode
-}
-
-// cont is one suspended choice point of the backtracking enumeration:
-// after finishing a child subtree, resume sn's groups at index g, then
-// the continuation at next (-1 for "yield"). Lifetimes nest strictly,
-// so conts live in a reusable stack slice instead of heap closures.
-type cont struct {
-	sn   *planNode
-	g    int
-	next int
-}
-
-// enumerate backtracks over sn's choice points, presenting every
-// complete assignment of the subtree through the scratch tuple, which
-// is reused across yields (callers that retain a tuple must Clone it).
-// Assignments already present in the scratch (an ancestor context set
-// by the caller, as the token streamer does for the live spine) are
-// part of every yielded tuple and are left untouched. Reports whether
-// the enumeration ran to completion; every call yields at least one
-// tuple unless stopped.
-func enumerate(sn *planNode, scratch Tuple, yield func(Tuple) bool) bool {
-	conts := make([]cont, 0, 16)
-	var visit func(sn *planNode, rest int) bool
-	var groupsFrom func(sn *planNode, g, rest int) bool
-	groupsFrom = func(sn *planNode, g, rest int) bool {
-		if g == len(sn.groups) {
-			if rest < 0 {
-				return yield(scratch)
-			}
-			c := conts[rest]
-			return groupsFrom(c.sn, c.g, c.next)
-		}
-		me := len(conts)
-		conts = append(conts, cont{sn: sn, g: g + 1, next: rest})
-		for _, child := range sn.groups[g] {
-			if !visit(child, me) {
-				conts = conts[:me]
-				return false
-			}
-		}
-		conts = conts[:me]
-		return true
-	}
-	visit = func(sn *planNode, rest int) bool {
-		for _, pv := range sn.self {
-			scratch.SetID(pv.id, pv.v)
-		}
-		ok := groupsFrom(sn, 0, rest)
-		for _, pv := range sn.self {
-			scratch.ClearID(pv.id)
-		}
-		return ok
-	}
-	return visit(sn, -1)
-}
-
-// compileTree builds the maximal-tuple plan of a tree against a path
-// universe, resolving every path once: every node contributes its
-// vertex, attributes and text; every label group is a choice point.
-// Tree paths outside the universe are an error, exactly as in TuplesOf.
-func compileTree(u *paths.Universe, t *xmltree.Tree) (*planNode, error) {
-	rootID, ok := u.LookupString(t.Root.Label)
-	if !ok {
-		return nil, fmt.Errorf("tuples: root %q is not in the path universe", t.Root.Label)
-	}
-	var build func(n *xmltree.Node, id paths.ID) (*planNode, error)
-	build = func(n *xmltree.Node, id paths.ID) (*planNode, error) {
-		sn := &planNode{self: make([]pathValue, 0, 1+len(n.Attrs))}
-		sn.self = append(sn.self, pathValue{id: id, v: NodeValue(n.ID)})
-		for a, v := range n.Attrs {
-			aid, ok := u.Child(id, "@"+a)
-			if !ok {
-				return nil, fmt.Errorf("tuples: %s.@%s is not in the path universe", u.StringOf(id), a)
-			}
-			sn.self = append(sn.self, pathValue{id: aid, v: StringValue(v)})
-		}
-		if n.HasText {
-			tid, ok := u.Child(id, dtd.TextStep)
-			if !ok {
-				return nil, fmt.Errorf("tuples: %s.%s is not in the path universe", u.StringOf(id), dtd.TextStep)
-			}
-			sn.self = append(sn.self, pathValue{id: tid, v: StringValue(n.Text)})
-		}
-		for _, group := range childGroups(n) {
-			cid, ok := u.Child(id, group[0].Label)
-			if !ok {
-				return nil, fmt.Errorf("tuples: %s.%s is not in the path universe", u.StringOf(id), group[0].Label)
-			}
-			kids := make([]*planNode, len(group))
-			for i, c := range group {
-				k, err := build(c, cid)
-				if err != nil {
-					return nil, err
-				}
-				kids[i] = k
-			}
-			sn.groups = append(sn.groups, kids)
-		}
-		return sn, nil
-	}
-	return build(t.Root, rootID)
-}
-
-// Stream enumerates tuples_D(T) (Definition 6) without materializing
-// the cross product: the maximal tuples are presented to yield one at a
-// time, in exactly the order TuplesOf returns them, through a single
-// scratch tuple that is reused between calls — Clone any tuple you keep
-// past the callback. yield returning false stops the enumeration early.
-// Unlike TuplesOf there is no tuple-count cap: memory stays
-// O(|T| + |paths|) however many maximal tuples the tree has. Tree paths
-// outside the universe are an error, reported before the first yield.
-func Stream(u *paths.Universe, t *xmltree.Tree, yield func(Tuple) bool) error {
-	root, err := compileTree(u, t)
-	if err != nil {
-		return err
-	}
-	enumerate(root, NewTuple(u), yield)
-	return nil
-}
-
-// walkCont is cont for the projection walk: after finishing a child
-// subtree, resume node n's relevant groups (r) at index g, then the
-// continuation at next. pin is n's index on the pinned spine, or -1.
+// walkCont is one suspended choice point of the projection walk: after
+// finishing a child subtree, resume node n's relevant groups (r) at
+// index g, then the continuation at next (-1 for "yield"). b is the
+// index in the walk's ends stack where n's buckets start, or -1 for a
+// node with at most one relevant child label; pin is n's index on the
+// pinned spine, or -1. Lifetimes nest strictly, so conts live in a reusable
+// stack slice instead of heap closures.
 type walkCont struct {
-	n            *xmltree.Node
-	r            *relevant
-	g, pin, next int
+	n               *xmltree.Node
+	r               *relevant
+	g, b, pin, next int
 }
 
-// projWalk is one backtracking walk behind Projector.Stream and
-// StreamPinned. Choice points open in the order enumerate opens a
-// plan's: a node's requested values, then its relevant child labels in
-// relevant order, each label's children in document order. A non-nil
-// spine restricts, at every spine node, the group holding the next
-// spine node to that one child.
+// projWalk is one backtracking walk behind Projector.Stream,
+// StreamPinned and the token streamer's cross products. Choice points
+// open in a fixed order: a node's requested values, then its relevant
+// child labels in relevant order, each label's children in document
+// order. A non-nil spine restricts, at every spine node, the group
+// holding the next spine node to that one child.
 type projWalk struct {
 	spine   []*xmltree.Node
 	scratch Tuple
 	conts   []walkCont
+	kids    []*xmltree.Node // relevant children of the open multi-label visits, by label
+	ends    []int           // per open multi-label visit: its first kid, then each bucket's end
 	yield   func(Tuple) bool
 }
 
@@ -199,7 +74,7 @@ func (w *projWalk) visit(n *xmltree.Node, r *relevant, pin, rest int) bool {
 	if r.textID != paths.None && n.HasText {
 		w.scratch.SetID(r.textID, StringValue(n.Text))
 	}
-	ok := w.groupsFrom(n, r, 0, pin, rest)
+	ok := w.children(n, r, pin, rest)
 	if r.wanted != paths.None {
 		w.scratch.ClearID(r.wanted)
 	}
@@ -212,12 +87,38 @@ func (w *projWalk) visit(n *xmltree.Node, r *relevant, pin, rest int) bool {
 	return ok
 }
 
+// children enumerates n's relevant groups, with n's own values already
+// in the scratch. A node with two or more relevant child labels first
+// has its relevant children bucketed by label onto the walk's stacks,
+// group by group in relevant order, so that resuming group g later
+// reads bucket g alone instead of rescanning every child.
+func (w *projWalk) children(n *xmltree.Node, r *relevant, pin, rest int) bool {
+	if len(r.kidOrder) < 2 {
+		return w.groupsFrom(n, r, 0, -1, pin, rest)
+	}
+	b := len(w.ends)
+	w.ends = append(w.ends, len(w.kids))
+	for _, label := range r.kidOrder {
+		for _, c := range n.Children {
+			if c.Label == label {
+				w.kids = append(w.kids, c)
+			}
+		}
+		w.ends = append(w.ends, len(w.kids))
+	}
+	ok := w.groupsFrom(n, r, 0, b, pin, rest)
+	w.kids, w.ends = w.kids[:w.ends[b]], w.ends[:b]
+	return ok
+}
+
 // groupsFrom opens n's relevant groups from index g on, in relevant
 // order: every child of the group's label is one choice, a label with
 // no children is ⊥ and opens none, and on a pinned spine node the
-// group of the next spine node offers that node alone. Past the last
-// group it resumes the continuation at rest, or yields.
-func (w *projWalk) groupsFrom(n *xmltree.Node, r *relevant, g, pin, rest int) bool {
+// group of the next spine node offers that node alone. Group g's
+// children are bucket g when n was bucketed (b >= 0), else the
+// children of n carrying the one relevant label. Past the last group
+// it resumes the continuation at rest, or yields.
+func (w *projWalk) groupsFrom(n *xmltree.Node, r *relevant, g, b, pin, rest int) bool {
 	var pinned *xmltree.Node
 	if pin >= 0 && pin+1 < len(w.spine) {
 		pinned = w.spine[pin+1]
@@ -226,11 +127,16 @@ func (w *projWalk) groupsFrom(n *xmltree.Node, r *relevant, g, pin, rest int) bo
 		label := r.kidOrder[g]
 		kr := r.kids[label]
 		me := len(w.conts)
-		w.conts = append(w.conts, walkCont{n: n, r: r, g: g + 1, pin: pin, next: rest})
+		w.conts = append(w.conts, walkCont{n: n, r: r, g: g + 1, b: b, pin: pin, next: rest})
 		opened, ok := false, true
-		if pinned != nil && pinned.Label == label {
+		switch {
+		case pinned != nil && pinned.Label == label:
 			opened, ok = true, w.visit(pinned, kr, pin+1, me)
-		} else {
+		case b >= 0:
+			for i, end := w.ends[b+g], w.ends[b+g+1]; ok && i < end; i++ {
+				opened, ok = true, w.visit(w.kids[i], kr, -1, me)
+			}
+		default:
 			for _, c := range n.Children {
 				if c.Label == label {
 					opened = true
@@ -249,7 +155,7 @@ func (w *projWalk) groupsFrom(n *xmltree.Node, r *relevant, g, pin, rest int) bo
 		return w.yield(w.scratch)
 	}
 	c := w.conts[rest]
-	return w.groupsFrom(c.n, c.r, c.g, c.pin, c.next)
+	return w.groupsFrom(c.n, c.r, c.g, c.b, c.pin, c.next)
 }
 
 // RootChoiceLabels returns the child labels of the projector's root

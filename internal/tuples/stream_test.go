@@ -1,16 +1,17 @@
 package tuples_test
 
-// Differential suite for the streaming enumerators: Stream must agree
-// with the materializing TuplesOf tuple for tuple (same sequence, not
-// just the same multiset), Projector.Stream must cover exactly Of's
-// deduplicated tuple set, and the saturating CountTuples must clamp at
-// the cap where the naive product would wrap past MaxInt.
+// Suite for the projection walk: Projector.Stream must cover exactly
+// Of's deduplicated tuple set, stop the moment yield says so, and run
+// in time linear in its output; the saturating CountTuples must clamp
+// at the cap where the naive product would wrap past MaxInt.
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/gen"
@@ -19,90 +20,13 @@ import (
 	"xmlnorm/internal/xmltree"
 )
 
-// collectStream drains Stream into a slice of cloned tuples.
-func collectStream(t *testing.T, u *paths.Universe, doc *xmltree.Tree) []tuples.Tuple {
-	t.Helper()
-	var out []tuples.Tuple
-	if err := tuples.Stream(u, doc, func(tup tuples.Tuple) bool {
-		out = append(out, tup.Clone())
-		return true
-	}); err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	return out
-}
-
-// TestStreamMatchesTuplesOfSequence runs ≥1000 random (DTD, document)
-// instances and checks that the backtracking enumeration yields
-// exactly the tuple sequence TuplesOf materializes — position by
-// position, compared by binary key. Sequence equality is strictly
-// stronger than the multiset agreement the consumers need; it also
-// pins witness and report ordering to the materialized behavior.
-func TestStreamMatchesTuplesOfSequence(t *testing.T) {
-	rng := rand.New(rand.NewSource(20020604))
-	instances := 0
-	for instances < 1000 {
-		d := gen.RandomSimpleDTD(rng)
-		doc, err := gen.Document(d, rng, 2, 3)
-		if err != nil {
-			t.Fatalf("gen.Document: %v", err)
-		}
-		if tuples.CountTuples(doc, 0) > 2000 {
-			continue
-		}
-		instances++
-		u, err := paths.New(d)
-		if err != nil {
-			t.Fatalf("paths.New: %v", err)
-		}
-		want, err := tuples.TuplesOf(u, doc, 0)
-		if err != nil {
-			t.Fatalf("TuplesOf: %v", err)
-		}
-		got := collectStream(t, u, doc)
-		if len(got) != len(want) {
-			t.Fatalf("instance %d: Stream yielded %d tuples, TuplesOf %d\nDTD:\n%s\ndoc:\n%s",
-				instances, len(got), len(want), d, doc)
-		}
-		var gk, wk []byte
-		for i := range want {
-			gk = got[i].AppendKey(gk[:0])
-			wk = want[i].AppendKey(wk[:0])
-			if !bytes.Equal(gk, wk) {
-				t.Fatalf("instance %d: tuple %d differs\n stream %s\n  slab  %s\nDTD:\n%s\ndoc:\n%s",
-					instances, i, got[i].Canonical(), want[i].Canonical(), d, doc)
-			}
-		}
-	}
-}
-
 // TestStreamEarlyStop checks that a yield returning false stops the
-// enumeration immediately instead of draining the product: the
-// maximal-tuple Stream on a fixed family, then Projector.Stream and
-// StreamPinned on seeded random instances, where stopping at the k-th
-// yield must make exactly k calls carrying the first k tuples of the
-// full sequence. Every witness short-circuit relies on this.
+// enumeration immediately instead of draining the product:
+// Projector.Stream and StreamPinned on seeded random instances, where
+// stopping at the k-th yield must make exactly k calls carrying the
+// first k tuples of the full sequence. Every witness short-circuit
+// relies on this.
 func TestStreamEarlyStop(t *testing.T) {
-	doc, err := xmltree.ParseString(
-		"<r><c><l/><l/></c><c><l/><l/></c><c><l/><l/></c></r>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := tuples.UniverseForTree(doc)
-	if n := tuples.CountTuples(doc, 0); n != 6 {
-		t.Fatalf("family should have 6 tuples, has %d", n)
-	}
-	calls := 0
-	if err := tuples.Stream(u, doc, func(tuples.Tuple) bool {
-		calls++
-		return calls < 2
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("yield called %d times after stopping at 2", calls)
-	}
-
 	rng := rand.New(rand.NewSource(20020608))
 	stopped := 0
 	for instances := 0; instances < 300; {
@@ -183,32 +107,6 @@ func TestStreamEarlyStop(t *testing.T) {
 	}
 }
 
-// TestStreamErrorsMatchTuplesOf checks that tree paths outside the
-// universe are reported identically by both enumerators, before the
-// first yield.
-func TestStreamErrorsMatchTuplesOf(t *testing.T) {
-	doc, err := xmltree.ParseString("<r><c/></r>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := paths.ForQuery([]dtd.Path{dtd.MustParsePath("r")}) // r.c missing
-	_, wantErr := tuples.TuplesOf(u, doc, 0)
-	if wantErr == nil {
-		t.Fatal("TuplesOf should reject a tree path outside the universe")
-	}
-	yields := 0
-	gotErr := tuples.Stream(u, doc, func(tuples.Tuple) bool {
-		yields++
-		return true
-	})
-	if gotErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("Stream error %v, TuplesOf error %v", gotErr, wantErr)
-	}
-	if yields != 0 {
-		t.Fatalf("Stream yielded %d tuples before reporting the error", yields)
-	}
-}
-
 // TestProjectorStreamMatchesOf checks, over ≥1000 random instances and
 // random queries, that Projector.Stream yields exactly Of's tuple set:
 // Stream does not deduplicate, so it may repeat tuples, but its set of
@@ -267,6 +165,71 @@ func TestProjectorStreamMatchesOf(t *testing.T) {
 			if streamed < len(ofKeys) {
 				t.Fatalf("instance %d query %v: %d yields < %d distinct tuples", instances, ps, streamed, len(ofKeys))
 			}
+		}
+	}
+}
+
+// TestWalkLinearInOutput drains the projection {r.a.@x, r.a.t.S,
+// r.b.@y} of <r> holding n × <a x><t>…</t></a> and two <b y/> — 2n
+// tuples, from a cross product at the root over a wide child list —
+// through Projector.Stream, StreamPinned on the root-only spine and
+// Projector.StreamTokens. Each must take at most 24 times as long at
+// n = 16000 as at n = 2000 (best of 5 runs each): a walk linear in its
+// output reads about 8, while one that rescans the root's children
+// every time it resumes the b group reads far more.
+func TestWalkLinearInOutput(t *testing.T) {
+	pr := mustProjector(t, "r.a.@x", "r.a.t.S", "r.b.@y")
+	drain := func(n *int) func(tuples.Tuple) bool {
+		return func(tuples.Tuple) bool { *n++; return true }
+	}
+	streams := []struct {
+		name string
+		run  func(text string, tree *xmltree.Tree) int
+	}{
+		{"Projector.Stream", func(_ string, tree *xmltree.Tree) (n int) {
+			pr.Stream(tree, drain(&n))
+			return n
+		}},
+		{"StreamPinned", func(_ string, tree *xmltree.Tree) (n int) {
+			pr.StreamPinned(tree, []*xmltree.Node{tree.Root}, drain(&n))
+			return n
+		}},
+		{"Projector.StreamTokens", func(text string, _ *xmltree.Tree) (n int) {
+			if err := pr.StreamTokens(strings.NewReader(text), 0, drain(&n)); err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}},
+	}
+	best := func(run func(string, *xmltree.Tree) int, n int) time.Duration {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `<a x="%d"><t>%d</t></a>`, i, i%7)
+		}
+		b.WriteString(`<b y="p"/><b y="q"/></r>`)
+		text := b.String()
+		tree := xmltree.MustParseString(text)
+		var min time.Duration
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			got := run(text, tree)
+			d := time.Since(start)
+			if got != 2*n {
+				t.Fatalf("n = %d: %d tuples, want %d", n, got, 2*n)
+			}
+			if i == 0 || d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	for _, s := range streams {
+		small, large := best(s.run, 2000), best(s.run, 16000)
+		if ratio := float64(large) / float64(small); ratio > 24 {
+			t.Errorf("%s: %v at n = 16000 against %v at n = 2000, ratio %.1f > 24", s.name, large, small, ratio)
+		} else {
+			t.Logf("%s: %v at n = 16000 against %v at n = 2000, ratio %.1f", s.name, large, small, ratio)
 		}
 	}
 }

@@ -1,54 +1,45 @@
 package tuples
 
-// Token-fused tuple enumeration: the streaming enumerators of stream.go
-// rebuilt to run straight off an xmltree.WalkTokens token walk (the
-// package's own windowed XML scanner), so checking never needs the
-// materialized tree at all. The projection streamer
-// (Projector.StreamTokens / StartTokens) is the constant-memory path:
-// elements on the current spine whose enclosing sibling groups are
-// single-choice-point chains are "live" — their assignments go directly
-// into the one scratch tuple and completed tuples are emitted the
-// moment their deepest node closes — while subtrees under a node with
-// two or more relevant child labels (a genuine cross product) are
-// collected as plan fragments and enumerated when that node closes.
-// Memory is therefore O(depth · |paths|) plus the largest subtree that
-// genuinely participates in a cross product; for the common FD shape
-// (one constrained child chain, as in the paper's running examples) no
-// fragment is ever collected. Elements whose label is irrelevant to the
-// projector are skipped with a bare depth counter — no allocation, no
-// token inspection. The yield order is exactly Projector.Stream's order
-// on the parsed tree, which is what keeps first-conflict witness
-// reports bit-identical between the tree and token paths.
-//
-// The maximal-tuple StreamTokens has no such locality to exploit: every
-// node of the tree contributes to every tuple's choice structure, and
-// sibling groups are ordered by first occurrence in the document, which
-// is unknowable until a node's last child has closed. It therefore
-// builds the full enumeration plan from the tokens (memory O(|T|), like
-// Stream) and enumerates after the walk — same verdicts, same order,
-// but the constant-memory claim belongs to the projection path.
+// Token-fused tuple enumeration: the projection walk of stream.go run
+// straight off an xmltree.WalkTokens token walk (the package's own
+// windowed XML scanner), so checking never needs the materialized tree
+// at all. Projector.StreamTokens / StartTokens is the constant-memory
+// path: elements on the current spine whose enclosing sibling groups
+// are single-choice-point chains are "live" — their assignments go
+// directly into the one scratch tuple and completed tuples are emitted
+// the moment their deepest node closes — while subtrees under a node
+// with two or more relevant child labels (a genuine cross product) are
+// collected as xmltree nodes holding only what the projector requests,
+// and the projection walk enumerates them under the live spine when
+// that node closes. Memory is therefore O(depth · |paths|) plus the
+// largest subtree that genuinely participates in a cross product; for
+// the common FD shape (one constrained child chain, as in the paper's
+// running examples) nothing is ever collected. Elements whose label is
+// irrelevant to the projector are skipped with a bare depth counter —
+// no allocation, no token inspection. Because the cross products run
+// the same walk as Projector.Stream, the yield order is exactly
+// Projector.Stream's order on the parsed tree, which is what keeps
+// first-conflict witness reports bit-identical between the tree and
+// token paths.
 
 import (
-	"fmt"
 	"io"
 
-	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/paths"
 	"xmlnorm/internal/xmltree"
 )
 
 // tokFrame is one open element the token streamer is tracking (its
 // label is relevant to the projector). Live frames write into the
-// shared scratch tuple; collect frames accumulate a plan fragment.
+// shared scratch tuple; the other frames, and live frames that root a
+// cross product, collect their relevant children into node.
 type tokFrame struct {
 	rel    *relevant
-	label  string
-	live   bool                   // assignments go into the scratch tuple
-	single bool                   // live and at most one relevant child label: children stream
-	sawKid bool                   // a relevant child closed inside this frame
-	setIDs []paths.ID             // live: scratch assignments to clear on close (reused)
-	self   []pathValue            // collect: the fragment's own assignments
-	kids   map[string][]*planNode // collected child fragments by label (reused)
+	live   bool          // assignments go into the scratch tuple
+	single bool          // live and at most one relevant child label: children stream
+	sawKid bool          // a relevant child closed inside this frame
+	setIDs []paths.ID    // live: scratch assignments to clear on close (reused)
+	node   *xmltree.Node // collecting: requested values (when not live) and relevant children
 }
 
 // TokenStream folds a stream of Open/Text/Close events into projected
@@ -61,8 +52,7 @@ type tokFrame struct {
 // ignores further events.
 type TokenStream struct {
 	pr      *Projector
-	yield   func(Tuple) bool
-	scratch Tuple
+	w       projWalk // holds the scratch and yield; enumerates cross products
 	frames  []tokFrame
 	skip    int  // >0: inside an irrelevant subtree, this many unclosed opens
 	done    bool // yield stopped, or the root label ruled every tuple out
@@ -73,7 +63,7 @@ type TokenStream struct {
 // projector's tuple stream. See Projector.StreamTokens for the common
 // reader-driven entry point.
 func (pr *Projector) StartTokens(yield func(Tuple) bool) *TokenStream {
-	return &TokenStream{pr: pr, yield: yield, scratch: NewTuple(pr.u)}
+	return &TokenStream{pr: pr, w: projWalk{scratch: NewTuple(pr.u), yield: yield}}
 }
 
 // Stopped reports whether the stream stopped early because yield
@@ -92,8 +82,10 @@ func lookupAttr(attrs []xmltree.Attr, name string) (string, bool) {
 	return "", false
 }
 
-// push opens a tracked frame, recording the node's own assignments
-// (fresh vertex for a wanted element path, requested attributes).
+// push opens a tracked frame, recording the node's own requested
+// values: a fresh vertex for a wanted element path and the requested
+// attributes, into the scratch when live and into a collected node
+// otherwise.
 func (ts *TokenStream) push(rel *relevant, label string, live bool, attrs []xmltree.Attr) {
 	n := len(ts.frames)
 	if n == cap(ts.frames) {
@@ -102,33 +94,36 @@ func (ts *TokenStream) push(rel *relevant, label string, live bool, attrs []xmlt
 		ts.frames = ts.frames[:n+1]
 	}
 	f := &ts.frames[n]
-	f.rel, f.label, f.live = rel, label, live
+	f.rel, f.live = rel, live
 	f.single = live && len(rel.kidOrder) <= 1
 	f.sawKid = false
 	f.setIDs = f.setIDs[:0]
-	f.self = nil
-	if f.kids != nil {
-		clear(f.kids)
+	f.node = nil
+	if !f.single {
+		f.node = &xmltree.Node{Label: label}
 	}
 	if live {
 		if rel.wanted != paths.None {
-			ts.scratch.SetID(rel.wanted, NodeValue(xmltree.FreshID()))
+			ts.w.scratch.SetID(rel.wanted, NodeValue(xmltree.FreshID()))
 			f.setIDs = append(f.setIDs, rel.wanted)
 		}
 		for _, a := range rel.attrs {
 			if v, ok := lookupAttr(attrs, a.name); ok {
-				ts.scratch.SetID(a.id, StringValue(v))
+				ts.w.scratch.SetID(a.id, StringValue(v))
 				f.setIDs = append(f.setIDs, a.id)
 			}
 		}
 		return
 	}
 	if rel.wanted != paths.None {
-		f.self = append(f.self, pathValue{id: rel.wanted, v: NodeValue(xmltree.FreshID())})
+		f.node.ID = xmltree.FreshID()
 	}
 	for _, a := range rel.attrs {
 		if v, ok := lookupAttr(attrs, a.name); ok {
-			f.self = append(f.self, pathValue{id: a.id, v: StringValue(v)})
+			if f.node.Attrs == nil {
+				f.node.Attrs = make(map[string]string, len(rel.attrs))
+			}
+			f.node.Attrs[a.name] = v
 		}
 	}
 }
@@ -185,24 +180,11 @@ func (ts *TokenStream) Text(text []byte) {
 		return
 	}
 	if f.live {
-		ts.scratch.SetID(tid, StringValue(string(text)))
+		ts.w.scratch.SetID(tid, StringValue(string(text)))
 		f.setIDs = append(f.setIDs, tid)
 		return
 	}
-	f.self = append(f.self, pathValue{id: tid, v: StringValue(string(text))})
-}
-
-// collectGroups assembles a frame's collected child fragments into
-// choice-point groups, in relevant-label order with empty (⊥) branches
-// dropped — the groups Projector.Stream's walk opens at the node.
-func collectGroups(f *tokFrame) [][]*planNode {
-	var groups [][]*planNode
-	for _, label := range f.rel.kidOrder {
-		if kids := f.kids[label]; len(kids) > 0 {
-			groups = append(groups, kids)
-		}
-	}
-	return groups
+	f.node.Text, f.node.HasText = string(text), true
 }
 
 // Close feeds an element end, emitting whatever tuples complete here.
@@ -225,29 +207,24 @@ func (ts *TokenStream) Close() {
 		// tuples during this frame's lifetime; if none closed, this
 		// frame's branch contributes exactly one tuple — the spine
 		// currently in the scratch.
-		if !f.sawKid && !ts.yield(ts.scratch) {
+		if !f.sawKid && !ts.w.yield(ts.w.scratch) {
 			ts.done = true
 		}
 	case f.live:
 		// Cross product rooted here: the frame's own assignments are
-		// in the scratch, its subtrees were collected; enumerate them
-		// in plan order under the live spine.
-		if !enumerate(&planNode{groups: collectGroups(f)}, ts.scratch, ts.yield) {
+		// in the scratch and its relevant children were collected;
+		// the projection walk enumerates them under the live spine.
+		if !ts.w.children(f.node, f.rel, -1, -1) {
 			ts.done = true
 		}
 	default:
-		// Collected fragment: hand the completed plan node to the
-		// parent's group for its label.
-		node := &planNode{self: f.self, groups: collectGroups(f)}
-		p := &ts.frames[n-1]
-		if p.kids == nil {
-			p.kids = make(map[string][]*planNode)
-		}
-		p.kids[f.label] = append(p.kids[f.label], node)
+		// Collected node: hand it to the parent, which collects too.
+		p := ts.frames[n-1].node
+		p.Children = append(p.Children, f.node)
 	}
 	if f.live {
 		for _, id := range f.setIDs {
-			ts.scratch.ClearID(id)
+			ts.w.scratch.ClearID(id)
 		}
 		if n > 0 {
 			ts.frames[n-1].sawKid = true
@@ -275,104 +252,4 @@ func (pr *Projector) StreamTokens(r io.Reader, maxDepth int, yield func(Tuple) b
 		Text:  func(text []byte) error { ts.Text(text); return nil },
 		Close: func(string) error { ts.Close(); return nil },
 	})
-}
-
-// mFrame is one open element of the maximal-tuple plan builder.
-type mFrame struct {
-	id    paths.ID
-	node  *planNode
-	kids  map[string][]*planNode
-	order []string // first-occurrence label order, as childGroups
-}
-
-// StreamTokens enumerates tuples_D(T) (Definition 6) for the document
-// arriving on r, yielding maximal tuples in exactly the order Stream
-// yields them on the parsed tree, through a reused scratch tuple
-// (Clone to retain). Document paths outside the universe are an error,
-// with the same message Stream reports; malformed input fails with
-// xmltree.MalformedError, nesting beyond a positive maxDepth with
-// xmltree.DepthError — in every error case nothing is yielded. Unlike
-// the projection streamer this buffers the full enumeration plan
-// (memory O(|T|), without the tree's label/attr string storage):
-// maximal tuples order sibling groups by first document occurrence,
-// which is not known until each node's last child has closed.
-func StreamTokens(u *paths.Universe, r io.Reader, maxDepth int, yield func(Tuple) bool) error {
-	var stack []mFrame
-	var root *planNode
-	err := xmltree.WalkTokens(r, maxDepth, xmltree.TokenCallbacks{
-		Open: func(label string, attrs []xmltree.Attr) error {
-			var id paths.ID
-			if len(stack) == 0 {
-				rid, ok := u.LookupString(label)
-				if !ok {
-					return fmt.Errorf("tuples: root %q is not in the path universe", label)
-				}
-				id = rid
-			} else {
-				parent := &stack[len(stack)-1]
-				cid, ok := u.Child(parent.id, label)
-				if !ok {
-					return fmt.Errorf("tuples: %s.%s is not in the path universe", u.StringOf(parent.id), label)
-				}
-				id = cid
-			}
-			sn := &planNode{self: make([]pathValue, 0, 1+len(attrs))}
-			sn.self = append(sn.self, pathValue{id: id, v: NodeValue(xmltree.FreshID())})
-			for _, a := range attrs {
-				aid, ok := u.Child(id, "@"+a.Name)
-				if !ok {
-					return fmt.Errorf("tuples: %s.@%s is not in the path universe", u.StringOf(id), a.Name)
-				}
-				// A repeated attribute overwrites, as in the tree's map.
-				replaced := false
-				for i := 1; i < len(sn.self); i++ {
-					if sn.self[i].id == aid {
-						sn.self[i].v = StringValue(a.Value)
-						replaced = true
-						break
-					}
-				}
-				if !replaced {
-					sn.self = append(sn.self, pathValue{id: aid, v: StringValue(a.Value)})
-				}
-			}
-			stack = append(stack, mFrame{id: id, node: sn})
-			return nil
-		},
-		Text: func(text []byte) error {
-			f := &stack[len(stack)-1]
-			tid, ok := u.Child(f.id, dtd.TextStep)
-			if !ok {
-				return fmt.Errorf("tuples: %s.%s is not in the path universe", u.StringOf(f.id), dtd.TextStep)
-			}
-			f.node.self = append(f.node.self, pathValue{id: tid, v: StringValue(string(text))})
-			return nil
-		},
-		Close: func(label string) error {
-			n := len(stack) - 1
-			f := stack[n]
-			for _, l := range f.order {
-				f.node.groups = append(f.node.groups, f.kids[l])
-			}
-			stack = stack[:n]
-			if n == 0 {
-				root = f.node
-				return nil
-			}
-			p := &stack[n-1]
-			if p.kids == nil {
-				p.kids = make(map[string][]*planNode)
-			}
-			if _, seen := p.kids[label]; !seen {
-				p.order = append(p.order, label)
-			}
-			p.kids[label] = append(p.kids[label], f.node)
-			return nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	enumerate(root, NewTuple(u), yield)
-	return nil
 }

@@ -98,56 +98,58 @@ func TestTokenStreamDepthError(t *testing.T) {
 	}
 }
 
-// TestStreamTokensOutOfUniverse: the maximal streamer reports document
-// paths outside the universe with compileTree's exact messages, before
-// yielding anything.
-func TestStreamTokensOutOfUniverse(t *testing.T) {
-	tree := xmltree.MustParseString("<r><c k=\"1\"/></r>")
-	u := tuples.UniverseForTree(tree)
+// TestTokenStreamCrossProduct: below a node with two or more relevant
+// child labels (a genuine cross product) the token path collects the
+// subtrees and enumerates them when the node closes. Each case must
+// reproduce Projector.Stream on the parsed tree exactly, through the
+// canonical rendering of the differential suite; the random suite
+// rarely reaches these shapes inside a collected node.
+func TestTokenStreamCrossProduct(t *testing.T) {
 	cases := []struct {
-		doc, want string
+		name, doc string
+		paths     []string
 	}{
-		{"<z/>", `tuples: root "z" is not in the path universe`},
-		{"<r><q/></r>", "tuples: r.q is not in the path universe"},
-		{"<r><c j=\"2\"/></r>", "tuples: r.c.@j is not in the path universe"},
-		{"<r><c>txt</c></r>", "tuples: r.c.S is not in the path universe"},
+		{"order", `<r><a x="1"/><b y="p"/><a x="2"/><b y="q"/></r>`,
+			[]string{"r.a.@x", "r.b.@y"}},
+		{"vertices", `<r><a x="1"/><b y="p"/><a x="2"/><b/></r>`,
+			[]string{"r.a", "r.a.@x", "r.b"}},
+		{"text", `<r><a x="1"><t>one</t></a><b y="p"/><a x="2"><t>two</t></a><a x="3"/></r>`,
+			[]string{"r.a.@x", "r.a.t.S", "r.b.@y"}},
+		{"own text", `<r><a>one</a><b y="p"/><a>two</a></r>`,
+			[]string{"r.a.S", "r.b.@y"}},
+		{"duplicate attribute", `<r><a x="1" x="2"/><b y="p" y="q"/><a x="3" z="0" x="4"/></r>`,
+			[]string{"r.a.@x", "r.b.@y"}},
+		{"nested cross product", `<r><a><d p="1"/><e q="u"/><d p="2"/><e q="v"/></a><b y="p"/><b y="q"/><a><d p="3"/><e q="w"/></a></r>`,
+			[]string{"r.a.d.@p", "r.a.e.@q", "r.b.@y"}},
+		{"empty group", `<r><a><d p="1"/><d p="2"/></a><b y="p"/><a><e q="w"/></a><a/></r>`,
+			[]string{"r.a.d.@p", "r.a.e.@q", "r.b.@y"}},
+		{"irrelevant subtree", `<r><a x="1"><z><t>hidden</t><d p="9"/></z><t>one</t><d p="2"/></a><b y="p"/></r>`,
+			[]string{"r.a.@x", "r.a.t.S", "r.a.d.@p", "r.b.@y"}},
 	}
 	for _, c := range cases {
-		yields := 0
-		err := tuples.StreamTokens(u, strings.NewReader(c.doc), 0, func(tuples.Tuple) bool {
-			yields++
-			return true
-		})
-		if err == nil || err.Error() != c.want {
-			t.Errorf("%q: error %v, want %q", c.doc, err, c.want)
+		pr := mustProjector(t, c.paths...)
+		want := newCanonStream()
+		pr.Stream(xmltree.MustParseString(c.doc), want.yield)
+		if len(want.lines) == 0 {
+			t.Fatalf("%s: the tree walk yields nothing", c.name)
 		}
-		if yields != 0 {
-			t.Errorf("%q: %d tuples yielded before the error", c.doc, yields)
+		got := newCanonStream()
+		if err := pr.StreamTokens(strings.NewReader(c.doc), 0, got.yield); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
+		diffStreams(t, c.name, c.doc, want.lines, got.lines)
 	}
-}
 
-// TestTokenStreamCrossProduct: a node with two relevant child labels
-// is a genuine cross product; the token path must enumerate it in the
-// tree path's order even though nothing can be emitted until the node
-// closes.
-func TestTokenStreamCrossProduct(t *testing.T) {
-	pr := mustProjector(t, "r.a.@x", "r.b.@y")
-	doc := "<r><a x=\"1\"/><b y=\"p\"/><a x=\"2\"/><b y=\"q\"/></r>"
-	got := collectTokens(t, pr, doc)
+	// The order itself, spelled out: groups in relevant order, each
+	// group's children in document order.
+	got := collectTokens(t, mustProjector(t, "r.a.@x", "r.b.@y"), cases[0].doc)
 	var pairs []string
 	for _, tup := range got {
 		x, _ := tup.Get(dtd.MustParsePath("r.a.@x"))
 		y, _ := tup.Get(dtd.MustParsePath("r.b.@y"))
 		pairs = append(pairs, x.Str()+y.Str())
 	}
-	want := []string{"1p", "1q", "2p", "2q"}
-	if len(pairs) != len(want) {
-		t.Fatalf("got %v, want %v", pairs, want)
-	}
-	for i := range want {
-		if pairs[i] != want[i] {
-			t.Fatalf("got %v, want %v", pairs, want)
-		}
+	if want := "1p 1q 2p 2q"; strings.Join(pairs, " ") != want {
+		t.Fatalf("got %v, want %s", pairs, want)
 	}
 }

@@ -12,13 +12,16 @@
 // hold by construction for every tuple produced here and are checkable
 // with Validate.
 //
-// Four producers enumerate the same tuples in the same order — the
-// materialized TuplesOf, the backtracking Stream (over a compiled
-// per-tree plan for maximal tuples, straight over the tree's nodes for
-// projections), the edit-scoped StreamPinned (the same node walk with a
-// spine pinned) and the parse-fused TokenStream — and the seeded
-// differential suites hold them identical; see ARCHITECTURE.md
-// (layer 2) at the repo root for how the layers above consume them.
+// TuplesOf materializes tuples_D(T) as the reference. The streaming
+// producers are projections, and all of them run one backtracking walk
+// over the nodes (stream.go): Projector.Stream, the edit-scoped
+// StreamPinned (the walk with a spine pinned) and the parse-fused
+// TokenStream (the walk over the subtrees it collects below a cross
+// product). By construction the token path yields exactly
+// Projector.Stream's sequence and a pinned stream a subsequence of it;
+// the seeded differential suites hold them to each other and to the
+// projections of TuplesOf. See ARCHITECTURE.md (layer 2) at the repo
+// root for how the layers above consume them.
 package tuples
 
 import (

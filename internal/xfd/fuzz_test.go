@@ -42,12 +42,18 @@ func FuzzParse(f *testing.F) {
 // report whenever the input parses. Both paths read through
 // xmltree.WalkTokens, so the acceptance half only guards the wiring;
 // xmltree's FuzzWalkTokens holds the tokenizer itself to encoding/xml.
-// The report agreement is what this target is for.
+// The report agreement is what this target is for. The last two FDs
+// form one cluster that branches at r (a, b) and at a (t, d, e), so the
+// reader collects every a below the root's cross product, with nested
+// cross products, text and attributes inside; the other clusters are
+// chains that stream.
 func FuzzCheckReader(f *testing.F) {
 	sigma := []FD{
 		MustParse("courses.course.@cno -> courses.course.title.S"),
 		MustParse("r.c.@k -> r.c.@v"),
 		MustParse("r.c.@k -> r.c"),
+		MustParse("r.a.@x, r.b.@y -> r.a.t.S"),
+		MustParse("r.a.d.@p, r.a.e.@q -> r.a.@x"),
 	}
 	cs, err := NewCheckerSetFor(sigma)
 	if err != nil {
@@ -67,6 +73,8 @@ func FuzzCheckReader(f *testing.F) {
 		"",
 		"<r><pad><deep><deep/></deep></pad></r>",
 		"<r k=\"&broken;\"/>",
+		`<r><a x="1"><t>u</t><d p="1"/><e q="1"/></a><b y="p"/><a x="2"><t>v</t><d p="1"/><e q="1"/><d p="2"/></a><b y="q"/></r>`,
+		`<r><a x="1" x="3"><t>u</t><d p="2"/><z><d p="9"/></z></a><b y="p"/><a x="1"><t>w</t><e q="5"/></a><a x="1"/><c k="1"/></r>`,
 	} {
 		f.Add([]byte(s))
 	}
