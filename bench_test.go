@@ -1,10 +1,12 @@
 package xmlnorm
 
-// One benchmark per experiment of the paper (see DESIGN.md's
+// One benchmark per experiment of the paper, E1–E15 (see DESIGN.md's
 // per-experiment index and EXPERIMENTS.md for a recorded run of the full
 // tables via cmd/experiments), plus micro-benchmarks of the core
 // operations. Custom metrics report the figures the tables are built
-// from (tuple counts, redundancy, growth sizes).
+// from (tuple counts, redundancy, growth sizes). The ablations beyond
+// the paper (E16, E18–E24) have no wrapper here: CI runs each once, in
+// a `cmd/experiments` gate step.
 
 import (
 	"fmt"
@@ -331,130 +333,6 @@ func BenchmarkFDSatisfaction(b *testing.B) {
 func BenchmarkE15_DesignStudies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.E15DesignStudies(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE17_PathInterning: the full legacy-vs-interned sweep (tuple
-// extraction, the brute-force inner Σ check, closure cache keying). CI
-// runs this with -count=3 and archives the cmd/experiments JSON of the
-// same sweep as the BENCH_paths.json artifact. The table's correctness
-// and speedup gates are checked by the `cmd/experiments E17` CI step;
-// here only hard errors fail, so timing noise can't flake the bench job.
-func BenchmarkE17_PathInterning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.E17PathInterning(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE18_StreamingTuples: materialize-then-check vs the
-// streaming CheckerSet on the wide-fan-out family, over-cap row
-// included. CI runs this with -count=3 and archives the
-// cmd/experiments JSON of the same sweep as the BENCH_stream.json
-// artifact. The table's verdict-agreement, speedup and allocation
-// gates are checked by the `cmd/experiments E18` CI step; here only
-// hard errors fail, so timing noise can't flake the bench job.
-func BenchmarkE18_StreamingTuples(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.E18StreamingTuples(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE19_IncrementalChecking: per-edit Session re-validation vs
-// the full re-stream on the university family, insert/delete round
-// trips included. CI runs this with -count=3 and archives the
-// cmd/experiments JSON of the same sweep as the BENCH_incr.json
-// artifact. The table's verdict-identity and >= 10x speedup gates are
-// checked by the `cmd/experiments E19` CI step; here only hard errors
-// fail, so timing noise can't flake the bench job.
-func BenchmarkE19_IncrementalChecking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.E19IncrementalChecking(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE20_SAXFusion: streaming CheckReader vs Parse + Violations
-// on the log family, gigabyte sweep included. CI runs this with
-// -count=3 and archives the cmd/experiments JSON of the same sweep as
-// the BENCH_sax.json artifact. The table's flat-memory, throughput,
-// and bit-identity gates are checked by the `cmd/experiments E20` CI
-// step; here only hard errors fail, so timing noise can't flake the
-// bench job.
-func BenchmarkE20_SAXFusion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.E20SAXFusion(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE21_ServeThroughput: batched-transaction script application
-// vs per-edit re-validation on the university family, concurrent
-// snapshot readers included. CI runs this with -count=3 and archives
-// the cmd/experiments JSON of the same sweep as the BENCH_serve.json
-// artifact. The table's report-identity, rollback and >= 5x batching
-// gates are checked by the `cmd/experiments E21` CI step; here only
-// hard errors fail, so timing noise can't flake the bench job.
-func BenchmarkE21_ServeThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.E21ServeThroughput(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE22_CorpusChecking: 1000 small documents through the
-// one-compile corpus sweep vs the recompile-per-file baseline, plus the
-// fragment fold/serialize/merge identity pass. CI runs this with
-// -count=3 and archives the cmd/experiments JSON of the same sweep as
-// the BENCH_corpus.json artifact. The ≥3x corpus gate and the
-// fragment-identity gates are checked by the `cmd/experiments E22` CI
-// step; here only hard errors fail, so timing noise can't flake the
-// bench job.
-func BenchmarkE22_CorpusChecking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.E22CorpusChecking(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE23_DistributedFold: the E22 1000-document family checked
-// through four real `xnf serve` worker processes — coordinator fold
-// shipping vs spawning a process per file, the kill-one-worker
-// degradation rerun, and the CLI -workers byte-identity cases. CI runs
-// this once and archives the cmd/experiments JSON of the same sweep as
-// the BENCH_dist.json artifact. The ≥2x amortization gate, the verdict
-// agreement, degradation and byte-identity gates are checked by the
-// `cmd/experiments E23` CI step; here only hard errors fail, so timing
-// noise can't flake the bench job.
-func BenchmarkE23_DistributedFold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.E23DistributedFold(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE24_Analyze: the schema-analysis ablation — sharded
-// candidate-key search (one memoized engine, counterexample-table
-// prefilter) vs the fresh-engine-per-candidate baseline, plus the
-// cover and report determinism passes. CI runs this once and archives
-// the cmd/experiments JSON of the same sweep as the BENCH_analyze.json
-// artifact. The ≥2x speedup gate, the key-list identity and the
-// determinism gates are checked by the `cmd/experiments E24` CI step;
-// here only hard errors fail, so timing noise can't flake the bench
-// job.
-func BenchmarkE24_Analyze(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.E24SpecAnalysis(); err != nil {
 			b.Fatal(err)
 		}
 	}

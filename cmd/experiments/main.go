@@ -7,15 +7,15 @@
 //
 //	experiments [-parallel N] [-cache=BOOL]            run everything
 //	experiments [-parallel N] [-cache=BOOL] E6 E9      run selected experiments
-//	experiments -json out.json E17                     also write the tables as JSON
+//	experiments -json out.json E18                     also write the tables as JSON
 //
 // -parallel sets the implication-engine worker count (0 = GOMAXPROCS)
 // and -cache toggles its closure cache; both feed the engine-backed
 // experiments E6–E9 and E16. -json additionally writes the result
-// tables to a file as a JSON array (CI uploads the E17 sweep this way
-// as the BENCH_paths.json artifact). The process exits nonzero when any
-// table reports a MISMATCH between the paper's claim and the measured
-// outcome, so CI can gate on the suite.
+// tables to a file as a JSON array (CI's bench job runs each of E18–E24
+// once this way and uploads the BENCH_<name>.json files). The process
+// exits nonzero when any table reports a MISMATCH between the paper's
+// claim and the measured outcome, so CI can gate on the suite.
 package main
 
 import (

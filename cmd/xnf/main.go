@@ -121,6 +121,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: the worker count must be 0 (GOMAXPROCS) or positive", *parallel)
+	}
 	engOpts = xmlnorm.EngineOptions{Workers: *parallel, NoCache: !*cache}
 	args = fs.Args()
 	if len(args) < 1 {
@@ -201,6 +204,9 @@ func cmdCheck(args []string) error {
 	}
 	if fs.NArg() != 1 && fs.NArg() != 2 {
 		return fmt.Errorf("usage: xnf check [-witness] [-stream] [-r] [-fragments K] [-workers H1,H2] [-maxdepth N] [-json] <spec> [doc.xml|dir]")
+	}
+	if *fragments < 0 {
+		return fmt.Errorf("check -fragments %d: the count must be 0 (a whole-document check) or positive", *fragments)
 	}
 	if *jsonOut && fs.NArg() != 2 {
 		return fmt.Errorf("check -json reports document verdicts; pass a document")

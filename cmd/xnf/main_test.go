@@ -243,6 +243,30 @@ func TestAnalyzeFlags(t *testing.T) {
 	}
 }
 
+// TestNumericFlags pins the numeric flags beside analyze -maxkey: a
+// non-positive serve -poll, a negative check -fragments and a negative
+// global -parallel exit 2 with a message naming the flag, before any
+// work or output.
+func TestNumericFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-poll", "0", "-follow", "f=" + td("courses.xml"), td("courses.spec")}, "-poll 0s"},
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-poll", "-1s", "-follow", "f=" + td("courses.xml"), td("courses.spec")}, "-poll -1s"},
+		{[]string{"check", "-fragments", "-3", td("courses.spec"), td("courses.xml")}, "-fragments -3"},
+		{[]string{"-parallel", "-4", "check", td("courses.spec")}, "-parallel -4"},
+	} {
+		out, err := capture(t, func() error { return run(c.args) })
+		if exitCode(err) != 2 || !strings.Contains(fmt.Sprint(err), c.want) {
+			t.Errorf("run(%v): exit %d, err %v; want exit 2 with %q", c.args, exitCode(err), err, c.want)
+		}
+		if out != "" {
+			t.Errorf("run(%v) printed:\n%s", c.args, out)
+		}
+	}
+}
+
 // wideSpec renders a WideDTD-shaped spec: root r with width starred
 // EMPTY children c<i> carrying one attribute each, and σ chaining the
 // labels (r.c_i.@a_i_0 -> r.c_{i+1}.@a_{i+1}_0) into one

@@ -29,14 +29,15 @@
 // a client-side deadline (or dropped connection, or server shutdown)
 // cancels the fold mid-flight.
 //
-// A transaction body is read whole, under the same bound, before the
-// document's writer lock is taken, so a slow client stalls only its
-// own request. It is then applied atomically: all edits fold in one
-// retract/assert pass at commit, readers see either the pre- or the
-// post-transaction epoch, and any failing edit rolls the whole batch
-// back. The response carries the new epoch's verdict plus the delta
-// (newly violated / newly satisfied FDs) against the pre-transaction
-// epoch, and the NodeIDs assigned to inserted subtrees.
+// A transaction body is read whole, under the same bound and a cap of
+// maxTxnEdits edits (413 past either), before the document's writer
+// lock is taken, so a slow client stalls only its own request. It is
+// then applied atomically: all edits fold in one retract/assert pass
+// at commit, readers see either the pre- or the post-transaction
+// epoch, and any failing edit rolls the whole batch back. The response
+// carries the new epoch's verdict plus the delta (newly violated /
+// newly satisfied FDs) against the pre-transaction epoch, and the
+// NodeIDs assigned to inserted subtrees.
 //
 // -follow name=path (repeatable) additionally hosts an on-disk
 // document, re-loading it whenever the file's mtime or size changes —
@@ -45,11 +46,9 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -71,6 +70,11 @@ import (
 // exercise the bound without 64 MB bodies.
 var maxBodyBytes int64 = 64 << 20
 
+// maxTxnEdits bounds the edit lines of one transaction (413 past it). A
+// transaction commits under its document's writer lock, uncancellable,
+// and its cost grows faster than linearly in its edit count.
+const maxTxnEdits = 1024
+
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
@@ -88,6 +92,9 @@ func cmdServe(args []string) error {
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: xnf serve [-addr host:port] [-poll interval] [-follow name=path]... <spec>")
+	}
+	if *poll <= 0 {
+		return fmt.Errorf("serve -poll %v: the interval must be positive", *poll)
 	}
 	spec, err := loadSpec(fs.Arg(0))
 	if err != nil {
@@ -421,8 +428,9 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTxn applies an edit script as one transaction. The script is
-// read before the writer lock is taken: a client that trickles its
-// body must not hold the lock against the document's other writers.
+// read and split into its edit lines before the writer lock is taken:
+// a client that trickles its body must not hold the lock against the
+// document's other writers.
 func (s *server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	d, ok := s.lookup(name)
@@ -431,8 +439,20 @@ func (s *server) handleTxn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := distrib.NewLimitBody(w, r.Body, maxBodyBytes)
-	script, err := io.ReadAll(body)
-	if err != nil {
+	var edits []string
+	sc := bufio.NewScanner(body)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") || line == "verdict" {
+			continue
+		}
+		if len(edits) == maxTxnEdits {
+			httpError(w, http.StatusRequestEntityTooLarge, "script over %d edits", maxTxnEdits)
+			return
+		}
+		edits = append(edits, line)
+	}
+	if err := sc.Err(); err != nil {
 		if body.TooLarge {
 			httpError(w, http.StatusRequestEntityTooLarge, "script over %d bytes", int64(maxBodyBytes))
 			return
@@ -446,28 +466,16 @@ func (s *server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	before := sess.Snapshot()
 	tx := sess.Begin()
 	var inserted []insertedJSON
-	edits := 0
-	sc := bufio.NewScanner(bytes.NewReader(script))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || line == "verdict" {
-			continue
-		}
-		edits++
+	for i, line := range edits {
 		sub, err := applyEdit(tx, line)
 		if err != nil {
 			_ = tx.Rollback()
-			httpError(w, http.StatusUnprocessableEntity, "edit %d (%s): %v", edits, line, err)
+			httpError(w, http.StatusUnprocessableEntity, "edit %d (%s): %v", i+1, line, err)
 			return
 		}
 		if sub != nil {
 			inserted = append(inserted, insertedJSON{Label: sub.Label, ID: sub.ID})
 		}
-	}
-	if err := sc.Err(); err != nil {
-		_ = tx.Rollback()
-		httpError(w, http.StatusBadRequest, "script: %v", err)
-		return
 	}
 	if err := tx.Commit(); err != nil {
 		httpError(w, http.StatusInternalServerError, "commit: %v", err)
@@ -475,7 +483,7 @@ func (s *server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	}
 	after := sess.Snapshot()
 	v := s.snapshotVerdict(name, after, wantWitness(r))
-	v.Edits = edits
+	v.Edits = len(edits)
 	v.addDelta(s.spec, before.Violated(), after.Violated())
 	v.Inserted = inserted
 	writeVerdict(w, http.StatusOK, v)

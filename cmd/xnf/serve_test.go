@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -444,8 +445,9 @@ func TestServeAnalyze(t *testing.T) {
 
 // TestServeBodyBounds pins the 413 surface: the document-carrying
 // endpoints and the transaction route bound their bodies and answer
-// 413 — not 400, not OOM — past the limit, and an oversized
-// transaction leaves its document untouched.
+// 413 — not 400, not OOM — past the limit, a transaction is also
+// bounded at maxTxnEdits edits, and an oversized transaction leaves its
+// document untouched.
 func TestServeBodyBounds(t *testing.T) {
 	old := maxBodyBytes
 	maxBodyBytes = 4 << 10
@@ -489,6 +491,28 @@ func TestServeBodyBounds(t *testing.T) {
 	doReq(t, h, "GET", "/docs/ok/report", "", &v)
 	if v.Seq != 1 || !v.Satisfied {
 		t.Fatalf("oversized txn moved the document: %+v", v)
+	}
+
+	// The edit cap, under the real byte bound: one edit past it is
+	// refused whole, and a script at the cap commits.
+	maxBodyBytes = old
+	edits := func(n int) string {
+		var b strings.Builder
+		b.WriteString("# comments, blank lines and verdict lines are not edits\n\nverdict\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "settext courses.course[1].title t%d\n", i)
+		}
+		return b.String()
+	}
+	if rec := rawReq(h, "POST", "/docs/ok/txn", edits(maxTxnEdits+1)); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("txn of %d edits: status %d, want 413", maxTxnEdits+1, rec.Code)
+	}
+	doReq(t, h, "GET", "/docs/ok/report", "", &v)
+	if v.Seq != 1 {
+		t.Fatalf("txn over the edit cap moved the document to epoch %d", v.Seq)
+	}
+	if resp := doReq(t, h, "POST", "/docs/ok/txn", edits(maxTxnEdits), &v); resp.StatusCode != http.StatusOK || v.Seq != 2 || v.Edits != maxTxnEdits {
+		t.Fatalf("txn of %d edits: status %d, verdict %+v; want epoch 2 with every edit", maxTxnEdits, resp.StatusCode, v)
 	}
 }
 
@@ -652,6 +676,80 @@ func FuzzServeTxn(f *testing.F) {
 				t.Fatalf("after script %d %q: snapshot report\n%s\ndiffers from the fresh check's\n%s", i, script, got, fresh)
 			}
 			last = got
+		}
+	})
+}
+
+// FuzzServe drives the whole mux with a sequence of requests over the
+// seven routes and unregistered ones. An input is requests separated by
+// NUL bytes, each a "METHOD TARGET" line followed by its body; a request
+// no client could send (an invalid method or URL) is skipped. Every
+// answer must be a status in 200-499, never a panic, and after the
+// sequence each hosted document's snapshot report must equal its
+// ?fresh=1 report byte for byte.
+func FuzzServe(f *testing.F) {
+	spec, err := loadSpec(td("courses.spec"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	hash := distrib.SpecHash(spec.DTD, spec.FDs)
+	// Two courses sharing a student, small so that new inputs minimize
+	// quickly.
+	const doc = `<courses><course cno="a"><title>t</title><taken_by><student sno="s"><name>n</name><grade>g</grade></student></taken_by></course>` +
+		`<course cno="b"><title>u</title><taken_by><student sno="s"><name>n</name><grade>h</grade></student></taken_by></course></courses>`
+	for _, seed := range []string{
+		"PUT /docs/f\n" + doc + "\x00GET /docs\x00GET /docs/f/report?witness=1\x00GET /docs/f/analyze",
+		"PUT /docs/f\n" + doc + "\x00POST /docs/f/txn\nsettext courses.course[1].taken_by.student.name Boeing\n\x00GET /docs/f/report?witness=1&fresh=1",
+		"PUT /docs/a\n<courses/>\x00POST /docs/a/txn\ninsert courses <course cno=\"c1\"><title>t</title><taken_by></taken_by></course>\n\x00DELETE /docs/a\x00DELETE /docs/a",
+		"POST /fold?spec=" + hash + "\n" + doc + "\x00POST /fold?spec=nope\n<courses/>\x00POST /fold?spec=" + hash + "\n<courses>",
+		"PUT /docs/b\n<courses><course></course></courses>\x00PUT /docs/c\n<courses\x00GET /docs/b/report",
+		"GET /nowhere\x00PATCH /docs/f\x00POST /docs\x00GET /docs/f/txn\x00PUT /docs/%2E\n<courses/>\x00GET /docs/%2E/report",
+		"PUT /docs/x%2Fy\n<courses/>\x00POST /docs/x%2Fy/txn\ndelete courses\n\x00GET /docs/x%2Fy/analyze?witness=1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		srv := mustServer(t, spec)
+		h := srv.handler()
+		for i, r := range strings.Split(input, "\x00") {
+			line, body, _ := strings.Cut(r, "\n")
+			method, target, _ := strings.Cut(line, " ")
+			if !strings.HasPrefix(target, "/") {
+				continue
+			}
+			req, err := http.NewRequest(method, "http://xnf"+target, strings.NewReader(body))
+			if err != nil {
+				continue
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code < 200 || rec.Code > 499 {
+				t.Fatalf("request %d %q: status %d: %s", i, line, rec.Code, rec.Body)
+			}
+		}
+		srv.mu.RLock()
+		names := make([]string, 0, len(srv.docs))
+		for name := range srv.docs {
+			names = append(names, name)
+		}
+		srv.mu.RUnlock()
+		for _, name := range names {
+			// Escape every byte: names like "." would otherwise be
+			// cleaned out of the path.
+			var target strings.Builder
+			target.WriteString("/docs/")
+			for i := 0; i < len(name); i++ {
+				fmt.Fprintf(&target, "%%%02X", name[i])
+			}
+			target.WriteString("/report?witness=1")
+			snap := rawReq(h, "GET", target.String(), "")
+			fresh := rawReq(h, "GET", target.String()+"&fresh=1", "")
+			if snap.Code != http.StatusOK || fresh.Code != http.StatusOK {
+				t.Fatalf("document %q: report status %d, fresh status %d", name, snap.Code, fresh.Code)
+			}
+			if snap.Body.String() != fresh.Body.String() {
+				t.Fatalf("document %q: snapshot report\n%s\ndiffers from the fresh check's\n%s", name, snap.Body, fresh.Body)
+			}
 		}
 	})
 }

@@ -3,7 +3,7 @@
 // index). Each experiment returns a Table recording the paper's claim
 // and the measured outcome; cmd/experiments prints them all and
 // EXPERIMENTS.md records a reference run. The root bench_test.go wraps
-// the same workloads as testing.B benchmarks.
+// the paper's experiments E1–E15 as testing.B benchmarks.
 package bench
 
 import (
@@ -93,6 +93,25 @@ func timeIt(f func() error) (time.Duration, error) {
 		reps++
 	}
 	return time.Since(start) / time.Duration(reps), nil
+}
+
+// timeLoop runs f iters times and returns the mean duration.
+func timeLoop(iters int, f func() error) (time.Duration, error) {
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		if err := f(); err != nil {
+			return 0, err
+		}
+	}
+	return time.Since(start) / time.Duration(iters), nil
+}
+
+// speedup formats base/fast as a ratio, "-" when fast is not positive.
+func speedup(base, fast time.Duration) string {
+	if fast <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2fx", float64(base)/float64(fast))
 }
 
 // ms formats a duration in fractional milliseconds.

@@ -63,8 +63,8 @@ func TestSpecLoaders(t *testing.T) {
 }
 
 // TestFastExperiments runs the quick experiments end to end to keep the
-// harness itself covered (the slow sweeps run under cmd/experiments and
-// the root benchmarks).
+// harness itself covered (the slow sweeps run under cmd/experiments,
+// each in one CI gate step).
 func TestFastExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments")

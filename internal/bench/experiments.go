@@ -1005,7 +1005,6 @@ var registry = []struct {
 	{"E14", func(Options) (*Table, error) { return E14Redundancy() }},
 	{"E15", func(Options) (*Table, error) { return E15DesignStudies() }},
 	{"E16", E16EngineAblation},
-	{"E17", func(Options) (*Table, error) { return E17PathInterning() }},
 	{"E18", func(Options) (*Table, error) { return E18StreamingTuples() }},
 	{"E19", func(Options) (*Table, error) { return E19IncrementalChecking() }},
 	{"E20", func(Options) (*Table, error) { return E20SAXFusion() }},
