@@ -38,8 +38,10 @@
 //
 //	xnf [-parallel N] [-cache=BOOL] <command> ...
 //
-// -parallel sets the worker goroutines for batched implication queries
-// (0 = GOMAXPROCS, 1 = sequential); -cache toggles answer memoization
+// -parallel sets the worker goroutines (0 = GOMAXPROCS, 1 =
+// sequential): batched implication queries and sharded document checks
+// fan out over them, and above 1 "analyze" runs its report's four
+// parts concurrently; -cache toggles answer memoization
 // (default on). Both default to the fastest setting; the sequential
 // uncached path (-parallel=1 -cache=false) produces identical output
 // and exists for measurement and differential testing.
@@ -116,7 +118,7 @@ var engOpts xmlnorm.EngineOptions
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("xnf", flag.ContinueOnError)
-	parallel := fs.Int("parallel", 0, "implication worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := fs.Int("parallel", 0, "worker goroutines for batched implication queries and sharded checks; above 1, analyze runs its four report parts concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	cache := fs.Bool("cache", true, "memoize implication answers")
 	if err := fs.Parse(args); err != nil {
 		return err

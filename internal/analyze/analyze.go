@@ -6,8 +6,8 @@
 //
 //   - candidate keys: the minimal path sets X with (D, Σ) ⊢ X → p for
 //     every p ∈ paths(D), found by a bounded brute-force search over
-//     the implication engine, sharded across internal/pool workers
-//     with a counterexample-reuse prefilter (keys.go);
+//     the implication engine that decides candidates in order, behind
+//     a counterexample-reuse prefilter (keys.go);
 //   - a canonical cover of Σ with a per-FD classification — which
 //     members of Σ survive, which are redundant, and which were
 //     weakened to a smaller FD (cover.go);
@@ -24,6 +24,7 @@ package analyze
 
 import (
 	"xmlnorm/internal/engine"
+	"xmlnorm/internal/pool"
 	"xmlnorm/internal/xnf"
 )
 
@@ -79,7 +80,13 @@ func (r *Report) Negative() bool {
 // Analyze produces the full report for (D, Σ). One cached engine
 // serves the candidate-key search, the diagnosis and the 4XNF image;
 // the cover construction builds its own reduced engines as
-// xnf.MinimalCover requires.
+// xnf.MinimalCover requires. With more than one engine worker the four
+// parts run concurrently, each on its own goroutine, so the longest
+// one starts at once; with one worker they run in report order on the
+// calling goroutine. Either way the first error in report order is
+// returned, and the report is the same: each part writes its own
+// field, reads the spec only, and shares the engine, whose answers do
+// not depend on which part asks first.
 func Analyze(s xnf.Spec, opts Options) (*Report, error) {
 	if err := validate(s, opts.MVDs); err != nil {
 		return nil, err
@@ -88,28 +95,30 @@ func Analyze(s xnf.Spec, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, err := candidateKeysWith(eng, opts.maxKeySize())
-	if err != nil {
-		return nil, err
+	r := &Report{MaxKeySize: opts.maxKeySize()}
+	parts := [...]func() error{
+		func() (err error) { r.Keys, err = candidateKeysWith(eng, r.MaxKeySize); return err },
+		func() (err error) { r.Cover, err = CanonicalCover(s); return err },
+		func() (err error) { r.Diagnoses, err = diagnoseWith(eng, s); return err },
+		func() (err error) { r.FourXNF, err = check4XNFWith(eng, s, opts.MVDs); return err },
 	}
-	cover, err := CanonicalCover(s)
-	if err != nil {
-		return nil, err
+	workers := 1
+	if eng.Workers() > 1 {
+		workers = len(parts)
 	}
-	diags, err := diagnoseWith(eng, s)
-	if err != nil {
-		return nil, err
+	// Parts are handed out in report order and every part below a
+	// failed one has run to completion, so the first non-nil entry is
+	// the first error in report order.
+	var errs [len(parts)]error
+	_ = pool.ForEach(workers, len(parts), func(i int) error {
+		errs[i] = parts[i]()
+		return errs[i]
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	fx, err := check4XNFWith(eng, s, opts.MVDs)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Keys:       keys,
-		MaxKeySize: opts.maxKeySize(),
-		Cover:      cover,
-		InXNF:      len(diags) == 0,
-		Diagnoses:  diags,
-		FourXNF:    fx,
-	}, nil
+	r.InXNF = len(r.Diagnoses) == 0
+	return r, nil
 }

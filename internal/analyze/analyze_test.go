@@ -9,6 +9,7 @@ import (
 
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/engine"
+	"xmlnorm/internal/gen"
 	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xnf"
 )
@@ -81,29 +82,37 @@ func TestAnalyzeCourses(t *testing.T) {
 
 // TestAnalyzeDeterministic: the report is identical across worker
 // counts and cache configurations — the fan-outs only change the
-// wall-clock, never an answer.
+// wall-clock, never an answer. Above one worker the report's parts
+// share one engine from concurrent goroutines, which makes this the
+// race detector's test of that sharing.
 func TestAnalyzeDeterministic(t *testing.T) {
-	s := coursesSpec(t)
+	specs := map[string]xnf.Spec{
+		"courses": coursesSpec(t),
+		"chain-8": {DTD: gen.ChainDTD(8, 2), FDs: gen.ChainFDs(8, 2)},
+	}
 	configs := []engine.Options{
 		{Workers: 1},
+		{Workers: 2},
 		{Workers: 8},
 		{Workers: 4, NoCache: true},
 	}
-	var base *Report
-	for _, eo := range configs {
-		rep, err := Analyze(s, Options{Engine: eo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Witness documents and tuples vary in in-memory identity; compare
-		// the rendered facts.
-		got := renderFacts(rep)
-		if base == nil {
-			base = rep
-			continue
-		}
-		if want := renderFacts(base); !reflect.DeepEqual(got, want) {
-			t.Errorf("config %+v: report facts differ:\n got %v\nwant %v", eo, got, want)
+	for name, s := range specs {
+		var base []string
+		for _, eo := range configs {
+			rep, err := Analyze(s, Options{Engine: eo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Witness documents and tuples vary in in-memory identity;
+			// compare the rendered facts.
+			got := renderFacts(rep)
+			if base == nil {
+				base = got
+				continue
+			}
+			if !reflect.DeepEqual(got, base) {
+				t.Errorf("%s, config %+v: report facts differ:\n got %v\nwant %v", name, eo, got, base)
+			}
 		}
 	}
 }

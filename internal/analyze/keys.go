@@ -2,13 +2,11 @@ package analyze
 
 import (
 	"strings"
-	"sync"
 
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/engine"
 	"xmlnorm/internal/implication"
 	"xmlnorm/internal/paths"
-	"xmlnorm/internal/pool"
 	"xmlnorm/internal/tuples"
 	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xnf"
@@ -38,15 +36,17 @@ const maxRefuteDocs = 32
 
 // CandidateKeys finds the candidate keys of (D, Σ) up to
 // opts.maxKeySize() paths, in deterministic order: by size, then by
-// the candidate enumeration order over paths(D). The search shards
-// candidates across the engine's worker pool and reuses verified
-// counterexamples: a document that refuted one candidate's superkey
-// query conforms to D and satisfies Σ, so its tuple table (projected
-// once, when cached) refutes later candidates by a direct agree/differ
-// scan — no closure runs, no per-candidate compilation. The result is
-// exactly what CandidateKeysBaseline computes — both decide every
-// candidate exactly, so sharding, caching and the prefilter never
-// change the key list.
+// the candidate enumeration order over paths(D). The search decides
+// candidates in that order, on the calling goroutine, and reuses
+// verified counterexamples: a document that refuted one candidate's
+// superkey query conforms to D and satisfies Σ, so its tuple table
+// (projected once, when cached) refutes later candidates by a direct
+// agree/differ scan — no closure runs, no per-candidate compilation.
+// Deciding in order means every candidate's prefilter sees each
+// counterexample found before it, so the closure runs a search makes
+// depend on the spec alone. The result is exactly what
+// CandidateKeysBaseline computes — both decide every candidate
+// exactly, so caching and the prefilter never change the key list.
 func CandidateKeys(s xnf.Spec, opts Options) ([]Key, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -76,7 +76,7 @@ func candidateKeysWith(eng *engine.Engine, maxSize int) ([]Key, error) {
 		return nil, err
 	}
 	a := &keySearch{eng: eng, ps: ps, ids: ids, pr: pr}
-	return searchKeys(ps, maxSize, eng.Workers(), a.superkey)
+	return searchKeys(ps, maxSize, a.superkey)
 }
 
 // CandidateKeysBaseline is the naive search a caller without the
@@ -84,7 +84,7 @@ func candidateKeysWith(eng *engine.Engine, maxSize int) ([]Key, error) {
 // candidate, queried sequentially, no counterexample reuse. It decides
 // exactly the same predicate as CandidateKeys and must return the
 // identical key list; experiment E24 gates both that identity and the
-// speedup of the sharded search over this baseline.
+// speedup of the memoized search over this baseline.
 func CandidateKeysBaseline(s xnf.Spec, maxSize int) ([]Key, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -112,102 +112,81 @@ func CandidateKeysBaseline(s xnf.Spec, maxSize int) ([]Key, error) {
 		}
 		return true, nil
 	}
-	return searchKeys(ps, maxSize, 1, superkey)
+	return searchKeys(ps, maxSize, superkey)
 }
 
 // searchKeys is the enumeration shared by both searches: candidates of
 // size 1, 2, ..., maxSize over paths(D) in d.Paths order, skipping any
 // candidate containing an already-found key (its verdict would not be
-// minimal). Each layer's candidates are decided independently across
-// the worker pool — verdicts are exact, so the fan-out cannot change
-// the result, only the wall-clock.
-func searchKeys(ps []dtd.Path, maxSize int, workers int, superkey func(sub []int, lhs []dtd.Path) (bool, error)) ([]Key, error) {
+// minimal), each decided before the next one starts.
+func searchKeys(ps []dtd.Path, maxSize int, superkey func(sub []int, lhs []dtd.Path) (bool, error)) ([]Key, error) {
 	var keyIdx [][]int
 	var out []Key
-	for size := 1; size <= maxSize && size <= len(ps); size++ {
-		var layer [][]int
+	var err error
+	for size := 1; size <= maxSize && size <= len(ps) && err == nil; size++ {
 		combinations(len(ps), size, func(sub []int) {
-			if containsAnyKey(keyIdx, sub) {
+			if err != nil || containsAnyKey(keyIdx, sub) {
 				return
 			}
-			layer = append(layer, append([]int(nil), sub...))
-		})
-		verdict := make([]bool, len(layer))
-		err := pool.ForEach(workers, len(layer), func(i int) error {
-			lhs := make([]dtd.Path, len(layer[i]))
-			for j, pi := range layer[i] {
+			lhs := make([]dtd.Path, len(sub))
+			for j, pi := range sub {
 				lhs[j] = ps[pi]
 			}
-			ok, err := superkey(layer[i], lhs)
-			verdict[i] = ok
-			return err
+			var ok bool
+			if ok, err = superkey(sub, lhs); !ok {
+				return
+			}
+			keyIdx = append(keyIdx, append([]int(nil), sub...))
+			out = append(out, Key{Paths: lhs})
 		})
-		if err != nil {
-			return nil, err
-		}
-		for i, sub := range layer {
-			if !verdict[i] {
-				continue
-			}
-			keyIdx = append(keyIdx, sub)
-			k := Key{Paths: make([]dtd.Path, len(sub))}
-			for j, pi := range sub {
-				k.Paths[j] = ps[pi]
-			}
-			out = append(out, k)
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// keySearch carries the shared state of one sharded search: the engine,
-// the interned path IDs, and the cache of counterexample tuple tables.
+// keySearch carries the state of one search: the engine, the interned
+// path IDs, and the cache of counterexample tuple tables.
 type keySearch struct {
-	eng *engine.Engine
-	ps  []dtd.Path
-	ids []paths.ID        // ps interned against the engine's universe
-	pr  *tuples.Projector // projection over all of ps, built once
-
-	mu     sync.Mutex
-	tables [][]tuples.Tuple // tuples_D(T) of each cached counterexample
+	eng    *engine.Engine
+	ps     []dtd.Path
+	ids    []paths.ID        // ps interned against the engine's universe
+	pr     *tuples.Projector // projection over all of ps, built once
+	tables [][]tuples.Tuple  // tuples_D(T) of each cached counterexample
 }
 
-// superkey decides (D, Σ) ⊢ lhs → p for every path p. The verdict is
-// exact; the prefilter only short-circuits candidates a cached
-// counterexample already refutes.
+// superkey decides (D, Σ) ⊢ lhs → p for every path p, one query at a
+// time, stopping at the first refutation. The verdict is exact; the
+// prefilter only short-circuits candidates a cached counterexample
+// already refutes.
 func (a *keySearch) superkey(sub []int, lhs []dtd.Path) (bool, error) {
 	if a.prefilter(sub) {
 		return false, nil
 	}
-	qs := superkeyQueries(sub, lhs, a.ps, a.eng.Universe())
-	failed, err := a.eng.ImpliesAll(qs)
-	if err != nil {
-		return false, err
-	}
-	if failed < 0 {
-		return true, nil
-	}
-	// Keep the refuting document for later candidates: it conforms to D
-	// and satisfies Σ (the answer is verified), so any query it violates
-	// is not implied. Its tuple table is materialized once, here, so
-	// prefilter passes are pure in-memory scans.
-	ans, err := a.eng.Implies(qs[failed])
-	if err != nil {
-		return false, err
-	}
-	if ans.Counterexample != nil && ans.Verified {
-		var rows []tuples.Tuple
-		a.pr.Stream(ans.Counterexample, func(tup tuples.Tuple) bool {
-			rows = append(rows, tup.Clone())
-			return true
-		})
-		a.mu.Lock()
-		if len(a.tables) < maxRefuteDocs {
+	for _, q := range superkeyQueries(sub, lhs, a.ps, a.eng.Universe()) {
+		ans, err := a.eng.Implies(q)
+		if err != nil {
+			return false, err
+		}
+		if ans.Implied {
+			continue
+		}
+		// Keep the refuting document for later candidates: it conforms
+		// to D and satisfies Σ (the answer is verified), so any query it
+		// violates is not implied. Its tuple table is materialized once,
+		// here, so prefilter passes are pure in-memory scans.
+		if ans.Counterexample != nil && ans.Verified && len(a.tables) < maxRefuteDocs {
+			var rows []tuples.Tuple
+			a.pr.Stream(ans.Counterexample, func(tup tuples.Tuple) bool {
+				rows = append(rows, tup.Clone())
+				return true
+			})
 			a.tables = append(a.tables, rows)
 		}
-		a.mu.Unlock()
+		return false, nil
 	}
-	return false, nil
+	return true, nil
 }
 
 // prefilter scans the cached counterexample tables for a pair of tuples
@@ -217,10 +196,7 @@ func (a *keySearch) superkey(sub []int, lhs []dtd.Path) (bool, error) {
 // document that conforms to D and satisfies Σ, so the candidate is
 // soundly refuted with no closure run and no per-candidate compilation.
 func (a *keySearch) prefilter(sub []int) bool {
-	a.mu.Lock()
-	tables := a.tables[:len(a.tables):len(a.tables)]
-	a.mu.Unlock()
-	if len(tables) == 0 {
+	if len(a.tables) == 0 {
 		return false
 	}
 	inSub := make([]bool, len(a.ids))
@@ -230,7 +206,7 @@ func (a *keySearch) prefilter(sub []int) bool {
 		lhsIDs[j] = a.ids[i]
 	}
 	var key []byte
-	for _, rows := range tables {
+	for _, rows := range a.tables {
 		groups := map[string]tuples.Tuple{}
 		for _, row := range rows {
 			var known bool

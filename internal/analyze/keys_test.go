@@ -61,7 +61,7 @@ func TestCandidateKeysCourses(t *testing.T) {
 	}
 }
 
-// TestCandidateKeysMatchBaseline: the sharded, cached, prefiltered
+// TestCandidateKeysMatchBaseline: the cached, prefiltered in-order
 // search and the naive per-candidate baseline decide the same
 // predicate, so their key lists must be identical — on the running
 // examples and on seeded random specs.
@@ -77,7 +77,7 @@ func TestCandidateKeysMatchBaseline(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(render(fast), render(slow)) {
-			t.Errorf("%s: sharded and baseline searches disagree:\n fast %v\n slow %v",
+			t.Errorf("%s: memoized and baseline searches disagree:\n fast %v\n slow %v",
 				name, render(fast), render(slow))
 		}
 	}
@@ -107,6 +107,33 @@ func TestCandidateKeysMatchBaseline(t *testing.T) {
 			sigma = append(sigma, f)
 		}
 		check("random", xnf.Spec{DTD: d, FDs: sigma}, 2)
+	}
+}
+
+// TestKeySearchStatsIndependentOfWorkers: the search decides candidates
+// in enumeration order, so every prefilter pass sees the same cached
+// counterexamples and the closure runs it makes (engine misses) and
+// the answers it reuses (hits) depend on the spec alone, not on the
+// engine's worker count or the schedule.
+func TestKeySearchStatsIndependentOfWorkers(t *testing.T) {
+	d, sigma := gen.ChainDTD(12, 2), gen.ChainFDs(12, 2)
+	var want engine.Stats
+	for i, workers := range []int{1, 1, 1, 2, 2, 2, 8, 8, 8} {
+		eng, err := engine.New(d, sigma, engine.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := candidateKeysWith(eng, DefaultMaxKeySize); err != nil {
+			t.Fatal(err)
+		}
+		got := eng.Stats()
+		if i == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("Workers %d: stats %+v, want %+v (Workers 1)", workers, got, want)
+		}
 	}
 }
 

@@ -9,14 +9,20 @@
 //     (LHS path *set* + RHS path; Σ is fixed per engine), with
 //     single-flight deduplication so concurrent identical queries are
 //     computed once;
-//   - a worker pool that fans batches of queries (and brute-force
-//     counterexample searches) across up to GOMAXPROCS goroutines.
+//   - a worker pool that fans out what callers hand it as a batch —
+//     ForEach and ImpliesBatch index ranges (the XNF anomaly scan of
+//     internal/xnf) and the per-shape searches of BruteForce — across
+//     up to GOMAXPROCS goroutines. Single queries (Implies, Implied,
+//     Trivial) run on the caller's goroutine: the candidate-key search
+//     of internal/analyze asks them one at a time, in order, and
+//     analyze.Analyze gets its parallelism by running its report's
+//     four parts side by side over one engine.
 //
 // Both layers preserve answers exactly: a cached or parallel run
 // returns the same Implied bit. Implies, ImpliesBatch and BruteForce
 // hand every caller its own clone of a counterexample, so callers can
-// never observe shared mutable state; Implied, ImpliesAll and Trivial
-// return verdicts only and clone nothing.
+// never observe shared mutable state; Implied and Trivial return
+// verdicts only and clone nothing.
 //
 // The package also hosts the process-global Registry sharing one
 // engine and one compiled xfd.CheckerSet per canonicalized spec —
@@ -45,8 +51,11 @@ import (
 // production setting: GOMAXPROCS workers, caching on.
 type Options struct {
 	// Workers is the number of goroutines used by batch operations
-	// (ForEach, ImpliesBatch) and by parallel brute-force searches.
-	// 0 means GOMAXPROCS; 1 disables parallelism.
+	// (ForEach, ForEachCtx, ImpliesBatch) and by parallel brute-force
+	// searches; single queries never fan out. Callers read it through
+	// Engine.Workers to size their own fan-outs: analyze.Analyze runs
+	// its four report parts concurrently when it is above one. 0 means
+	// GOMAXPROCS; 1 disables parallelism.
 	Workers int
 	// NoCache disables answer memoization; every query recomputes the
 	// closure. Intended for measurements and differential tests against
@@ -273,30 +282,6 @@ func (e *Engine) ImpliesBatch(qs []xfd.FD) ([]implication.Answer, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// ImpliesAll decides the conjunction of a query batch verdict-only: it
-// returns the lowest index i with (D, Σ) ⊬ qs[i], or -1 when every
-// query is implied — the shape of the candidate-key superkey test. The
-// probes fan out across the engine's worker pool through pool.First,
-// so a refuted conjunction stops near its first failure instead of
-// computing the whole batch like ImpliesBatch; answers still come from
-// (and feed) the cache, and the returned index is exactly the one a
-// sequential scan would stop at. The hit is re-answered through the
-// cache to surface a query error deterministically: an error at the
-// lowest failing index is returned, errors beyond it are unreachable.
-func (e *Engine) ImpliesAll(qs []xfd.FD) (int, error) {
-	idx := pool.First(e.opts.workers(), len(qs), func(i int) bool {
-		implied, err := e.Implied(qs[i])
-		return err != nil || !implied
-	})
-	if idx < 0 {
-		return -1, nil
-	}
-	if _, err := e.Implied(qs[idx]); err != nil {
-		return 0, err
-	}
-	return idx, nil
 }
 
 // ForEach runs fn(i) for every i in [0, n) across the engine's worker

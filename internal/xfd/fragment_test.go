@@ -10,6 +10,7 @@ package xfd_test
 // also a concurrency test.
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"strings"
@@ -196,6 +197,67 @@ func TestFoldStateDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzFragmentMerge holds the fragment boundary — SplitFragments, a
+// fold per fragment, the wire round trip, Merge — to the
+// whole-document check on arbitrary documents: for every input
+// xmltree.Parse accepts, at a fuzzed fragment count and a fuzzed
+// association order, the merged violated set must equal that of
+// Violations, and WitnessReport on it must render the same canonical
+// report. Σ has an element-valued side (r.c, keyed by positional
+// address across fragments) and, like FuzzCheckReader's, a cluster
+// that branches at r (a, b) and at a (t, d, e).
+func FuzzFragmentMerge(f *testing.F) {
+	cs, err := xfd.NewCheckerSetFor([]xfd.FD{
+		xfd.MustParse("r.c.@k -> r.c.@v"),
+		xfd.MustParse("r.c.@k -> r.c"),
+		xfd.MustParse("r.a.@x, r.b.@y -> r.a.t.S"),
+		xfd.MustParse("r.a.d.@p, r.a.e.@q -> r.a.@x"),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []string{
+		`<r><c k="1" v="a"/><c k="2" v="b"/><c k="1" v="a"/></r>`,
+		`<r><c k="1" v="a"/><o/><c k="1" v="b"/><c k="3"/></r>`,
+		`<r><c k="1"/><c k="1"/><c/></r>`,
+		`<r><a x="1"><t>u</t><d p="1"/><e q="1"/></a><b y="p"/><a x="2"><t>v</t><d p="1"/><e q="1"/><d p="2"/></a><b y="q"/></r>`,
+		`<r><a x="1"><t>u</t></a><a x="1"><t>w</t></a><b y="p"/><b y="p"/><c k="1"/></r>`,
+		`<r/>`,
+	} {
+		f.Add([]byte(s), uint8(2), uint64(1))
+		f.Add([]byte(s), uint8(3), uint64(7))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, k uint8, order uint64) {
+		doc, err := xmltree.Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		frags := cs.SplitFragments(doc, int(k))
+		states := make([]*xfd.FoldState, len(frags))
+		for i, fr := range frags {
+			st := cs.NewFoldState()
+			if err := st.FoldFragment(context.Background(), fr); err != nil {
+				t.Fatal(err)
+			}
+			blob, err := st.MarshalBinary()
+			if err != nil {
+				t.Fatalf("MarshalBinary: %v", err)
+			}
+			if states[i], err = cs.UnmarshalFoldState(blob); err != nil {
+				t.Fatalf("UnmarshalFoldState of a marshaled state: %v", err)
+			}
+		}
+		merged := mergeAll(t, states, rand.New(rand.NewSource(int64(order))))
+		want := cs.Violations(doc)
+		if got, w := violatedOf(cs, merged), violatedIndices(cs, want); !sameInts(got, w) {
+			t.Fatalf("%d fragments merged violated %v, Violations %v\ninput: %q", len(frags), got, w, data)
+		}
+		if got, w := xfd.CanonicalReport(cs.WitnessReport(doc, merged.ViolatedSet())), xfd.CanonicalReport(want); got != w {
+			t.Fatalf("reports differ\nmerged:\n%s\nViolations:\n%s\ninput: %q", got, w, data)
+		}
+	})
 }
 
 // TestSplitFragmentsPartition pins the structural contract: the chosen
