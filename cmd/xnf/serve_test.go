@@ -627,11 +627,14 @@ func TestServeFollow(t *testing.T) {
 // rejected script must leave the ?witness=1 report byte-identical; and
 // after every script the snapshot report must equal the ?fresh=1
 // report byte for byte, which holds the session's sealed witnesses to
-// the sharded from-scratch check.
+// the sharded from-scratch check: reports sealed over the conflicted
+// groups only, and reports a commit that touched no FD carried forward
+// from the epoch before.
 func FuzzServeTxn(f *testing.F) {
 	for _, seed := range []string{
 		"settext courses.course[1].taken_by.student.name Boeing\n",
 		"settext courses.course[1].taken_by.student.name Boeing\x00settext courses.course[1].taken_by.student.name Deere\n",
+		"settext courses.course[1].taken_by.student.name Boeing\x00settext courses.course[1].taken_by.student[0].grade B\n",
 		"insert courses <course cno=\"csc200\"><title>Dup</title><taken_by></taken_by></course>\n",
 		"delete courses.course[2]\nsetattr courses.nowhere cno x\n",
 		"setattr courses.course[1] cno csc200\nverdict\n# comment\n\n",

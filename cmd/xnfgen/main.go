@@ -45,6 +45,11 @@ func run(args []string) error {
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
+		if err := sizes("university",
+			size{"courses", *courses, 0}, size{"students", *students, 0},
+			size{"pool", *pool, *students}, size{"names", *names, 1}); err != nil {
+			return err
+		}
 		doc := gen.University(*courses, *students, *pool, *names, rand.New(rand.NewSource(*seed)))
 		fmt.Print(doc)
 		return nil
@@ -55,6 +60,9 @@ func run(args []string) error {
 		papers := fs.Int("papers", 10, "papers per issue")
 		seed := fs.Int64("seed", 1, "random seed")
 		if err := fs.Parse(args[1:]); err != nil {
+			return err
+		}
+		if err := sizes("dblp", size{"confs", *confs, 0}, size{"issues", *issues, 0}, size{"papers", *papers, 0}); err != nil {
 			return err
 		}
 		doc := gen.DBLP(*confs, *issues, *papers, rand.New(rand.NewSource(*seed)))
@@ -71,6 +79,9 @@ func run(args []string) error {
 		}
 		if *spec == "" {
 			return fmt.Errorf("document: -spec is required")
+		}
+		if err := sizes("document", size{"repeat", *repeat, 1}, size{"values", *values, 1}); err != nil {
+			return err
 		}
 		b, err := os.ReadFile(*spec)
 		if err != nil {
@@ -93,6 +104,10 @@ func run(args []string) error {
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
+		// Every level's FDs key on its first attribute.
+		if err := sizes("chain", size{"depth", *depth, 0}, size{"attrs", *attrs, 1}); err != nil {
+			return err
+		}
 		d := gen.ChainDTD(*depth, *attrs)
 		fmt.Print(d)
 		fmt.Println("%%")
@@ -105,9 +120,31 @@ func run(args []string) error {
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
+		if err := sizes("disjunctive", size{"groups", *groups, 0}, size{"branches", *branches, 1}); err != nil {
+			return err
+		}
 		fmt.Print(gen.DisjunctiveDTD(*groups, *branches))
 		return nil
 	default:
 		return fmt.Errorf("unknown workload %q", args[0])
 	}
+}
+
+// size is one size flag's value and the least value its generator can
+// honour.
+type size struct {
+	flag     string
+	val, min int
+}
+
+// sizes rejects the first size below its minimum, naming the flag. The
+// generators cannot honour such sizes: they panic, clamp the value
+// without a word, or print a spec whose FDs name undeclared paths.
+func sizes(workload string, ss ...size) error {
+	for _, s := range ss {
+		if s.val < s.min {
+			return fmt.Errorf("%s: -%s %d: must be at least %d", workload, s.flag, s.val, s.min)
+		}
+	}
+	return nil
 }

@@ -22,7 +22,8 @@
 // deleting a sibling shifts the ordinals of every later sibling, which
 // would re-key tuples the edit never touched. An FD is violated
 // exactly when some LHS group holds two distinct RHS keys, and a
-// per-FD "conflicted groups" counter makes that verdict O(1) to read.
+// per-FD set of those "conflicted" LHS keys makes that verdict O(1) to
+// read.
 //
 // Mutations are grouped into transactions (Begin/Commit/Rollback, see
 // Txn); the classic per-edit methods are single-edit transactions. A
@@ -45,15 +46,22 @@
 // or Report call, below), never observe torn refcounts, and a reader
 // that pins a Snapshot mid-transaction keeps reading the pre-commit
 // state. The verdict is read off the conflicted
-// counters in O(Σ); witness REPORTS are re-derived per epoch by a
-// sequential pass restricted to the violated FDs
-// (xfd.CheckerSet.WitnessReport) — which is what makes Snapshot.Report
-// bit-identical, same FDs, same order, same witness tuples, to what a
-// from-scratch CheckerSet.Violations would return on the committed
-// tree — but only once some caller may ask for a report: the first
-// Snapshot or Report call puts the Session in sticky reporting mode,
-// and until then commits skip the witness pass entirely, so workloads
-// reading only Violated and Satisfied re-validate at pure delta cost.
+// sets in O(Σ); witness REPORTS are re-derived per epoch by a
+// sequential pass restricted to the violated FDs and, within each, to
+// the LHS groups its conflicted set holds
+// (xfd.CheckerSet.WitnessReportGroups): the first conflict in
+// enumeration order always lies in such a group, which is what makes
+// Snapshot.Report bit-identical, same FDs, same order, same witness
+// tuples, to what a from-scratch CheckerSet.Violations would return on
+// the committed tree, while no other group is entered. The pass runs
+// only once some caller may ask for a report: the first Snapshot or
+// Report call puts the Session in sticky reporting mode, and until
+// then commits skip the witness pass entirely, so workloads reading
+// only Violated and Satisfied re-validate at pure delta cost. A
+// commit that touched no cluster (its edits landed where no
+// projection looks, such as text no FD reads) re-derives nothing: it
+// CARRIES FORWARD the previous epoch's verdict and sealed report,
+// because every projection, and so every witness, is unchanged.
 //
 // This is layer 5 of the checking spine — ARCHITECTURE.md at the repo
 // root — hosted by xnf watch (as a REPL) and xnf serve (over HTTP).
@@ -73,12 +81,17 @@ import (
 // fdState is the refcounted group map of one FD: how many projected
 // tuples of the current tree fold to each (LHS key, RHS key) pair.
 // Zero-count entries are deleted eagerly, so len(groups[lhs]) is the
-// number of distinct RHS classes of the group and conflicted counts
-// the LHS keys with at least two — the FD is violated iff it is
-// nonzero.
+// number of distinct RHS classes of the group and conflicted holds the
+// LHS keys with at least two — the FD is violated iff it is non-empty,
+// and a seal's witness fold enters only those groups.
 type fdState struct {
 	groups     map[string]map[string]int
-	conflicted int
+	conflicted map[string]struct{}
+}
+
+// newFDState returns the state of zero tuples.
+func newFDState() fdState {
+	return fdState{groups: make(map[string]map[string]int), conflicted: make(map[string]struct{})}
 }
 
 // add applies one refcount delta. A count driven below zero means a
@@ -102,9 +115,9 @@ func (st *fdState) add(lhs, rhs string, delta int) {
 	}
 	after := len(g)
 	if before < 2 && after >= 2 {
-		st.conflicted++
+		st.conflicted[lhs] = struct{}{}
 	} else if before >= 2 && after < 2 {
-		st.conflicted--
+		delete(st.conflicted, lhs)
 	}
 	if after == 0 {
 		delete(st.groups, lhs)
@@ -165,7 +178,7 @@ func New(cs *xfd.CheckerSet, doc *xmltree.Tree) (*Session, error) {
 		fds := cs.ClusterFDs(ci)
 		cst := clusterState{pr: cs.ClusterProjector(ci), fds: fds, st: make([]fdState, len(fds))}
 		for li := range cst.st {
-			cst.st[li].groups = make(map[string]map[string]int)
+			cst.st[li] = newFDState()
 		}
 		s.clusters = append(s.clusters, cst)
 	}
@@ -203,14 +216,14 @@ func (s *Session) fold(cst *clusterState, spine []*xmltree.Node, delta int) {
 }
 
 // violatedNow reads the violated FD indices (Σ order) off the live
-// conflicted counters. Writer-side: callers hold writeMu or own the
+// conflicted sets. Writer-side: callers hold writeMu or own the
 // session exclusively.
 func (s *Session) violatedNow() []int {
 	var out []int
 	for i := range s.clusters {
 		cst := &s.clusters[i]
 		for li, fi := range cst.fds {
-			if cst.st[li].conflicted > 0 {
+			if len(cst.st[li].conflicted) > 0 {
 				out = append(out, fi)
 			}
 		}

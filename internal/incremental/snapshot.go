@@ -16,10 +16,14 @@ import (
 // The witness REPORT of a violated epoch is sealed into the Snapshot
 // before any caller can hold it: at publish once the Session is in
 // reporting mode, or, for the epoch current when the Session enters
-// it, at that transition (see Session.Snapshot). Reading it is a
-// lock-free pointer load. Verdict-only consumers (Session.Violated,
-// Session.Satisfied) therefore never pay the witness pass, and report
-// consumers pay it once per epoch.
+// it, at that transition (see Session.Snapshot). A seal walks the
+// violated FDs' tuples up to each first conflict but enters only the
+// LHS groups the refcounts hold as conflicted. An epoch whose
+// transaction touched no cluster is not sealed at all: it shares the
+// previous epoch's report slice, which is that epoch's answer too.
+// Reading it is a lock-free pointer load. Verdict-only consumers
+// (Session.Violated, Session.Satisfied) therefore never pay the
+// witness pass, and report consumers pay it at most once per epoch.
 type Snapshot struct {
 	seq      uint64
 	total    int   // len(Σ) of the checker set
@@ -65,16 +69,24 @@ func (sn *Snapshot) Report() []xfd.Violated {
 }
 
 // sealLocked computes sn's witness report from the live tree and
-// stores it. The caller holds writeMu, and the tree must be in sn's
-// committed state. The pass is restricted to the violated FDs and
-// short-circuits per FD at the first conflict
-// (xfd.CheckerSet.WitnessReport).
+// stores it. The caller holds writeMu, and the tree and the refcounts
+// must be in sn's committed state. The pass decides the violated FDs
+// only, each over only the LHS groups its refcounts hold as conflicted
+// (xfd.CheckerSet.WitnessReportGroups): the first conflict in
+// enumeration order lies in one of them, so the witnesses are those of
+// a full pass, while no other group is entered or has a tuple cloned.
+// It still walks the tuples up to each FD's first conflict.
 func (s *Session) sealLocked(sn *Snapshot) {
-	bad := make(map[int]bool, len(sn.violated))
-	for _, fi := range sn.violated {
-		bad[fi] = true
+	groups := make(xfd.GroupFilter, len(sn.violated))
+	for i := range s.clusters {
+		cst := &s.clusters[i]
+		for li, fi := range cst.fds {
+			if len(cst.st[li].conflicted) > 0 {
+				groups[fi] = cst.st[li].conflicted
+			}
+		}
 	}
-	rep := s.cs.WitnessReport(s.ix.Tree(), bad)
+	rep := s.cs.WitnessReportGroups(s.ix.Tree(), groups)
 	sn.report.Store(&rep)
 }
 
@@ -119,5 +131,20 @@ func (s *Session) publishLocked() {
 	if len(sn.violated) > 0 && s.reporting.Load() {
 		s.sealLocked(sn)
 	}
+	s.snap.Store(sn)
+}
+
+// carryForwardLocked publishes the next epoch of a transaction that
+// touched no cluster. Every cluster's projection of the tree is then
+// the previous epoch's, tuple for tuple and in the same order, so the
+// verdict and the first-conflict witnesses are too: the new Snapshot
+// shares the previous one's violated slice and sealed report (or its
+// lack of one, outside reporting mode) instead of re-deriving them.
+// Writer-side, like publishLocked.
+func (s *Session) carryForwardLocked() {
+	prev := s.snap.Load()
+	s.seq++
+	sn := &Snapshot{seq: s.seq, total: prev.total, violated: prev.violated}
+	sn.report.Store(prev.report.Load())
 	s.snap.Store(sn)
 }

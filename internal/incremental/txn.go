@@ -477,15 +477,19 @@ func (t *Txn) DeleteSubtree(id xmltree.NodeID) error {
 
 // Commit re-asserts every dirty anchor's region on the final tree
 // (anchors no longer in the tree contribute nothing), publishes the
-// new Snapshot, and releases the writer lock. After Commit the
-// transaction is finished.
+// new Snapshot, and releases the writer lock. A transaction that
+// touched no cluster — every edit landed where no projection looks —
+// publishes the previous epoch's verdict and report
+// (carryForwardLocked). After Commit the transaction is finished.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnFinished
 	}
 	t.done = true
 	s := t.s
+	changed := false
 	for ci := range s.clusters {
+		changed = changed || t.touched[ci]
 		for id := range t.dirty[ci] {
 			spine, err := s.ix.Spine(id)
 			if err != nil {
@@ -494,7 +498,11 @@ func (t *Txn) Commit() error {
 			s.fold(&s.clusters[ci], spine, +1)
 		}
 	}
-	s.publishLocked()
+	if changed {
+		s.publishLocked()
+	} else {
+		s.carryForwardLocked()
+	}
 	s.writeMu.Unlock()
 	return nil
 }
@@ -524,8 +532,7 @@ func (t *Txn) Rollback() error {
 		}
 		cst := &s.clusters[ci]
 		for li := range cst.st {
-			cst.st[li].groups = make(map[string]map[string]int)
-			cst.st[li].conflicted = 0
+			cst.st[li] = newFDState()
 		}
 		s.fold(cst, []*xmltree.Node{root}, +1)
 	}

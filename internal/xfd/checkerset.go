@@ -212,17 +212,37 @@ func (cs *CheckerSet) Check(t *xmltree.Tree, onViolation func(i int, witness [2]
 	_ = cs.check(context.Background(), t, nil, onViolation) // never cancelled
 }
 
-// check is Check restricted to the FD indices in only (all FDs when
-// only is nil), the walk behind violations. ctx is checked per tuple;
-// once it is done every walk stops and its error is returned.
-func (cs *CheckerSet) check(ctx context.Context, t *xmltree.Tree, only map[int]bool, onViolation func(i int, witness [2]tuples.Tuple) bool) error {
+// GroupFilter restricts a witness pass. It decides only the FDs (Σ
+// indices) it holds: each over every LHS group when its key set is
+// nil, or over just the groups whose LHS keys (AppendFoldKeys'
+// encoding) its set holds; a group outside the set is never entered,
+// so none of its tuples is cloned. Every conflict lies in a group
+// holding two RHS classes, so a set containing all of an FD's
+// conflicted groups leaves its first conflict in enumeration order,
+// and with it the witness, unchanged.
+type GroupFilter map[int]map[string]struct{}
+
+// allGroups is the filter that decides the FDs of a violated set over
+// all their groups.
+func allGroups(bad map[int]bool) GroupFilter {
+	f := make(GroupFilter, len(bad))
+	for fi := range bad {
+		f[fi] = nil
+	}
+	return f
+}
+
+// check is Check restricted by filter (every FD over every group when
+// filter is nil), the walk behind violations. ctx is checked per
+// tuple; once it is done every walk stops and its error is returned.
+func (cs *CheckerSet) check(ctx context.Context, t *xmltree.Tree, filter GroupFilter, onViolation func(i int, witness [2]tuples.Tuple) bool) error {
 	aborted := false
 	for ci := range cs.clusters {
 		cl := &cs.clusters[ci]
 		if cl.label != t.Root.Label {
 			continue
 		}
-		if fold := cs.witnessFold(ctx.Done(), cl, only, &aborted, onViolation); fold != nil {
+		if fold := cs.witnessFold(ctx.Done(), cl, filter, &aborted, onViolation); fold != nil {
 			cl.pr.Stream(t, fold)
 		}
 		if aborted {
@@ -232,8 +252,8 @@ func (cs *CheckerSet) check(ctx context.Context, t *xmltree.Tree, only map[int]b
 	return ctx.Err()
 }
 
-// witnessFold returns the per-tuple fold of one cluster, restricted to
-// the FD indices in only (all when nil), or nil when none of the
+// witnessFold returns the per-tuple fold of one cluster, restricted by
+// filter (every FD over every group when nil), or nil when none of the
 // cluster's FDs is left to decide. Per FD it keeps each LHS group's
 // first tuple — a reader cannot re-read its input, so the witness must
 // be kept as the fold goes — and reports the first tuple whose RHS
@@ -242,13 +262,22 @@ func (cs *CheckerSet) check(ctx context.Context, t *xmltree.Tree, only map[int]b
 // witnesses. aborted is shared by every cluster of one check: set when
 // onViolation asks to stop or done is closed (checked per tuple; nil
 // for a check that cannot be cancelled), it stops them all.
-func (cs *CheckerSet) witnessFold(done <-chan struct{}, cl *cluster, only map[int]bool, aborted *bool, onViolation func(i int, witness [2]tuples.Tuple) bool) func(tuples.Tuple) bool {
+func (cs *CheckerSet) witnessFold(done <-chan struct{}, cl *cluster, filter GroupFilter, aborted *bool, onViolation func(i int, witness [2]tuples.Tuple) bool) func(tuples.Tuple) bool {
 	groups := make([]map[string]tuples.Tuple, len(cl.fds)) // LHS key -> first tuple; nil once decided
+	var keep []map[string]struct{}                         // per FD: the groups to enter, nil for all; nil when unfiltered
 	remaining := 0
 	for li, fi := range cl.fds {
-		if only == nil || only[fi] {
-			groups[li] = make(map[string]tuples.Tuple)
-			remaining++
+		keys, in := filter[fi]
+		if filter != nil && !in {
+			continue
+		}
+		groups[li] = make(map[string]tuples.Tuple)
+		remaining++
+		if keys != nil {
+			if keep == nil {
+				keep = make([]map[string]struct{}, len(cl.fds))
+			}
+			keep[li] = keys
 		}
 	}
 	if remaining == 0 {
@@ -277,6 +306,11 @@ func (cs *CheckerSet) witnessFold(done <-chan struct{}, cl *cluster, only map[in
 			buf = key
 			if !ok {
 				continue // some LHS value is ⊥: the FD does not apply
+			}
+			if keep != nil && keep[li] != nil {
+				if _, in := keep[li][string(key)]; !in {
+					continue // a group the filter leaves out
+				}
 			}
 			first, seen := g[string(key)]
 			if !seen {
@@ -373,13 +407,13 @@ func (cs *CheckerSet) Violations(t *xmltree.Tree) []Violated {
 	return out
 }
 
-// violations runs the witness fold restricted to the FD indices in
-// only (all FDs when only is nil) and returns the violated ones with
-// their witnesses, in Σ order. ctx is checked per tuple; once it is
-// done the context's error is returned with a nil report.
-func (cs *CheckerSet) violations(ctx context.Context, t *xmltree.Tree, only map[int]bool) ([]Violated, error) {
-	witnesses := make(map[int][2]tuples.Tuple, len(only))
-	if err := cs.check(ctx, t, only, func(i int, w [2]tuples.Tuple) bool {
+// violations runs the witness fold restricted by filter (every FD
+// over every group when filter is nil) and returns the violated ones
+// with their witnesses, in Σ order. ctx is checked per tuple; once it
+// is done the context's error is returned with a nil report.
+func (cs *CheckerSet) violations(ctx context.Context, t *xmltree.Tree, filter GroupFilter) ([]Violated, error) {
+	witnesses := make(map[int][2]tuples.Tuple, len(filter))
+	if err := cs.check(ctx, t, filter, func(i int, w [2]tuples.Tuple) bool {
 		witnesses[i] = w
 		return true
 	}); err != nil {
@@ -411,13 +445,17 @@ func (cs *CheckerSet) ViolationsSharded(t *xmltree.Tree, workers int) []Violated
 // WitnessReport re-derives the witnesses for the violated FDs only —
 // so the report, witnesses included, is identical to Violations' at
 // any worker count, and documents that satisfy Σ (the common case)
-// never pay for the witness pass. With nothing to split (workers <= 1,
-// or no relevant root sibling group with two children) it runs the
-// witness fold alone, as Violations does. Every pass — fragment folds
-// and witness fold alike — checks ctx per tuple, the form a server uses
-// so shutdown and per-request deadlines stop in-flight checks: once
-// ctx is cancelled no fragment is started or merged, and the context's
-// error is returned with a nil report.
+// never pay for the witness pass. The fragments share the document's
+// nodes and their states never leave the process, so each folds keyed
+// by vertex ID, as Verdict does: no positional address is built (only
+// FoldFragment, whose states are marshaled, pays for those). With
+// nothing to split (workers <= 1, or no relevant root sibling group
+// with two children) it runs the witness fold alone, as Violations
+// does. Every pass — fragment folds and witness fold alike — checks
+// ctx per tuple, the form a server uses so shutdown and per-request
+// deadlines stop in-flight checks: once ctx is cancelled no fragment
+// is started or merged, and the context's error is returned with a nil
+// report.
 func (cs *CheckerSet) ViolationsShardedCtx(ctx context.Context, t *xmltree.Tree, workers int) ([]Violated, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -429,7 +467,7 @@ func (cs *CheckerSet) ViolationsShardedCtx(ctx context.Context, t *xmltree.Tree,
 	states := make([]*FoldState, len(frags))
 	if err := pool.ForEachCtx(ctx, workers, len(frags), func(i int) error {
 		states[i] = cs.NewFoldState()
-		return states[i].FoldFragment(ctx, frags[i])
+		return states[i].fold(ctx, frags[i].Tree, nil, nil)
 	}); err != nil {
 		return nil, err
 	}
@@ -442,5 +480,5 @@ func (cs *CheckerSet) ViolationsShardedCtx(ctx context.Context, t *xmltree.Tree,
 	if len(bad) == 0 {
 		return nil, nil
 	}
-	return cs.violations(ctx, t, bad)
+	return cs.violations(ctx, t, allGroups(bad))
 }

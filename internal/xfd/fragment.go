@@ -28,8 +28,14 @@ package xfd
 // (CheckerSet.ViolationsShardedCtx) or across processes
 // (internal/distrib).
 //
-// Portability: fold keys never embed process-minted vertex IDs.
-// An element value is keyed by its positional address — the spine of
+// Portability: positional keys are only for states that leave the
+// process. Fragments share the document's nodes, so in process a
+// vertex's ID names the same node in every fragment, and
+// ViolationsShardedCtx folds each fragment keyed by vertex ID, as
+// Verdict does. A state that is marshaled (FoldFragment's, which
+// /fold, the distributed coordinator and the corpus and distribution
+// experiments ship) never embeds process-minted vertex IDs: an element
+// value is keyed by its positional address — the spine of
 // per-label sibling ordinals from the root (the root itself is the
 // empty spine; each step records the node's index among its same-label
 // siblings). Within one label path — and an FD side always compares
@@ -108,12 +114,14 @@ func (cs *CheckerSet) NewFoldState() *FoldState {
 	return st
 }
 
-// FoldFragment folds one fragment into the state through fold. Element
-// values are keyed by their positional address offset by f.Start (see
-// the package comment), so a state folded from the whole document
-// {t, "", 0} decides each FD exactly like CheckerSet.Check, and states
-// folded from SplitFragments' fragments — in this process or any other
-// — merge to the whole-document verdict. Folding several fragments
+// FoldFragment folds one fragment into the state through fold, for a
+// state that leaves the process: element values are keyed by their
+// positional address offset by f.Start (see the package comment), so a
+// state folded from the whole document {t, "", 0} decides each FD
+// exactly like CheckerSet.Check, and states folded from
+// SplitFragments' fragments — in this process or any other — merge to
+// the whole-document verdict. States that stay in the process need no
+// addresses (CheckerSet.ViolationsShardedCtx folds by vertex ID). Folding several fragments
 // into one state is equivalent to folding each into its own state and
 // merging. ctx is checked before the fold and per tuple; on
 // cancellation FoldFragment returns the context's error and the state
@@ -129,8 +137,9 @@ func (st *FoldState) FoldFragment(ctx context.Context, f Fragment) error {
 	return st.fold(ctx, f.Tree, addrs, nil)
 }
 
-// fold is the one accumulator loop behind FoldFragment and
-// CheckerSet.Verdict: every cluster whose root label matches t's
+// fold is the one accumulator loop behind FoldFragment,
+// CheckerSet.Verdict and the fragment folds of
+// CheckerSet.ViolationsShardedCtx: every cluster whose root label matches t's
 // streams its projection once, and each tuple's (LHS key, RHS key)
 // lands in the group maps of the cluster's FDs. Element values are
 // keyed by their entry in addrs, or by vertex ID when addrs is nil.

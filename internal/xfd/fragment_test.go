@@ -18,6 +18,7 @@ import (
 
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/gen"
+	"xmlnorm/internal/paperdata"
 	"xmlnorm/internal/paths"
 	"xmlnorm/internal/pool"
 	"xmlnorm/internal/tuples"
@@ -386,5 +387,35 @@ func TestFoldStateErrors(t *testing.T) {
 	}
 	if len(back.ViolatedSet()) != 0 {
 		t.Fatal("round-tripped satisfied state must stay satisfied")
+	}
+}
+
+// TestShardedCheckAllocs bounds what an in-process sharded check
+// allocates on a satisfied 256-course, 8-student University document
+// under the courses spec's Σ. The fragments share the document's nodes
+// and their fold states never leave the process, so each folds keyed
+// by vertex ID; building a positional address for every node of every
+// fragment, as a shipped state needs, about triples the count.
+func TestShardedCheckAllocs(t *testing.T) {
+	_, fds, _ := strings.Cut(paperdata.MustRead("courses.spec"), "%%\n")
+	sigma, err := xfd.ParseSet(fds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := xfd.NewCheckerSetFor(sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := gen.University(256, 8, 512, 200, rand.New(rand.NewSource(1)))
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(5, func() {
+		vs, err := cs.ViolationsShardedCtx(ctx, doc, 2)
+		if err != nil || vs != nil {
+			t.Fatalf("sharded check: %d violations, error %v; want a satisfied document", len(vs), err)
+		}
+	})
+	t.Logf("%.0f allocs per sharded check", allocs)
+	if allocs > 10000 {
+		t.Errorf("sharded check allocates %.0f objects, want <= 10000", allocs)
 	}
 }

@@ -9,7 +9,8 @@ package xfd
 // edit never touched. It needs the cluster layout, the projectors (to
 // run pinned delta streams) and the key encoder — exposed here so its
 // maps are keyed exactly as a from-scratch fold keys them — and turns
-// its verdicts into reports through WitnessReport, which is what makes
+// its verdicts into reports through WitnessReportGroups, restricted to
+// the LHS groups its refcounts hold as conflicted, which is what makes
 // them bit-identical to Violations.
 
 import (
@@ -56,13 +57,24 @@ func (cs *CheckerSet) AppendFoldKeys(tup tuples.Tuple, fi int, lhsDst, rhsDst []
 // one sequential stream per applicable cluster, restricted to those
 // FDs, and returns the same []Violated — first-conflict witnesses in Σ
 // order — that Violations would produce on the document. This is how
-// the sharded checker, the distributed coordinator and the incremental
-// Session turn a cheap verdict into the canonical report; a nil/empty
-// bad set returns nil without walking anything.
+// the sharded checker and the distributed coordinator turn a cheap
+// verdict into the canonical report; a nil/empty bad set returns nil
+// without walking anything.
 func (cs *CheckerSet) WitnessReport(t *xmltree.Tree, bad map[int]bool) []Violated {
-	if len(bad) == 0 {
+	return cs.WitnessReportGroups(t, allGroups(bad))
+}
+
+// WitnessReportGroups is WitnessReport for a caller that also knows
+// which LHS groups conflict: groups maps each violated FD to a set of
+// LHS keys holding all of its conflicted groups (GroupFilter), and the
+// witness fold enters only those groups. The report is WitnessReport's
+// on the same violated FDs. The incremental Session seals epochs this
+// way, with the conflicted keys its refcounts already hold; an empty
+// filter returns nil without walking anything.
+func (cs *CheckerSet) WitnessReportGroups(t *xmltree.Tree, groups GroupFilter) []Violated {
+	if len(groups) == 0 {
 		return nil
 	}
-	out, _ := cs.violations(context.Background(), t, bad) // never cancelled
+	out, _ := cs.violations(context.Background(), t, groups) // never cancelled
 	return out
 }

@@ -90,12 +90,12 @@ func writeNode(b *strings.Builder, n *Node, depth int) {
 	}
 	sortStrings(names)
 	for _, a := range names {
-		fmt.Fprintf(b, " %s=\"%s\"", a, escapeAttr(n.Attrs[a]))
+		fmt.Fprintf(b, " %s=\"%s\"", a, attrEscaper.Replace(n.Attrs[a]))
 	}
 	switch {
 	case n.HasText:
 		b.WriteByte('>')
-		b.WriteString(escapeText(n.Text))
+		b.WriteString(textEscaper.Replace(n.Text))
 		fmt.Fprintf(b, "</%s>\n", n.Label)
 	case len(n.Children) == 0:
 		b.WriteString("/>\n")
@@ -108,15 +108,12 @@ func writeNode(b *strings.Builder, n *Node, depth int) {
 	}
 }
 
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
-
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// The escapers String writes text and attribute values through, built
+// once: a Replacer is safe for concurrent use.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
+)
 
 func sortStrings(s []string) {
 	for i := 1; i < len(s); i++ {
