@@ -5,7 +5,7 @@
 // A from-scratch pass (xfd.CheckerSet) decides satisfaction by
 // streaming every cluster's projected tuples — Definition 6's
 // tuples_D(T), restricted to the paths Σ mentions — into per-FD
-// LHS-keyed group maps. That cost is paid in full on every call, even
+// LHS-keyed group tables. That cost is paid in full on every call, even
 // when the document changed by one attribute. The projection stream,
 // however, factorizes at every sibling-group choice point (see
 // tuples.StreamPinned): the tuples an edit at node v can touch are
@@ -13,8 +13,8 @@
 // multiset the pinned node walk enumerates directly, without visiting
 // the unaffected regions of the product or building anything for them.
 //
-// A Session exploits this by keeping the group maps ALIVE between
-// edits, with reference counts: per cluster, per FD, a two-level map
+// A Session exploits this by keeping the groups ALIVE between edits,
+// with reference counts: per cluster, per FD, a two-level map
 // lhsKey → rhsKey → count of projected tuples, where the RHS key is
 // injective with respect to the checker's RHS-agreement relation
 // (xfd.CheckerSet.AppendFoldKeys, the fold's one key encoder). Vertices

@@ -7,21 +7,22 @@ package xfd
 // document branches (connected components over common second path
 // steps), compiles one union projection per cluster, streams its
 // tuples once (tuples.Projector.Stream — no cross product, no
-// MaxTuples ceiling), and folds every tuple into one LHS-key hash map
-// per FD, short-circuiting each FD at its first conflict and each walk
-// once all of its FDs are decided. Overlapping FDs (the common case: a
-// spec's dependencies concentrate on a few subtrees) are thus decided
-// in ONE walk, while FDs over disjoint branches keep separate
-// projections — a union projection across disjoint branches would
-// multiply their choice points instead of adding them. The sharded
-// mode splits the document into fragments (SplitFragments), folds each
-// into a FoldState on the shared worker pool (internal/pool) and merges
-// the states (fragment.go).
+// MaxTuples ceiling), and folds every tuple into one group table per
+// FD (grouptable.go), short-circuiting each FD at its first conflict
+// and each walk once all of its FDs are decided. Overlapping FDs (the
+// common case: a spec's dependencies concentrate on a few subtrees)
+// are thus decided in ONE walk, while FDs over disjoint branches keep
+// separate projections — a union projection across disjoint branches
+// would multiply their choice points instead of adding them. The
+// sharded mode splits the document into fragments (SplitFragments),
+// folds each into a FoldState on the shared worker pool
+// (internal/pool) and merges the states (fragment.go).
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/paths"
@@ -242,8 +243,9 @@ func (cs *CheckerSet) check(ctx context.Context, t *xmltree.Tree, filter GroupFi
 		if cl.label != t.Root.Label {
 			continue
 		}
-		if fold := cs.witnessFold(ctx.Done(), cl, filter, &aborted, onViolation); fold != nil {
+		if fold, release := cs.witnessFold(ctx.Done(), cl, filter, &aborted, onViolation); fold != nil {
 			cl.pr.Stream(t, fold)
+			release()
 		}
 		if aborted {
 			break
@@ -252,26 +254,63 @@ func (cs *CheckerSet) check(ctx context.Context, t *xmltree.Tree, filter GroupFi
 	return ctx.Err()
 }
 
+// witnessGroups is one FD's share of a witness fold: its group table
+// and, per entry, the group's first tuple.
+type witnessGroups struct {
+	tab    groupTable
+	firsts []tuples.Tuple
+}
+
+// witnessTables recycles witness folds' tables between walks. A sweep
+// checks many small documents, and growing every table from empty for
+// each of them cost the fold more than its probes did; a recycled
+// table keeps its slices' capacity. As with fmt's printer buffers, a
+// table past maxRecycledBytes is left to the garbage collector, so one
+// large document does not pin its tables under later small ones.
+var witnessTables = sync.Pool{New: func() any { return new(witnessGroups) }}
+
+// maxRecycledBytes bounds the slot and key bytes of a recycled table.
+const maxRecycledBytes = 64 << 10
+
+// recycle empties g and returns it to witnessTables, unless it grew too
+// large to keep. The first tuples are cleared, so a recycled table
+// holds no reference into the walk that used it.
+func (g *witnessGroups) recycle() {
+	if 8*len(g.tab.slots)+cap(g.tab.arena) > maxRecycledBytes {
+		return
+	}
+	g.tab.reset()
+	clear(g.firsts)
+	g.firsts = g.firsts[:0]
+	witnessTables.Put(g)
+}
+
 // witnessFold returns the per-tuple fold of one cluster, restricted by
-// filter (every FD over every group when nil), or nil when none of the
-// cluster's FDs is left to decide. Per FD it keeps each LHS group's
-// first tuple — a reader cannot re-read its input, so the witness must
-// be kept as the fold goes — and reports the first tuple whose RHS
-// disagrees with it. Tree walks (Projector.Stream) and token streams
-// (Projector.StartTokens) drive the same fold, so both report the same
-// witnesses. aborted is shared by every cluster of one check: set when
-// onViolation asks to stop or done is closed (checked per tuple; nil
-// for a check that cannot be cancelled), it stops them all.
-func (cs *CheckerSet) witnessFold(done <-chan struct{}, cl *cluster, filter GroupFilter, aborted *bool, onViolation func(i int, witness [2]tuples.Tuple) bool) func(tuples.Tuple) bool {
-	groups := make([]map[string]tuples.Tuple, len(cl.fds)) // LHS key -> first tuple; nil once decided
-	var keep []map[string]struct{}                         // per FD: the groups to enter, nil for all; nil when unfiltered
+// filter (every FD over every group when nil), and release, which the
+// caller runs once the walk is over to hand the fold's tables back to
+// witnessTables; both are nil when none of the cluster's FDs is left
+// to decide. Per FD the fold keeps each LHS group's first tuple — a
+// reader cannot re-read its input, so the witness must be kept as the
+// fold goes — and reports the first tuple whose RHS key differs from
+// the group's. A tuple's RHS key is encoded only once its LHS key is
+// complete and its group passes the filter. Tree walks
+// (Projector.Stream) and token streams (Projector.StartTokens) drive
+// the same fold, so both report the same witnesses. aborted is shared
+// by every cluster of one check: set when onViolation asks to stop or
+// done is closed (checked per tuple; nil for a check that cannot be
+// cancelled), it stops them all.
+func (cs *CheckerSet) witnessFold(done <-chan struct{}, cl *cluster, filter GroupFilter, aborted *bool, onViolation func(i int, witness [2]tuples.Tuple) bool) (fold func(tuples.Tuple) bool, release func()) {
+	// Per FD: its tables, nil when the fold does not decide it or has
+	// decided it.
+	groups := make([]*witnessGroups, len(cl.fds))
+	var keep []map[string]struct{} // per FD: the groups to enter, nil for all; nil when unfiltered
 	remaining := 0
 	for li, fi := range cl.fds {
 		keys, in := filter[fi]
 		if filter != nil && !in {
 			continue
 		}
-		groups[li] = make(map[string]tuples.Tuple)
+		groups[li] = witnessTables.Get().(*witnessGroups)
 		remaining++
 		if keys != nil {
 			if keep == nil {
@@ -281,10 +320,18 @@ func (cs *CheckerSet) witnessFold(done <-chan struct{}, cl *cluster, filter Grou
 		}
 	}
 	if remaining == 0 {
-		return nil
+		return nil, nil
 	}
-	var buf []byte
-	return func(tup tuples.Tuple) bool {
+	release = func() {
+		for li, g := range groups {
+			if g != nil {
+				g.recycle()
+				groups[li] = nil
+			}
+		}
+	}
+	var lhsBuf, rhsBuf []byte
+	fold = func(tup tuples.Tuple) bool {
 		if *aborted {
 			return false
 		}
@@ -302,26 +349,30 @@ func (cs *CheckerSet) witnessFold(done <-chan struct{}, cl *cluster, filter Grou
 				continue
 			}
 			cf := &cs.fds[fi]
-			key, ok := appendKey(buf[:0], tup, cf.lhs, nil)
-			buf = key
+			lhsK, ok := appendKey(lhsBuf[:0], tup, cf.lhs, nil)
+			lhsBuf = lhsK
 			if !ok {
 				continue // some LHS value is ⊥: the FD does not apply
 			}
 			if keep != nil && keep[li] != nil {
-				if _, in := keep[li][string(key)]; !in {
+				if _, in := keep[li][string(lhsK)]; !in {
 					continue // a group the filter leaves out
 				}
 			}
-			first, seen := g[string(key)]
-			if !seen {
+			rhsK, _ := appendKey(rhsBuf[:0], tup, cf.rhs, nil)
+			rhsBuf = rhsK
+			e, added, conflict := g.tab.put(lhsK, rhsK)
+			if added {
 				// The stream reuses its scratch tuple; clone what we keep.
-				g[string(key)] = tup.Clone()
+				g.firsts = append(g.firsts, tup.Clone())
 				continue
 			}
-			if sameRHS(first, tup, cf.rhs) {
+			if !conflict {
 				continue
 			}
-			groups[li] = nil // dead once violated: free it mid-walk
+			first := g.firsts[e]
+			g.recycle() // dead once violated: free it mid-walk
+			groups[li] = nil
 			remaining--
 			if onViolation != nil && !onViolation(fi, [2]tuples.Tuple{first, tup.Clone()}) {
 				*aborted = true
@@ -330,6 +381,7 @@ func (cs *CheckerSet) witnessFold(done <-chan struct{}, cl *cluster, filter Grou
 		}
 		return remaining > 0
 	}
+	return fold, release
 }
 
 // appendKey is the one fold-key encoder: it appends a self-delimiting
@@ -368,8 +420,9 @@ func appendKey(dst []byte, tup tuples.Tuple, ids []paths.ID, addrs map[xmltree.N
 
 // appendFoldKeys computes the FD's keys for one tuple through
 // appendKey: the LHS key it groups by and an RHS key that is equal
-// between two tuples of a group exactly when sameRHS holds. applies is
-// false when some LHS value is ⊥.
+// between two tuples exactly when their RHS values agree, each value
+// present in both and equal or absent from both. applies is false when
+// some LHS value is ⊥.
 func (cf *compiledFD) appendFoldKeys(tup tuples.Tuple, addrs map[xmltree.NodeID]string, lhsDst, rhsDst []byte) (lhsK, rhsK []byte, applies bool) {
 	lhsK, applies = appendKey(lhsDst, tup, cf.lhs, addrs)
 	if !applies {

@@ -328,3 +328,40 @@ func TestViolationsShardedCtxCancel(t *testing.T) {
 		t.Logf("%d workers: uncancelled %v, 5ms deadline stopped after %v", workers, full, elapsed)
 	}
 }
+
+// TestVerdictAllocs bounds what the verdict-only fold allocates per
+// LHS group: 4,096 c children with distinct @k and @v make 4,096
+// groups under each of two FDs, one with an element-valued RHS (keyed
+// by vertex ID). The group tables keep every key in one arena, so the
+// count grows with the tables' doublings, not with the groups; a fold
+// that allocated an LHS and an RHS key string per group per FD would
+// read about four objects per group.
+func TestVerdictAllocs(t *testing.T) {
+	const groups = 4096
+	var b bytes.Buffer
+	b.WriteString("<r>")
+	for i := 0; i < groups; i++ {
+		fmt.Fprintf(&b, `<c k="k%d" v="v%d"/>`, i, i)
+	}
+	b.WriteString("</r>")
+	doc, err := xmltree.ParseString(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := xfd.NewCheckerSetFor([]xfd.FD{
+		xfd.MustParse("r.c.@k -> r.c.@v"),
+		xfd.MustParse("r.c.@v -> r.c"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if bad := cs.Verdict(doc, nil); bad != nil {
+			t.Fatalf("Verdict = %v on a satisfied document", bad)
+		}
+	})
+	t.Logf("%.0f allocs per Verdict over %d groups per FD", allocs, groups)
+	if perGroup := allocs / groups; perGroup >= 0.1 {
+		t.Errorf("Verdict allocates %.3f objects per group (%.0f in all), want under 0.1", perGroup, allocs)
+	}
+}

@@ -55,10 +55,10 @@ package xfd
 // local whole-document fold.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"xmlnorm/internal/tuples"
 	"xmlnorm/internal/xmltree"
@@ -82,12 +82,12 @@ type FoldState struct {
 
 // fdFold is one FD's share of the state. groups maps the fold's LHS
 // key to the RHS-class key of the group's representative; once
-// violated is set the groups map is irrelevant (violation is absorbing
+// violated is set the table is irrelevant (violation is absorbing
 // under Merge) and is dropped — FoldFragment, Merge and
 // UnmarshalFoldState all nil it out, so a long-lived state for a
-// violating document retains no dead group map.
+// violating document retains no dead group table.
 type fdFold struct {
-	groups   map[string]string
+	groups   *groupTable
 	violated bool
 }
 
@@ -109,7 +109,7 @@ type Fragment struct {
 func (cs *CheckerSet) NewFoldState() *FoldState {
 	st := &FoldState{cs: cs, fds: make([]fdFold, len(cs.fds))}
 	for i := range st.fds {
-		st.fds[i].groups = make(map[string]string)
+		st.fds[i].groups = &groupTable{}
 	}
 	return st
 }
@@ -141,7 +141,7 @@ func (st *FoldState) FoldFragment(ctx context.Context, f Fragment) error {
 // CheckerSet.Verdict and the fragment folds of
 // CheckerSet.ViolationsShardedCtx: every cluster whose root label matches t's
 // streams its projection once, and each tuple's (LHS key, RHS key)
-// lands in the group maps of the cluster's FDs. Element values are
+// lands in the group tables of the cluster's FDs. Element values are
 // keyed by their entry in addrs, or by vertex ID when addrs is nil.
 // A cluster walk short-circuits once all its FDs are violated
 // (violation is absorbing). onViolation, when non-nil, sees each FD index as it becomes
@@ -186,12 +186,7 @@ func (st *FoldState) fold(ctx context.Context, t *xmltree.Tree, addrs map[xmltre
 				if !applies {
 					continue
 				}
-				rep, seen := fd.groups[string(lhsK)]
-				if !seen {
-					fd.groups[string(lhsK)] = string(rhsK)
-					continue
-				}
-				if rep == string(rhsK) {
+				if _, _, conflict := fd.groups.put(lhsK, rhsK); !conflict {
 					continue
 				}
 				fd.violated = true
@@ -267,13 +262,8 @@ func (st *FoldState) Merge(other *FoldState) error {
 			dst.violated, dst.groups = true, nil
 			continue
 		}
-		for lhsK, rhsK := range src.groups {
-			rep, seen := dst.groups[lhsK]
-			if !seen {
-				dst.groups[lhsK] = rhsK
-				continue
-			}
-			if rep != rhsK {
+		for e := range src.groups.len() {
+			if _, _, conflict := dst.groups.put(src.groups.keys(e)); conflict {
 				dst.violated, dst.groups = true, nil
 				break
 			}
@@ -302,10 +292,10 @@ func (st *FoldState) ViolatedSet() map[int]bool {
 
 // MarshalBinary serializes the state: a magic header, the FD count,
 // then per FD the violated flag and the (LHS key, RHS class) pairs in
-// sorted LHS-key order. The encoding is canonical — two states marshal
-// to identical bytes iff they carry identical verdicts and group
-// representatives — which is what lets the differential suites assert
-// cross-process merges bit-identical to local folds.
+// strictly ascending LHS-key order. The encoding is canonical — two
+// states marshal to identical bytes iff they carry identical verdicts
+// and group representatives — which is what lets the differential
+// suites assert cross-process merges bit-identical to local folds.
 func (st *FoldState) MarshalBinary() ([]byte, error) {
 	out := []byte(foldStateMagic)
 	out = binary.AppendUvarint(out, uint64(len(st.fds)))
@@ -316,14 +306,9 @@ func (st *FoldState) MarshalBinary() ([]byte, error) {
 			continue
 		}
 		out = append(out, 0)
-		out = binary.AppendUvarint(out, uint64(len(f.groups)))
-		keys := make([]string, 0, len(f.groups))
-		for lhsK := range f.groups {
-			keys = append(keys, lhsK)
-		}
-		sort.Strings(keys)
-		for _, lhsK := range keys {
-			rhsK := f.groups[lhsK]
+		out = binary.AppendUvarint(out, uint64(f.groups.len()))
+		for _, e := range f.groups.byLHS() {
+			lhsK, rhsK := f.groups.keys(e)
 			out = binary.AppendUvarint(out, uint64(len(lhsK)))
 			out = append(out, lhsK...)
 			out = binary.AppendUvarint(out, uint64(len(rhsK)))
@@ -336,7 +321,11 @@ func (st *FoldState) MarshalBinary() ([]byte, error) {
 // UnmarshalFoldState decodes a state MarshalBinary produced, bound to
 // this CheckerSet. The encoding carries the FD count as a cheap guard;
 // it is the caller's contract that the bytes were marshaled under an
-// identically compiled set (same Σ in the same order).
+// identically compiled set (same Σ in the same order). Each FD's LHS
+// keys must be strictly ascending, as MarshalBinary writes them: a
+// state listing one group twice could otherwise carry two RHS classes
+// for it and still decode as satisfied, so such a state is rejected as
+// not canonical.
 func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 	if len(data) < len(foldStateMagic) || string(data[:len(foldStateMagic)]) != foldStateMagic {
 		return nil, fmt.Errorf("xfd: fold state: bad magic")
@@ -355,17 +344,17 @@ func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 		data = data[k:]
 		return v, nil
 	}
-	readBytes := func() (string, error) {
+	readBytes := func() ([]byte, error) {
 		l, err := readUvarint()
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		if uint64(len(data)) < l {
-			return "", fmt.Errorf("xfd: fold state: truncated")
+			return nil, fmt.Errorf("xfd: fold state: truncated")
 		}
-		s := string(data[:l])
+		b := data[:l]
 		data = data[l:]
-		return s, nil
+		return b, nil
 	}
 	st := &FoldState{cs: cs, fds: make([]fdFold, len(cs.fds))}
 	for fi := range st.fds {
@@ -382,9 +371,10 @@ func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The count is untrusted: size the map by what the remaining
+		// The count is untrusted: size the table by what the remaining
 		// bytes can hold (two length prefixes per group), not by it.
-		st.fds[fi].groups = make(map[string]string, min(groups, uint64(len(data))/2))
+		tab := newGroupTable(int(min(groups, uint64(len(data))/2)))
+		var prev []byte
 		for g := uint64(0); g < groups; g++ {
 			lhsK, err := readBytes()
 			if err != nil {
@@ -394,8 +384,13 @@ func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.fds[fi].groups[lhsK] = rhsK
+			if g > 0 && bytes.Compare(prev, lhsK) >= 0 {
+				return nil, fmt.Errorf("xfd: fold state: not canonical: FD %d's LHS keys are not strictly ascending", fi)
+			}
+			tab.put(lhsK, rhsK)
+			prev = lhsK
 		}
+		st.fds[fi].groups = tab
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("xfd: fold state: %d trailing bytes", len(data))

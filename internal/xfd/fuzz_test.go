@@ -164,6 +164,22 @@ func TestUnmarshalFoldStateHugeGroupCount(t *testing.T) {
 	}
 }
 
+// nonCanonicalBlob is a fold state for a set of nFDs FDs whose first
+// FD lists the group with LHS key k1 twice, with RHS keys va and vb,
+// and whose other FDs hold no groups. A decoder that kept either pair
+// read the conflict as satisfied; the repeated key is not in the
+// strictly ascending order MarshalBinary writes.
+func nonCanonicalBlob(nFDs int) []byte {
+	b := []byte(foldStateMagic)
+	b = binary.AppendUvarint(b, uint64(nFDs))
+	b = append(b, 0, 2) // not violated, two groups
+	b = append(b, "\x02k1\x02va\x02k1\x02vb"...)
+	for i := 1; i < nFDs; i++ {
+		b = append(b, 0, 0)
+	}
+	return b
+}
+
 // FuzzUnmarshalFoldState feeds arbitrary bytes to the decoder of
 // worker replies: it must never panic, and any input it accepts must
 // re-marshal to bytes that decode and re-marshal identically.
@@ -196,6 +212,7 @@ func FuzzUnmarshalFoldState(f *testing.F) {
 		f.Add(blob[:len(blob)-1])
 	}
 	f.Add(hugeGroupCountBlob(cs.Len()))
+	f.Add(nonCanonicalBlob(cs.Len()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := cs.UnmarshalFoldState(data)
 		if err != nil {

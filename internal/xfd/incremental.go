@@ -38,7 +38,7 @@ func (cs *CheckerSet) ClusterFDs(ci int) []int { return cs.clusters[ci].fds }
 // FD of the cluster is folded over.
 func (cs *CheckerSet) ClusterProjector(ci int) *tuples.Projector { return cs.clusters[ci].pr }
 
-// AppendFoldKeys computes the group-map keys of one projected tuple
+// AppendFoldKeys computes the group keys of one projected tuple
 // under FD fi (Σ index) with the fold's key encoder, vertices as
 // NodeIDs: the LHS key the fold groups by and an RHS key that is equal
 // between two tuples of a group exactly when their RHS values agree —

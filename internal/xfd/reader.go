@@ -10,7 +10,7 @@ package xfd
 // streamer's order, verdicts and witness reports are identical to the
 // tree path's, modulo the process-global vertex IDs minted for element
 // paths (CanonicalReport compares reports across parses up to that
-// renaming). Memory is bounded by nesting depth, the fold maps' live
+// renaming). Memory is bounded by nesting depth, the group tables' live
 // state (finite per Vincent & Liu's finiteness of the per-path fold),
 // and any subtrees participating in genuine cross products of relevant
 // sibling groups — independent of document length for chain-shaped
@@ -69,6 +69,12 @@ func (o ReaderOptions) Limit() int { return o.limit() }
 // past opts.MaxDepth.
 func (cs *CheckerSet) CheckReader(r io.Reader, opts ReaderOptions, onViolation func(i int, witness [2]tuples.Tuple) bool) error {
 	var streams []*tuples.TokenStream
+	var releases []func()
+	defer func() {
+		for _, release := range releases {
+			release()
+		}
+	}()
 	started := false
 	aborted := false
 	return xmltree.WalkTokens(r, opts.limit(), xmltree.TokenCallbacks{
@@ -80,7 +86,8 @@ func (cs *CheckerSet) CheckReader(r io.Reader, opts ReaderOptions, onViolation f
 					if cl.label != label {
 						continue // vacuously satisfied on this document
 					}
-					fold := cs.witnessFold(nil, cl, nil, &aborted, onViolation)
+					fold, release := cs.witnessFold(nil, cl, nil, &aborted, onViolation)
+					releases = append(releases, release)
 					streams = append(streams, cl.pr.StartTokens(fold))
 				}
 			}

@@ -1,12 +1,12 @@
 package xfd
 
 // Regression tests for the violated-groups drop: once an FD is
-// violated, its LHS group map can never influence a verdict again
+// violated, its LHS group table can never influence a verdict again
 // (violation is absorbing under Merge), so every fold path nils it
-// out. These tests pin that contract white-box — the map must be nil,
-// not merely unread — and bound the live heap of long-lived states
-// folded from violating documents, so a sweep that holds many states
-// stops retaining dead group maps.
+// out. These tests pin that contract white-box — the table must be
+// nil, not merely unread — and bound the live heap of long-lived
+// states folded from violating documents, so a sweep that holds many
+// states stops retaining dead group tables.
 
 import (
 	"context"

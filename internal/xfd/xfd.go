@@ -361,20 +361,6 @@ func NewCheckerSetFor(sigma []FD) (*CheckerSet, error) {
 	return NewCheckerSet(sigmaUniverse(sigma), sigma)
 }
 
-func sameRHS(a, b tuples.Tuple, rhs []paths.ID) bool {
-	for _, id := range rhs {
-		av, aok := a.GetID(id)
-		bv, bok := b.GetID(id)
-		if aok != bok {
-			return false
-		}
-		if aok && !av.Equal(bv) {
-			return false
-		}
-	}
-	return true
-}
-
 // ParseSet reads one FD per line, ignoring blank lines and lines
 // starting with '#'.
 func ParseSet(s string) ([]FD, error) {
