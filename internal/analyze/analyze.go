@@ -7,7 +7,7 @@
 //   - candidate keys: the minimal path sets X with (D, Σ) ⊢ X → p for
 //     every p ∈ paths(D), found by a bounded brute-force search over
 //     the implication engine that decides candidates in order, behind
-//     a counterexample-reuse prefilter (keys.go);
+//     a refuter that reuses verified counterexamples (keys.go);
 //   - a canonical cover of Σ with a per-FD classification — which
 //     members of Σ survive, which are redundant, and which were
 //     weakened to a smaller FD (cover.go);
@@ -16,7 +16,8 @@
 //     normalization step that would repair it (diagnose.go);
 //   - a 4XNF test: tree MVDs over tuple projections and the 4NF
 //     verdict of the spec's flat image through the internal/table
-//     bridge and internal/relational (mvd.go).
+//     bridge and internal/relational, whose implied FDs are decided
+//     deepest goal first behind a refuter of its own (mvd.go).
 //
 // Everything in the report is deterministic: byte-identical output for
 // one input regardless of worker count or cache configuration.
@@ -79,8 +80,11 @@ func (r *Report) Negative() bool {
 
 // Analyze produces the full report for (D, Σ). One cached engine
 // serves the candidate-key search, the diagnosis and the 4XNF image;
-// the cover construction builds its own reduced engines as
-// xnf.MinimalCover requires. With more than one engine worker the four
+// the key search and the image each refute from their own cache of
+// verified counterexamples. The cover construction builds its own
+// reduced engines, as xnf.MinimalCover requires, all derived from one
+// closure engine so they share its skeleton, conformer and branch
+// assignments. With more than one engine worker the four
 // parts run concurrently, each on its own goroutine, so the longest
 // one starts at once; with one worker they run in report order on the
 // calling goroutine. Either way the first error in report order is

@@ -99,11 +99,11 @@ func repairStep(eng *engine.Engine, min xfd.FD) (xnf.StepKind, string, error) {
 			if !q.IsElem() {
 				continue
 			}
-			ans, err := eng.Implies(xfd.FD{LHS: []dtd.Path{q}, RHS: min.LHS})
+			implied, err := eng.Implied(xfd.FD{LHS: []dtd.Path{q}, RHS: min.LHS})
 			if err != nil {
 				return 0, "", err
 			}
-			if ans.Implied {
+			if implied {
 				return xnf.StepMoveAttribute,
 					fmt.Sprintf("move %s to a fresh attribute of %s", min.RHS[0], q), nil
 			}

@@ -28,25 +28,103 @@ func (k Key) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// maxRefuteDocs caps the counterexample cache of a key search. Each
-// cached document's tuple table refutes whole families of non-superkeys
-// with one in-memory scan, so a handful goes a long way; an unbounded
-// cache would make late prefilter passes scan stale tables linearly.
+// maxRefuteDocs caps the counterexamples a refuter caches. Each cached
+// document's tuple table refutes whole families of queries with one
+// in-memory scan, so a handful goes a long way; an unbounded cache
+// would make late scans walk stale tables linearly.
 const maxRefuteDocs = 32
+
+// refuter decides implication queries from verified counterexamples
+// before any closure runs. Every document it caches came with a
+// verified "not implied" answer, so it conforms to D and satisfies Σ:
+// any FD one of its tuple tables violates is not implied by (D, Σ),
+// and a refutation from the cache is certified like a fresh one. The
+// key search and the 4XNF image each own one, so what a part caches —
+// and so the closure runs it saves — follows from its own query order
+// alone, not from the worker count or the schedule. A refuter belongs
+// to one goroutine: refutes reuses one group map and key buffer.
+type refuter struct {
+	ids    []paths.ID        // paths(D), interned, in paths(D) order
+	pr     *tuples.Projector // projection onto all of paths(D), built once
+	tables [][]tuples.Tuple  // tuples_D(T) of each cached counterexample
+	groups map[string]tuples.Tuple
+	key    []byte
+}
+
+// newRefuter builds an empty refuter over paths(D), given in paths(D)
+// order and interned in u.
+func newRefuter(u *paths.Universe, ps []dtd.Path) (*refuter, error) {
+	r := &refuter{ids: make([]paths.ID, len(ps)), groups: map[string]tuples.Tuple{}}
+	var err error
+	for i, p := range ps {
+		if r.ids[i], err = lookup(u, p); err != nil {
+			return nil, err
+		}
+	}
+	if r.pr, err = tuples.NewProjector(u, ps); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// add caches the counterexample of a verified refutation, unless the
+// cache is full. Its tuple table is materialized once, here, so every
+// later test is a pure in-memory scan.
+func (r *refuter) add(ans implication.Answer) {
+	if ans.Counterexample == nil || !ans.Verified || len(r.tables) >= maxRefuteDocs {
+		return
+	}
+	var rows []tuples.Tuple
+	r.pr.Stream(ans.Counterexample, func(tup tuples.Tuple) bool {
+		rows = append(rows, tup.Clone())
+		return true
+	})
+	r.tables = append(r.tables, rows)
+}
+
+// refutes reports whether some cached table holds two tuples that
+// agree on lhs (all values known and equal — the Atzeni–Morfuni LHS
+// rule) yet differ on one path of rhs (where ⊥ = ⊥ counts as
+// agreement). Such a pair violates lhs → rhs on a document that
+// conforms to D and satisfies Σ, so (D, Σ) does not imply it.
+func (r *refuter) refutes(lhs, rhs []paths.ID) bool {
+	for _, rows := range r.tables {
+		clear(r.groups)
+		for _, row := range rows {
+			var known bool
+			r.key, known = appendProjKey(row, lhs, r.key[:0], true)
+			if !known {
+				continue // a ⊥ on the LHS exempts the tuple
+			}
+			rep, ok := r.groups[string(r.key)]
+			if !ok {
+				r.groups[string(r.key)] = row
+				continue
+			}
+			for _, id := range rhs {
+				av, aok := rep.GetID(id)
+				bv, bok := row.GetID(id)
+				if aok != bok || (aok && !av.Equal(bv)) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
 
 // CandidateKeys finds the candidate keys of (D, Σ) up to
 // opts.maxKeySize() paths, in deterministic order: by size, then by
 // the candidate enumeration order over paths(D). The search decides
 // candidates in that order, on the calling goroutine, and reuses
-// verified counterexamples: a document that refuted one candidate's
-// superkey query conforms to D and satisfies Σ, so its tuple table
-// (projected once, when cached) refutes later candidates by a direct
-// agree/differ scan — no closure runs, no per-candidate compilation.
-// Deciding in order means every candidate's prefilter sees each
-// counterexample found before it, so the closure runs a search makes
-// depend on the spec alone. The result is exactly what
-// CandidateKeysBaseline computes — both decide every candidate
-// exactly, so caching and the prefilter never change the key list.
+// verified counterexamples through a refuter: a document that refuted
+// one candidate's superkey query refutes every later candidate on
+// which two of its tuples agree while differing elsewhere — no closure
+// runs, no per-candidate compilation. Deciding in order means every
+// candidate's refuter sees each counterexample found before it, so the
+// closure runs a search makes depend on the spec alone. The result is
+// exactly what CandidateKeysBaseline computes — both decide every
+// candidate exactly, so the cache never changes the key list.
 func CandidateKeys(s xnf.Spec, opts Options) ([]Key, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -64,18 +142,11 @@ func candidateKeysWith(eng *engine.Engine, maxSize int) ([]Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := eng.Universe()
-	ids := make([]paths.ID, len(ps))
-	for i, p := range ps {
-		if ids[i], err = lookup(u, p); err != nil {
-			return nil, err
-		}
-	}
-	pr, err := tuples.NewProjector(u, ps)
+	ref, err := newRefuter(eng.Universe(), ps)
 	if err != nil {
 		return nil, err
 	}
-	a := &keySearch{eng: eng, ps: ps, ids: ids, pr: pr}
+	a := &keySearch{eng: eng, ps: ps, ref: ref}
 	return searchKeys(ps, maxSize, a.superkey)
 }
 
@@ -146,22 +217,31 @@ func searchKeys(ps []dtd.Path, maxSize int, superkey func(sub []int, lhs []dtd.P
 	return out, nil
 }
 
-// keySearch carries the state of one search: the engine, the interned
-// path IDs, and the cache of counterexample tuple tables.
+// keySearch carries the state of one search: the engine, its refuter,
+// and the ID lists it reuses from candidate to candidate.
 type keySearch struct {
-	eng    *engine.Engine
-	ps     []dtd.Path
-	ids    []paths.ID        // ps interned against the engine's universe
-	pr     *tuples.Projector // projection over all of ps, built once
-	tables [][]tuples.Tuple  // tuples_D(T) of each cached counterexample
+	eng       *engine.Engine
+	ps        []dtd.Path
+	ref       *refuter
+	lhs, rest []paths.ID
 }
 
 // superkey decides (D, Σ) ⊢ lhs → p for every path p, one query at a
 // time, stopping at the first refutation. The verdict is exact; the
-// prefilter only short-circuits candidates a cached counterexample
-// already refutes.
+// refuter only short-circuits candidates a cached counterexample
+// already refutes, and caches each new one.
 func (a *keySearch) superkey(sub []int, lhs []dtd.Path) (bool, error) {
-	if a.prefilter(sub) {
+	a.lhs, a.rest = a.lhs[:0], a.rest[:0]
+	j := 0
+	for i, id := range a.ref.ids {
+		if j < len(sub) && sub[j] == i {
+			a.lhs = append(a.lhs, id)
+			j++
+			continue
+		}
+		a.rest = append(a.rest, id)
+	}
+	if a.ref.refutes(a.lhs, a.rest) {
 		return false, nil
 	}
 	for _, q := range superkeyQueries(sub, lhs, a.ps, a.eng.Universe()) {
@@ -172,66 +252,10 @@ func (a *keySearch) superkey(sub []int, lhs []dtd.Path) (bool, error) {
 		if ans.Implied {
 			continue
 		}
-		// Keep the refuting document for later candidates: it conforms
-		// to D and satisfies Σ (the answer is verified), so any query it
-		// violates is not implied. Its tuple table is materialized once,
-		// here, so prefilter passes are pure in-memory scans.
-		if ans.Counterexample != nil && ans.Verified && len(a.tables) < maxRefuteDocs {
-			var rows []tuples.Tuple
-			a.pr.Stream(ans.Counterexample, func(tup tuples.Tuple) bool {
-				rows = append(rows, tup.Clone())
-				return true
-			})
-			a.tables = append(a.tables, rows)
-		}
+		a.ref.add(ans)
 		return false, nil
 	}
 	return true, nil
-}
-
-// prefilter scans the cached counterexample tables for a pair of tuples
-// that agree on the candidate (all values known and equal — the
-// Atzeni–Morfuni LHS rule) yet differ on some other path (where ⊥ = ⊥
-// counts as agreement). Such a pair violates candidate → p on a
-// document that conforms to D and satisfies Σ, so the candidate is
-// soundly refuted with no closure run and no per-candidate compilation.
-func (a *keySearch) prefilter(sub []int) bool {
-	if len(a.tables) == 0 {
-		return false
-	}
-	inSub := make([]bool, len(a.ids))
-	lhsIDs := make([]paths.ID, len(sub))
-	for j, i := range sub {
-		inSub[i] = true
-		lhsIDs[j] = a.ids[i]
-	}
-	var key []byte
-	for _, rows := range a.tables {
-		groups := map[string]tuples.Tuple{}
-		for _, row := range rows {
-			var known bool
-			key, known = appendProjKey(row, lhsIDs, key[:0], true)
-			if !known {
-				continue // a ⊥ on the LHS exempts the tuple
-			}
-			rep, ok := groups[string(key)]
-			if !ok {
-				groups[string(key)] = row
-				continue
-			}
-			for i, id := range a.ids {
-				if inSub[i] {
-					continue
-				}
-				av, aok := rep.GetID(id)
-				bv, bok := row.GetID(id)
-				if aok != bok || (aok && !av.Equal(bv)) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // superkeyQueries builds the queries lhs → p for every path p outside

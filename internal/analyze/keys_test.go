@@ -61,8 +61,8 @@ func TestCandidateKeysCourses(t *testing.T) {
 	}
 }
 
-// TestCandidateKeysMatchBaseline: the cached, prefiltered in-order
-// search and the naive per-candidate baseline decide the same
+// TestCandidateKeysMatchBaseline: the cached in-order search behind
+// its refuter and the naive per-candidate baseline decide the same
 // predicate, so their key lists must be identical — on the running
 // examples and on seeded random specs.
 func TestCandidateKeysMatchBaseline(t *testing.T) {
@@ -83,7 +83,15 @@ func TestCandidateKeysMatchBaseline(t *testing.T) {
 	}
 	check("courses", coursesSpec(t), 2)
 	check("dblp", loadSpec(t, "dblp.spec"), 2)
+	for _, s := range randomFlatSpecs(t) {
+		check("random", s, 2)
+	}
+}
 
+// randomFlatSpecs draws 30 seeded specs (5 under -short) over flatDTD:
+// up to three random FDs with one- or two-path left-hand sides.
+func randomFlatSpecs(t *testing.T) []xnf.Spec {
+	t.Helper()
 	d := dtd.MustParse(flatDTD)
 	ps, err := d.Paths()
 	if err != nil {
@@ -94,7 +102,8 @@ func TestCandidateKeysMatchBaseline(t *testing.T) {
 	if testing.Short() {
 		trials = 5
 	}
-	for trial := 0; trial < trials; trial++ {
+	specs := make([]xnf.Spec, trials)
+	for trial := range specs {
 		var sigma []xfd.FD
 		for n := rng.Intn(4); n > 0; n-- {
 			f := xfd.FD{
@@ -106,12 +115,13 @@ func TestCandidateKeysMatchBaseline(t *testing.T) {
 			}
 			sigma = append(sigma, f)
 		}
-		check("random", xnf.Spec{DTD: d, FDs: sigma}, 2)
+		specs[trial] = xnf.Spec{DTD: d, FDs: sigma}
 	}
+	return specs
 }
 
 // TestKeySearchStatsIndependentOfWorkers: the search decides candidates
-// in enumeration order, so every prefilter pass sees the same cached
+// in enumeration order, so every refuter scan sees the same cached
 // counterexamples and the closure runs it makes (engine misses) and
 // the answers it reuses (hits) depend on the spec alone, not on the
 // engine's worker count or the schedule.

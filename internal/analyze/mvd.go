@@ -295,7 +295,17 @@ func validate(s xnf.Spec, mvds []TreeMVD) error {
 	return nil
 }
 
-// check4XNFWith builds the flat image and decides 4NF over it.
+// check4XNFWith builds the flat image and decides 4NF over it. The
+// image's FDs are the implied X → q for every Σ left-hand side X and
+// value path q outside it. Each X's goals are asked deepest path first
+// (ties in paths(D) order), and each goal is first tried against the
+// image's refuter, which caches the verified counterexample of every
+// refutation the engine answers: the closure realizes a refutation of
+// X → q with q's whole chain non-null, so the tree of a deep goal
+// holds tuples deep enough to refute the shallower goals too, where a
+// shallow goal's tree could not refute a deeper one. The order decides
+// only how many closure runs the image makes, never an answer; the
+// image FDs are emitted in paths(D) order.
 func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, error) {
 	ps, err := s.DTD.Paths()
 	if err != nil {
@@ -336,23 +346,51 @@ func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, err
 	// Going through implication (rather than copying the flat splits
 	// verbatim) carries the value-path consequences of element-targeted
 	// FDs into the image — @cno → course surfaces as @cno → title.S.
+	u := eng.Universe()
+	ref, err := newRefuter(u, ps)
+	if err != nil {
+		return FourXNF{}, err
+	}
+	vids := make([]paths.ID, len(vps))
+	for i, q := range vps {
+		if vids[i], err = lookup(u, q); err != nil {
+			return FourXNF{}, err
+		}
+	}
+	deepest := make([]int, len(vps))
+	for i := range deepest {
+		deepest[i] = i
+	}
+	sort.SliceStable(deepest, func(i, j int) bool { return len(vps[deepest[i]]) > len(vps[deepest[j]]) })
 	var rfds []relational.FD
+	implied := make([]bool, len(vps))
 	for _, lhs := range lhss {
-		in := map[string]bool{}
+		clear(implied)
+		in := u.NewSet()
+		lhsIDs := make([]paths.ID, len(lhs))
 		lhsAttrs := relational.NewAttrSet()
-		for _, p := range lhs {
-			in[p.String()] = true
+		for i, p := range lhs {
+			if lhsIDs[i], err = lookup(u, p); err != nil {
+				return FourXNF{}, err
+			}
+			in.Add(lhsIDs[i])
 			lhsAttrs[p.String()] = true
 		}
-		for _, q := range vps {
-			if in[q.String()] {
+		for _, qi := range deepest {
+			if in.Has(vids[qi]) || ref.refutes(lhsIDs, vids[qi:qi+1]) {
 				continue
 			}
-			implied, err := eng.Implied(xfd.FD{LHS: lhs, RHS: []dtd.Path{q}})
+			ans, err := eng.Implies(xfd.FD{LHS: lhs, RHS: []dtd.Path{vps[qi]}})
 			if err != nil {
 				return FourXNF{}, err
 			}
-			if implied {
+			implied[qi] = ans.Implied
+			if !ans.Implied {
+				ref.add(ans)
+			}
+		}
+		for qi, q := range vps {
+			if implied[qi] {
 				rfds = append(rfds, relational.FD{LHS: lhsAttrs, RHS: relational.NewAttrSet(q.String())})
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xmlnorm/internal/dtd"
+	"xmlnorm/internal/engine"
 	"xmlnorm/internal/gen"
 	"xmlnorm/internal/paths"
 	"xmlnorm/internal/relational"
@@ -289,5 +290,138 @@ func TestDeclaredMVDPaths(t *testing.T) {
 	}
 	if want := "mvd " + elem.String(); len(fx.Skipped) != 2 || fx.Skipped[1] != want {
 		t.Errorf("skipped = %v, want FD2 and %q", fx.Skipped, want)
+	}
+}
+
+// disjunctiveSpec has a disjunction under a starred element, so its
+// engine enumerates several branch assignments, and value paths on
+// both branches for the flat image.
+func disjunctiveSpec(t *testing.T) xnf.Spec {
+	t.Helper()
+	d := dtd.MustParse(`
+<!ELEMENT r (p*)>
+<!ELEMENT p ((a | b), c?)>
+<!ATTLIST p k CDATA #REQUIRED v CDATA #REQUIRED>
+<!ELEMENT a EMPTY>
+<!ATTLIST a x CDATA #REQUIRED>
+<!ELEMENT b EMPTY>
+<!ATTLIST b y CDATA #REQUIRED>
+<!ELEMENT c (#PCDATA)>`)
+	sigma, err := xfd.ParseSet(`r.p.@k -> r.p.@v
+r.p.a.@x -> r.p.@k
+r.p.@v, r.p.b.@y -> r.p.c.S
+r.p.c.S -> r.p`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xnf.Spec{DTD: d, FDs: sigma}
+}
+
+// perQueryImage is the image's FDs as a plain loop of engine queries
+// would find them: for each distinct all-value LHS of Σ's splits, in
+// first-seen order, every value path q outside it that (D, Σ) implies,
+// in paths(D) order — one fresh engine, one closure per (X, q).
+func perQueryImage(t *testing.T, s xnf.Spec) []string {
+	t.Helper()
+	eng, err := engine.New(s.DTD, s.FDs, engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := s.DTD.Paths()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vps := table.ValuePaths(ps)
+	isValue := map[string]bool{}
+	for _, p := range vps {
+		isValue[p.String()] = true
+	}
+	var out []string
+	seen := map[string]bool{}
+	for _, f := range s.FDs {
+		for _, split := range f.SingleRHS() {
+			lhs := relational.NewAttrSet()
+			for _, p := range split.LHS {
+				lhs[p.String()] = true
+			}
+			flat := true
+			for p := range lhs {
+				flat = flat && isValue[p]
+			}
+			if !flat || seen[lhs.String()] {
+				continue
+			}
+			seen[lhs.String()] = true
+			for _, q := range vps {
+				if lhs[q.String()] {
+					continue
+				}
+				implied, err := eng.Implied(xfd.FD{LHS: split.LHS, RHS: []dtd.Path{q}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if implied {
+					out = append(out, relational.FD{LHS: lhs, RHS: relational.NewAttrSet(q.String())}.String())
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestImageMatchesPerQueryImplication: deciding each LHS's goals
+// deepest first, with refutations from the image's counterexample
+// cache, must find exactly the image FDs a plain per-query loop finds,
+// in the same order — on the running examples, the chain family, the
+// seeded random flat specs and a disjunctive spec.
+func TestImageMatchesPerQueryImplication(t *testing.T) {
+	specs := map[string]xnf.Spec{
+		"courses":  coursesSpec(t),
+		"dblp":     loadSpec(t, "dblp.spec"),
+		"chain-7":  {DTD: gen.ChainDTD(7, 2), FDs: gen.ChainFDs(7, 2)},
+		"chain-12": {DTD: gen.ChainDTD(12, 2), FDs: gen.ChainFDs(12, 2)},
+		"disj":     disjunctiveSpec(t),
+	}
+	for i, s := range randomFlatSpecs(t) {
+		specs[fmt.Sprintf("random-%d", i)] = s
+	}
+	for name, s := range specs {
+		fx, err := Check4XNF(s, Options{Engine: engine.Options{Workers: 1}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := perQueryImage(t, s); strings.Join(fx.ImageFDs, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: image FDs\n%v\nwant (per query)\n%v", name, fx.ImageFDs, want)
+		}
+	}
+}
+
+// TestImageClosureRunsIndependentOfWorkers: the image decides its
+// queries in a fixed order against its own refuter, so the closure
+// runs it makes (engine misses) are the same at every worker count.
+// On chain-18 one verified counterexample per LHS refutes all of that
+// LHS's other goals: 18 implied goals and 18 refuted ones.
+func TestImageClosureRunsIndependentOfWorkers(t *testing.T) {
+	s := xnf.Spec{DTD: gen.ChainDTD(18, 2), FDs: gen.ChainFDs(18, 2)}
+	var want uint64
+	for i, workers := range []int{1, 2, 8} {
+		eng, err := engine.New(s.DTD, s.FDs, engine.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := check4XNFWith(eng, s, nil); err != nil {
+			t.Fatal(err)
+		}
+		got := eng.Stats().Misses
+		if i == 0 {
+			want = got
+			if got > 36 {
+				t.Errorf("Workers 1: %d closure runs, want at most 36", got)
+			}
+			continue
+		}
+		if got != want {
+			t.Errorf("Workers %d: %d closure runs, want %d (Workers 1)", workers, got, want)
+		}
 	}
 }

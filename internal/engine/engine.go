@@ -181,11 +181,13 @@ func (e *Engine) implies(q xfd.FD) (implication.Answer, error) {
 }
 
 // Trivial decides whether q follows from the DTD alone: (D, ∅) ⊢ q.
-// The (D, ∅) closure engine is built once, on first use, and its
-// answers share the cache under a separate key space.
+// The (D, ∅) closure engine is derived once, on first use, from the
+// (D, Σ) one (implication.Engine.WithSigma: it shares the skeleton, the
+// conformer and the branch assignments), and its answers share the
+// cache under a separate key space.
 func (e *Engine) Trivial(q xfd.FD) (bool, error) {
 	e.trivOnce.Do(func() {
-		e.triv, e.trivErr = implication.NewEngine(e.d, nil)
+		e.triv, e.trivErr = e.imp.WithSigma(nil)
 	})
 	if e.trivErr != nil {
 		return false, e.trivErr

@@ -283,11 +283,12 @@ func TestCounterexampleProperties(t *testing.T) {
 }
 
 // TestVerifyCounterexample pins the certification of refutations on
-// every engine construction path (NewEngine resolves Σ, the one-shot
-// Implies and ImpliesBounded compile it unresolved, the latter over a
-// bounded skeleton's query universe): a candidate tree is accepted only
-// if it conforms to D, satisfies Σ through the engine's compiled
-// checker, and violates q. Each rejected tree fails exactly one check.
+// every engine construction path (NewEngine, the one-shot Implies and
+// ImpliesBounded, the latter over a bounded skeleton's query universe,
+// and an engine WithSigma derives from one built for (D, ∅)): a
+// candidate tree is accepted only if it conforms to D, satisfies Σ
+// through the engine's compiled checker, and violates q. Each rejected
+// tree fails exactly one check.
 func TestVerifyCounterexample(t *testing.T) {
 	d, sigma := coursesSpec(t)
 	q := xfd.MustParse("courses.course.taken_by.student.@sno -> courses.course.taken_by.student.name")
@@ -352,10 +353,18 @@ func TestVerifyCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	empty, err := NewEngine(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, err := empty.WithSigma(sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, eng := range []struct {
 		name string
 		e    *Engine
-	}{{"NewEngine", full}, {"Implies", oneShot}, {"ImpliesBounded", bounded}} {
+	}{{"NewEngine", full}, {"Implies", oneShot}, {"ImpliesBounded", bounded}, {"WithSigma", derived}} {
 		for i, c := range cases {
 			if got := eng.e.verifyCounterexample(q, trees[i]); got != c.want {
 				t.Errorf("%s: %s: verifyCounterexample = %v, want %v", eng.name, c.name, got, c.want)

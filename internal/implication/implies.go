@@ -64,12 +64,20 @@ func Implies(d *dtd.DTD, sigma []xfd.FD, q xfd.FD) (Answer, error) {
 // are compiled once into an xmltree.Conformer; the last two certify
 // every refutation. An Engine is read-only after construction, so
 // concurrent queries (internal/engine's worker pool) share all of it.
+//
+// The skeleton, the conformer and the branch assignments depend on D
+// alone. WithSigma derives an engine for another Σ over the same DTD
+// that shares exactly these read-only parts and compiles only its own
+// Σ, which is what lets a caller testing many reduced FD sets
+// (xnf.MinimalCover) build the DTD's half once.
 type Engine struct {
-	sk       *skeleton
+	// Σ-independent, shared with every engine WithSigma derives.
+	sk      *skeleton
+	conform *xmltree.Conformer
+	asgs    []assignment
+	// Σ, compiled for the closure and for certifying refutations.
 	compiled []compiledFD
 	sigma    *xfd.CheckerSet
-	conform  *xmltree.Conformer
-	asgs     []assignment
 }
 
 // NewEngine builds an engine. The DTD must be non-recursive and
@@ -81,23 +89,14 @@ func NewEngine(d *dtd.DTD, sigma []xfd.FD) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigma = append([]xfd.FD(nil), sigma...)
-	for i := range sigma {
-		if err := sigma[i].Resolve(sk.u); err != nil {
-			return nil, fmt.Errorf("implication: %v", err)
-		}
-	}
 	return newEngine(sk, sigma)
 }
 
-// newEngine compiles Σ against a built skeleton, whose universe sk.u
-// interns every skeleton path. NewEngine and the one-shot deciders
+// newEngine builds the Σ-independent half of an engine over a built
+// skeleton, whose universe sk.u interns every skeleton path, then
+// compiles Σ through WithSigma. NewEngine and the one-shot deciders
 // (Implies, ImpliesBounded) all build their engine here.
 func newEngine(sk *skeleton, sigma []xfd.FD) (*Engine, error) {
-	compiled, err := compileFDs(sk, sigma)
-	if err != nil {
-		return nil, err
-	}
 	total := 1
 	for _, g := range sk.groups {
 		k := len(g.members)
@@ -109,17 +108,32 @@ func newEngine(sk *skeleton, sigma []xfd.FD) (*Engine, error) {
 			return nil, fmt.Errorf("implication: more than %d branch assignments (N_D too large); use BruteForce", MaxAssignments)
 		}
 	}
-	check, err := xfd.NewCheckerSet(sk.u, sigma)
+	base := &Engine{sk: sk, conform: xmltree.NewConformer(sk.d), asgs: enumerateAssignments(sk)}
+	return base.WithSigma(sigma)
+}
+
+// WithSigma returns an engine for (D, sigma) over e's DTD. It shares
+// e's skeleton, conformer and branch assignments, all read-only, and
+// compiles only sigma: copied, resolved against the skeleton's
+// universe, compiled for the closure and as a CheckerSet. The result
+// answers every query exactly as NewEngine(D, sigma) would, and e is
+// left unchanged, so both stay safe for concurrent use.
+func (e *Engine) WithSigma(sigma []xfd.FD) (*Engine, error) {
+	sigma = append([]xfd.FD(nil), sigma...)
+	for i := range sigma {
+		if err := sigma[i].Resolve(e.sk.u); err != nil {
+			return nil, fmt.Errorf("implication: %v", err)
+		}
+	}
+	compiled, err := compileFDs(e.sk, sigma)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
-		sk:       sk,
-		compiled: compiled,
-		sigma:    check,
-		conform:  xmltree.NewConformer(sk.d),
-		asgs:     enumerateAssignments(sk),
-	}, nil
+	check, err := xfd.NewCheckerSet(e.sk.u, sigma)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{sk: e.sk, conform: e.conform, asgs: e.asgs, compiled: compiled, sigma: check}, nil
 }
 
 // Universe returns the interned path universe of the engine's DTD.

@@ -321,28 +321,35 @@ func (st *FoldState) MarshalBinary() ([]byte, error) {
 // UnmarshalFoldState decodes a state MarshalBinary produced, bound to
 // this CheckerSet. The encoding carries the FD count as a cheap guard;
 // it is the caller's contract that the bytes were marshaled under an
-// identically compiled set (same Σ in the same order). Each FD's LHS
-// keys must be strictly ascending, as MarshalBinary writes them: a
-// state listing one group twice could otherwise carry two RHS classes
-// for it and still decode as satisfied, so such a state is rejected as
-// not canonical.
+// identically compiled set (same Σ in the same order). Only the bytes
+// MarshalBinary writes decode, so every accepted state re-marshals to
+// its own input: a violated flag is 0 or 1, every uvarint is in its
+// shortest form, and each FD's LHS keys are strictly ascending. The
+// last matters for verdicts too: a state listing one group twice could
+// otherwise carry two RHS classes for it and still decode as satisfied.
 func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 	if len(data) < len(foldStateMagic) || string(data[:len(foldStateMagic)]) != foldStateMagic {
 		return nil, fmt.Errorf("xfd: fold state: bad magic")
 	}
 	data = data[len(foldStateMagic):]
-	n, k := binary.Uvarint(data)
-	if k <= 0 || n != uint64(len(cs.fds)) {
-		return nil, fmt.Errorf("xfd: fold state: encoded for %d FDs, checker set has %d", n, len(cs.fds))
-	}
-	data = data[k:]
 	readUvarint := func() (uint64, error) {
 		v, k := binary.Uvarint(data)
 		if k <= 0 {
 			return 0, fmt.Errorf("xfd: fold state: truncated")
 		}
+		// The shortest form never ends in a zero continuation byte.
+		if k > 1 && data[k-1] == 0 {
+			return 0, fmt.Errorf("xfd: fold state: not canonical: overlong uvarint")
+		}
 		data = data[k:]
 		return v, nil
+	}
+	n, err := readUvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n != uint64(len(cs.fds)) {
+		return nil, fmt.Errorf("xfd: fold state: encoded for %d FDs, checker set has %d", n, len(cs.fds))
 	}
 	readBytes := func() ([]byte, error) {
 		l, err := readUvarint()
@@ -361,9 +368,12 @@ func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 		if len(data) == 0 {
 			return nil, fmt.Errorf("xfd: fold state: truncated")
 		}
-		violated := data[0] != 0
+		flag := data[0]
 		data = data[1:]
-		if violated {
+		if flag > 1 {
+			return nil, fmt.Errorf("xfd: fold state: not canonical: FD %d's violated flag is %d", fi, flag)
+		}
+		if flag == 1 {
 			st.fds[fi].violated = true
 			continue
 		}

@@ -387,9 +387,14 @@ func TestFoldStateErrors(t *testing.T) {
 	// keys va and vb: a conflict a decoder keeping either pair would
 	// read as satisfied. MarshalBinary writes LHS keys strictly
 	// ascending, so repeated or descending keys are not canonical.
+	// MarshalBinary writes a violated flag as 0 or 1 and every uvarint
+	// in its shortest form, so a flag of 2 and an FD count of 1 written
+	// in two bytes are not canonical either.
 	for _, blob := range []string{
 		"xnfFS1\x00\x01\x00\x02\x02k1\x02va\x02k1\x02vb",
 		"xnfFS1\x00\x01\x00\x02\x02k2\x02va\x02k1\x02va",
+		"xnfFS1\x00\x01\x02",
+		"xnfFS1\x00\x81\x00\x01",
 	} {
 		if _, err := csA.UnmarshalFoldState([]byte(blob)); err == nil || !strings.Contains(err.Error(), "not canonical") {
 			t.Fatalf("UnmarshalFoldState(%q) = %v, want a not-canonical error", blob, err)

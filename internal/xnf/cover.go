@@ -24,6 +24,11 @@ import (
 // engine configurations. (The cover's *content* can still depend on the
 // order Σ lists its FDs, as in the relational algorithm: reduction
 // keeps the first of two interchangeable members.)
+//
+// One closure engine is built for (D, Σ); the (D, ∅) engine and the
+// engine of every reduced Σ tested are derived from it
+// (implication.Engine.WithSigma), so the skeleton, the compiled content
+// models and the branch assignments are built once per call.
 func MinimalCover(s Spec) ([]xfd.FD, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -32,7 +37,7 @@ func MinimalCover(s Spec) ([]xfd.FD, error) {
 	if err != nil {
 		return nil, err
 	}
-	trivEng, err := implication.NewEngine(s.DTD, nil)
+	trivEng, err := fullEng.WithSigma(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +82,7 @@ func MinimalCover(s Spec) ([]xfd.FD, error) {
 	var out []xfd.FD
 	for i := range work {
 		rest := append(append([]xfd.FD{}, out...), work[i+1:]...)
-		eng, err := implication.NewEngine(s.DTD, rest)
+		eng, err := fullEng.WithSigma(rest)
 		if err != nil {
 			return nil, err
 		}

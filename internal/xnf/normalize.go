@@ -169,11 +169,11 @@ func tryMove(s Spec, eng *engine.Engine, anomalies []Anomaly, names Names) (Tran
 			continue
 		}
 		for _, q := range lhsElemPaths(a.FD) {
-			ans, err := eng.Implies(xfd.FD{LHS: []dtd.Path{q}, RHS: a.FD.LHS})
+			implied, err := eng.Implied(xfd.FD{LHS: []dtd.Path{q}, RHS: a.FD.LHS})
 			if err != nil {
 				return TransformResult{}, Step{}, false, err
 			}
-			if !ans.Implied {
+			if !implied {
 				continue
 			}
 			l := strings.TrimPrefix(rhs.Last(), "@")
@@ -283,11 +283,11 @@ func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool, error) {
 			if cand.Equal(f) || spSet.Has(target) {
 				continue
 			}
-			ans, err := eng.Implies(cand)
+			implied, err := eng.Implied(cand)
 			if err != nil {
 				return xfd.FD{}, false, err
 			}
-			if !ans.Implied {
+			if !implied {
 				continue
 			}
 			trivial, err := eng.Trivial(cand)
@@ -298,11 +298,11 @@ func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool, error) {
 				continue
 			}
 			// Anomalous: S' must not determine the parent element.
-			parent, err := eng.Implies(xfd.FD{LHS: cand.LHS, RHS: []dtd.Path{u.PathOf(u.ParentOf(target))}})
+			parent, err := eng.Implied(xfd.FD{LHS: cand.LHS, RHS: []dtd.Path{u.PathOf(u.ParentOf(target))}})
 			if err != nil {
 				return xfd.FD{}, false, err
 			}
-			if parent.Implied {
+			if parent {
 				continue
 			}
 			return cand, true, nil
