@@ -186,19 +186,7 @@ func analyzeObject(name string, rep *xmlnorm.AnalysisReport, witness bool) analy
 			Detail:      d.RepairDetail,
 		}
 		if witness && d.HasWitness {
-			ren := nodeRenumber{}
-			for _, p := range d.WitnessFD.Paths() {
-				row := witnessJSON{Path: p.String()}
-				if a, ok := d.Witness[0].Get(p); ok {
-					s := ren.render(a)
-					row.T1 = &s
-				}
-				if b, ok := d.Witness[1].Get(p); ok {
-					s := ren.render(b)
-					row.T2 = &s
-				}
-				dj.Witness = append(dj.Witness, row)
-			}
+			dj.Witness = witnessRows(d.WitnessFD, d.Witness, nodeRenumber{}.render)
 		}
 		out.Anomalies = append(out.Anomalies, dj)
 	}
@@ -229,19 +217,7 @@ func printAnalysis(w io.Writer, rep *xmlnorm.AnalysisReport, witness bool) {
 				d.Anomaly.FD, d.Explanation, d.Repair, d.RepairDetail)
 			if witness && d.HasWitness {
 				fmt.Fprintln(w, "    witness tuple pair (t1 | t2):")
-				ren := nodeRenumber{}
-				for _, p := range d.WitnessFD.Paths() {
-					a, aok := d.Witness[0].Get(p)
-					b, bok := d.Witness[1].Get(p)
-					as, bs := "⊥", "⊥"
-					if aok {
-						as = ren.render(a)
-					}
-					if bok {
-						bs = ren.render(b)
-					}
-					fmt.Fprintf(w, "      %-40s %s | %s\n", p, as, bs)
-				}
+				printWitnessRows(w, "      ", witnessRows(d.WitnessFD, d.Witness, nodeRenumber{}.render))
 			}
 		}
 	}

@@ -374,18 +374,7 @@ func printCheckVerdict(violated []xmlnorm.Violated, total int, out checkOutput) 
 		fmt.Printf("  %s\n", v.FD)
 		if witness {
 			fmt.Println("    witness tuple pair (t1 | t2):")
-			for _, p := range v.FD.Paths() {
-				a, aok := v.Witness[0].Get(p)
-				b, bok := v.Witness[1].Get(p)
-				as, bs := "⊥", "⊥"
-				if aok {
-					as = a.String()
-				}
-				if bok {
-					bs = b.String()
-				}
-				fmt.Printf("      %-40s %s | %s\n", p, as, bs)
-			}
+			printWitnessPair(v, "      ")
 		}
 	}
 	return errNegative

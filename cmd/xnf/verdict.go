@@ -10,9 +10,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"xmlnorm"
+	"xmlnorm/internal/tuples"
 )
 
 // verdictJSON is the wire shape of one verdict.
@@ -70,22 +72,46 @@ func verdictObject(doc string, seq uint64, total int, report []xmlnorm.Violated,
 	for _, r := range report {
 		vj := violatedJSON{FD: r.FD.String()}
 		if witness {
-			for _, p := range r.FD.Paths() {
-				row := witnessJSON{Path: p.String()}
-				if a, ok := r.Witness[0].Get(p); ok {
-					s := a.String()
-					row.T1 = &s
-				}
-				if b, ok := r.Witness[1].Get(p); ok {
-					s := b.String()
-					row.T2 = &s
-				}
-				vj.Witness = append(vj.Witness, row)
-			}
+			vj.Witness = witnessRows(r.FD, r.Witness, tuples.Value.String)
 		}
 		v.Violated = append(v.Violated, vj)
 	}
 	return v
+}
+
+// witnessRows is the one witness-row builder: a witness pair as one
+// row per path of fd (FD.Paths order), each non-null value rendered by
+// render. The JSON shapes carry the rows as they are; printWitnessRows
+// lays them out as text.
+func witnessRows(fd xmlnorm.FD, w [2]tuples.Tuple, render func(tuples.Value) string) []witnessJSON {
+	var rows []witnessJSON
+	for _, p := range fd.Paths() {
+		row := witnessJSON{Path: p.String()}
+		if a, ok := w[0].Get(p); ok {
+			s := render(a)
+			row.T1 = &s
+		}
+		if b, ok := w[1].Get(p); ok {
+			s := render(b)
+			row.T2 = &s
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// printWitnessRows prints witness rows as text, one path per line with
+// ⊥ for a null value: the layout of "xnf check -witness".
+func printWitnessRows(w io.Writer, indent string, rows []witnessJSON) {
+	orBottom := func(s *string) string {
+		if s == nil {
+			return "⊥"
+		}
+		return *s
+	}
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s%-40s %s | %s\n", indent, r.Path, orBottom(r.T1), orBottom(r.T2))
+	}
 }
 
 // addDelta fills the newly_violated / newly_satisfied lists from the

@@ -27,10 +27,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"xmlnorm"
+	"xmlnorm/internal/tuples"
 )
 
 func cmdWatch(args []string) error {
@@ -294,51 +296,28 @@ func printVerdict(s xmlnorm.Spec, violated []int) {
 // printDelta prints what one edit changed: FDs newly violated (+) and
 // newly satisfied (-), or a confirmation that the verdict held.
 func printDelta(s xmlnorm.Spec, sess *xmlnorm.Session, prev, cur []int, witness bool) {
-	was := make(map[int]bool, len(prev))
-	for _, fi := range prev {
-		was[fi] = true
+	var d verdictJSON
+	d.addDelta(s, prev, cur)
+	for _, fd := range d.NewlyViolated {
+		fmt.Printf("    + %s\n", fd)
 	}
-	is := make(map[int]bool, len(cur))
-	for _, fi := range cur {
-		is[fi] = true
+	for _, fd := range d.NewlySatisfied {
+		fmt.Printf("    - %s\n", fd)
 	}
-	changed := false
-	for _, fi := range cur {
-		if !was[fi] {
-			changed = true
-			fmt.Printf("    + %s\n", s.FDs[fi])
-		}
-	}
-	for _, fi := range prev {
-		if !is[fi] {
-			changed = true
-			fmt.Printf("    - %s\n", s.FDs[fi])
-		}
-	}
-	if !changed {
+	if len(d.NewlyViolated)+len(d.NewlySatisfied) == 0 {
 		fmt.Printf("    verdict unchanged (%d violated)\n", len(cur))
 		return
 	}
 	fmt.Printf("    now violates %d of %d FD(s)\n", len(cur), len(s.FDs))
 	if witness {
 		for _, v := range sess.Report() {
-			if was[indexOfFD(s, v.FD)] {
+			if !slices.Contains(d.NewlyViolated, v.FD.String()) {
 				continue // only the newly violated get witnesses
 			}
 			fmt.Printf("    witness for %s (t1 | t2):\n", v.FD)
 			printWitnessPair(v, "      ")
 		}
 	}
-}
-
-// indexOfFD maps a reported FD back to its Σ index.
-func indexOfFD(s xmlnorm.Spec, fd xmlnorm.FD) int {
-	for i := range s.FDs {
-		if s.FDs[i].Equal(fd) {
-			return i
-		}
-	}
-	return -1
 }
 
 // printReport prints the full violation report with witness pairs.
@@ -352,16 +331,5 @@ func printReport(report []xmlnorm.Violated) {
 // printWitnessPair renders one witness pair, one FD path per line —
 // the same layout "xnf check -witness" uses.
 func printWitnessPair(v xmlnorm.Violated, indent string) {
-	for _, p := range v.FD.Paths() {
-		a, aok := v.Witness[0].Get(p)
-		b, bok := v.Witness[1].Get(p)
-		as, bs := "⊥", "⊥"
-		if aok {
-			as = a.String()
-		}
-		if bok {
-			bs = b.String()
-		}
-		fmt.Printf("%s%-40s %s | %s\n", indent, p, as, bs)
-	}
+	printWitnessRows(os.Stdout, indent, witnessRows(v.FD, v.Witness, tuples.Value.String))
 }

@@ -172,7 +172,7 @@ func CandidateKeysBaseline(s xnf.Spec, maxSize int) ([]Key, error) {
 		if err != nil {
 			return false, err
 		}
-		for _, q := range superkeyQueries(sub, lhs, ps, nil) {
+		for _, q := range superkeyQueries(sub, lhs, ps) {
 			ans, err := imp.Implies(q)
 			if err != nil {
 				return false, err
@@ -244,7 +244,7 @@ func (a *keySearch) superkey(sub []int, lhs []dtd.Path) (bool, error) {
 	if a.ref.refutes(a.lhs, a.rest) {
 		return false, nil
 	}
-	for _, q := range superkeyQueries(sub, lhs, a.ps, a.eng.Universe()) {
+	for _, q := range superkeyQueries(sub, lhs, a.ps) {
 		ans, err := a.eng.Implies(q)
 		if err != nil {
 			return false, err
@@ -259,10 +259,9 @@ func (a *keySearch) superkey(sub []int, lhs []dtd.Path) (bool, error) {
 }
 
 // superkeyQueries builds the queries lhs → p for every path p outside
-// the candidate (sub indexes lhs within ps), resolved against the
-// universe when one is supplied so the engine's cache keys take the
-// bitset fast path.
-func superkeyQueries(sub []int, lhs []dtd.Path, ps []dtd.Path, u *paths.Universe) []xfd.FD {
+// the candidate (sub indexes lhs within ps). The engine looks their
+// paths up when it keys them.
+func superkeyQueries(sub []int, lhs []dtd.Path, ps []dtd.Path) []xfd.FD {
 	inSub := make([]bool, len(ps))
 	for _, i := range sub {
 		inSub[i] = true
@@ -272,11 +271,7 @@ func superkeyQueries(sub []int, lhs []dtd.Path, ps []dtd.Path, u *paths.Universe
 		if inSub[i] {
 			continue
 		}
-		q := xfd.FD{LHS: lhs, RHS: []dtd.Path{p}}
-		if u != nil {
-			_ = q.Resolve(u)
-		}
-		qs = append(qs, q)
+		qs = append(qs, xfd.FD{LHS: lhs, RHS: []dtd.Path{p}})
 	}
 	return qs
 }

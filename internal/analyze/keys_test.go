@@ -205,7 +205,7 @@ func TestKeysAreMinimalSuperkeysTreeLevel(t *testing.T) {
 		}
 		docs++
 		for _, k := range keys {
-			cs, err := xfd.NewCheckerSet(u, superkeyQueries(pathIndices(t, k.Paths, ps), k.Paths, ps, u))
+			cs, err := xfd.NewCheckerSet(u, superkeyQueries(pathIndices(t, k.Paths, ps), k.Paths, ps))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func TestKeysAreMinimalSuperkeysTreeLevel(t *testing.T) {
 				continue
 			}
 			refuted := false
-			for _, q := range superkeyQueries(pathIndices(t, sub, ps), sub, ps, u) {
+			for _, q := range superkeyQueries(pathIndices(t, sub, ps), sub, ps) {
 				ans, err := eng.Implies(q)
 				if err != nil {
 					t.Fatal(err)

@@ -3,6 +3,7 @@ package analyze
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -96,48 +97,39 @@ type MVDChecker struct {
 // test uses). Every path must be interned in the universe.
 func NewMVDChecker(u *paths.Universe, m TreeMVD, context []dtd.Path) (*MVDChecker, error) {
 	c := &MVDChecker{mvd: m}
-	seen := map[string]bool{}
+	seen := u.NewSet()
 	var proj []dtd.Path
-	add := func(p dtd.Path, ids *[]paths.ID) error {
+	// add looks p up and, unless skip holds it, appends it to ids and,
+	// on its first appearance, to the projection.
+	add := func(p dtd.Path, ids *[]paths.ID, skip paths.Set) error {
 		id, err := lookup(u, p)
 		if err != nil {
 			return err
 		}
-		if ids != nil {
-			*ids = append(*ids, id)
+		if skip.Has(id) {
+			return nil
 		}
-		if !seen[p.String()] {
-			seen[p.String()] = true
+		*ids = append(*ids, id)
+		if !seen.Has(id) {
+			seen.Add(id)
 			proj = append(proj, p)
 		}
 		return nil
 	}
 	for _, p := range m.LHS {
-		if err := add(p, &c.lhs); err != nil {
+		if err := add(p, &c.lhs, nil); err != nil {
 			return nil, err
 		}
 	}
-	inLHS := map[string]bool{}
-	for _, p := range m.LHS {
-		inLHS[p.String()] = true
-	}
+	inLHS := seen.Clone()
 	for _, p := range m.RHS {
-		if inLHS[p.String()] {
-			continue
-		}
-		if err := add(p, &c.mid); err != nil {
+		if err := add(p, &c.mid, inLHS); err != nil {
 			return nil, err
 		}
 	}
-	inXY := map[string]bool{}
-	for _, p := range append(append([]dtd.Path{}, m.LHS...), m.RHS...) {
-		inXY[p.String()] = true
-	}
+	inXY := seen.Clone()
 	for _, p := range context {
-		if inXY[p.String()] {
-			continue
-		}
-		if err := add(p, &c.rest); err != nil {
+		if err := add(p, &c.rest, inXY); err != nil {
 			return nil, err
 		}
 	}
@@ -313,32 +305,48 @@ func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, err
 	}
 	vps := table.ValuePaths(ps)
 	fx := FourXNF{Satisfied: true}
-	isValue := map[string]bool{}
-	for _, p := range vps {
-		fx.Columns = append(fx.Columns, p.String())
-		isValue[p.String()] = true
+	u := eng.Universe()
+	vids := make([]paths.ID, len(vps))
+	isValue := u.NewSet()
+	for i, q := range vps {
+		fx.Columns = append(fx.Columns, q.String())
+		if vids[i], err = lookup(u, q); err != nil {
+			return FourXNF{}, err
+		}
+		isValue.Add(vids[i])
 	}
-	// Distinct all-value LHS sets of Σ's splits, first-seen order;
-	// element-path LHSs are out of the fragment and reported as skipped.
-	var lhss [][]dtd.Path
+	// valueIDs returns the IDs of ps, and false unless all of them are
+	// value paths.
+	valueIDs := func(ps []dtd.Path) ([]paths.ID, bool) {
+		ids := make([]paths.ID, len(ps))
+		for i, p := range ps {
+			id, ok := u.Lookup(p)
+			if !ok || !isValue.Has(id) {
+				return nil, false
+			}
+			ids[i] = id
+		}
+		return ids, true
+	}
+	// Distinct all-value LHS lists of Σ's splits (equal as multisets of
+	// paths), first-seen order; element-path LHSs are out of the
+	// fragment and reported as skipped.
+	type flatLHS struct {
+		paths []dtd.Path
+		ids   []paths.ID
+	}
+	var lhss []flatLHS
 	seenLHS := map[string]bool{}
 	for _, f := range s.FDs {
 		for _, split := range f.SingleRHS() {
-			flat := true
-			for _, p := range split.LHS {
-				if !isValue[p.String()] {
-					flat = false
-					break
-				}
-			}
+			ids, flat := valueIDs(split.LHS)
 			if !flat {
 				fx.Skipped = append(fx.Skipped, "fd "+split.String())
 				continue
 			}
-			key := canonicalPathSet(split.LHS)
-			if !seenLHS[key] {
+			if key := multisetKey(ids); !seenLHS[key] {
 				seenLHS[key] = true
-				lhss = append(lhss, split.LHS)
+				lhss = append(lhss, flatLHS{split.LHS, ids})
 			}
 		}
 	}
@@ -346,16 +354,9 @@ func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, err
 	// Going through implication (rather than copying the flat splits
 	// verbatim) carries the value-path consequences of element-targeted
 	// FDs into the image — @cno → course surfaces as @cno → title.S.
-	u := eng.Universe()
 	ref, err := newRefuter(u, ps)
 	if err != nil {
 		return FourXNF{}, err
-	}
-	vids := make([]paths.ID, len(vps))
-	for i, q := range vps {
-		if vids[i], err = lookup(u, q); err != nil {
-			return FourXNF{}, err
-		}
 	}
 	deepest := make([]int, len(vps))
 	for i := range deepest {
@@ -366,21 +367,16 @@ func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, err
 	implied := make([]bool, len(vps))
 	for _, lhs := range lhss {
 		clear(implied)
-		in := u.NewSet()
-		lhsIDs := make([]paths.ID, len(lhs))
+		in := u.SetOf(lhs.ids...)
 		lhsAttrs := relational.NewAttrSet()
-		for i, p := range lhs {
-			if lhsIDs[i], err = lookup(u, p); err != nil {
-				return FourXNF{}, err
-			}
-			in.Add(lhsIDs[i])
+		for _, p := range lhs.paths {
 			lhsAttrs[p.String()] = true
 		}
 		for _, qi := range deepest {
-			if in.Has(vids[qi]) || ref.refutes(lhsIDs, vids[qi:qi+1]) {
+			if in.Has(vids[qi]) || ref.refutes(lhs.ids, vids[qi:qi+1]) {
 				continue
 			}
-			ans, err := eng.Implies(xfd.FD{LHS: lhs, RHS: []dtd.Path{vps[qi]}})
+			ans, err := eng.Implies(xfd.FD{LHS: lhs.paths, RHS: []dtd.Path{vps[qi]}})
 			if err != nil {
 				return FourXNF{}, err
 			}
@@ -401,14 +397,7 @@ func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, err
 	// Declared tree MVDs with all-value sides map directly.
 	var rmvds []relational.MVD
 	for _, m := range mvds {
-		flat := true
-		for _, p := range append(append([]dtd.Path{}, m.LHS...), m.RHS...) {
-			if !isValue[p.String()] {
-				flat = false
-				break
-			}
-		}
-		if !flat {
+		if _, flat := valueIDs(append(append([]dtd.Path{}, m.LHS...), m.RHS...)); !flat {
 			fx.Skipped = append(fx.Skipped, "mvd "+m.String())
 			continue
 		}
@@ -441,13 +430,16 @@ func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, err
 	return fx, nil
 }
 
-func canonicalPathSet(ps []dtd.Path) string {
-	ss := make([]string, len(ps))
-	for i, p := range ps {
-		ss[i] = p.String()
+// multisetKey renders an ID list as a map key two lists share exactly
+// when they hold the same IDs equally often.
+func multisetKey(ids []paths.ID) string {
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	key := make([]byte, 0, 4*len(sorted))
+	for _, id := range sorted {
+		key = binary.LittleEndian.AppendUint32(key, uint32(id))
 	}
-	sort.Strings(ss)
-	return strings.Join(ss, "\x1f")
+	return string(key)
 }
 
 func rootName(s xnf.Spec) string {

@@ -291,7 +291,7 @@ func (e *Engine) ImpliesBatch(qs []xfd.FD) ([]implication.Answer, error) {
 // strictly sequential and stop at the first error, matching a plain
 // loop. fn must only write state owned by index i.
 func (e *Engine) ForEach(n int, fn func(i int) error) error {
-	return forEach(e.opts.workers(), n, fn)
+	return pool.ForEach(e.opts.workers(), n, fn)
 }
 
 // ForEachCtx is ForEach under a context: a cancellation stops new
@@ -303,18 +303,33 @@ func (e *Engine) ForEachCtx(ctx context.Context, n int, fn func(i int) error) er
 }
 
 // queryKey canonicalizes a single-RHS query into its cache key. The
-// fast path renders the query's interned bitset sides (xfd.FD.AppendKey
-// against the closure engine's path universe): bitsets are sets, so
-// LHS deduplication and order-independence come for free and the key is
-// a few machine words instead of the concatenated path strings. Queries
-// mentioning paths outside the universe can never be answered, but they
-// are keyed anyway (by the sorted string rendering, under a distinct
-// leading byte) so their errors are memoized like any other answer.
+// fast path looks the query's paths up in the closure engine's path
+// universe and writes each side as a bitset ("\x01", the LHS set's
+// words, 0xfe, the RHS set's words): bitsets are sets, so LHS
+// deduplication and order-independence come for free and the key is a
+// few machine words instead of the concatenated path strings. Queries
+// mentioning paths outside the universe can never be answered, but
+// they are keyed anyway (by the sorted string rendering, under a
+// distinct leading byte) so their errors are memoized like any other
+// answer.
 func (e *Engine) queryKey(q xfd.FD) string {
-	if key, ok := q.AppendKey(e.imp.Universe(), nil); ok {
-		return "\x01" + string(key)
+	u := e.imp.Universe()
+	key := []byte{1}
+	for i, side := range [2][]dtd.Path{q.LHS, q.RHS} {
+		set := u.NewSet()
+		for _, p := range side {
+			id, ok := u.Lookup(p)
+			if !ok {
+				return "\x02" + canonicalQuery(q)
+			}
+			set.Add(id)
+		}
+		if i == 1 {
+			key = append(key, 0xfe)
+		}
+		key = set.AppendWords(key)
 	}
-	return "\x02" + canonicalQuery(q)
+	return string(key)
 }
 
 // canonicalQuery renders a single-RHS query as its canonical string

@@ -8,6 +8,7 @@ import (
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/gen"
 	"xmlnorm/internal/implication"
+	"xmlnorm/internal/pool"
 	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xmltree"
 )
@@ -369,7 +370,7 @@ func TestForEach(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 64} {
 		const n = 37
 		visited := make([]int, n)
-		if err := forEach(workers, n, func(i int) error {
+		if err := pool.ForEach(workers, n, func(i int) error {
 			visited[i]++
 			return nil
 		}); err != nil {
@@ -381,7 +382,7 @@ func TestForEach(t *testing.T) {
 			}
 		}
 	}
-	if err := forEach(4, 0, func(int) error { t.Error("fn called for n=0"); return nil }); err != nil {
+	if err := pool.ForEach(4, 0, func(int) error { t.Error("fn called for n=0"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -389,7 +390,7 @@ func TestForEach(t *testing.T) {
 func TestForEachSequentialStopsAtError(t *testing.T) {
 	boom := errors.New("boom")
 	last := -1
-	err := forEach(1, 10, func(i int) error {
+	err := pool.ForEach(1, 10, func(i int) error {
 		last = i
 		if i == 3 {
 			return boom
@@ -406,7 +407,7 @@ func TestForEachSequentialStopsAtError(t *testing.T) {
 
 func TestForEachParallelPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	err := forEach(8, 100, func(i int) error {
+	err := pool.ForEach(8, 100, func(i int) error {
 		if i == 42 {
 			return boom
 		}

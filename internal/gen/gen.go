@@ -358,16 +358,6 @@ func ChainDocument(depth int, rng *rand.Rand) *xmltree.Tree {
 	return xmltree.NewTree(build(0))
 }
 
-// FDStrings formats FDs for logs.
-func FDStrings(fds []xfd.FD) string {
-	var b strings.Builder
-	for _, f := range fds {
-		b.WriteString(f.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // RandomSimpleDTD builds a small random simple DTD — a root r with a
 // few children c<i>, each with a few EMPTY leaves l<i><j>, random
 // multiplicities and optional attributes — whose generated documents

@@ -81,9 +81,9 @@ type Engine struct {
 }
 
 // NewEngine builds an engine. The DTD must be non-recursive and
-// disjunctive. Σ is copied and each FD resolved against the DTD's
-// interned path universe, so downstream consumers (the answer cache,
-// XNF search) can reuse the bitset sides.
+// disjunctive, and every path of Σ a path of the DTD: Σ is compiled
+// through WithSigma, whose two compilers each look its paths up once
+// in the DTD's interned path universe.
 func NewEngine(d *dtd.DTD, sigma []xfd.FD) (*Engine, error) {
 	sk, err := buildSkeleton(d)
 	if err != nil {
@@ -114,17 +114,11 @@ func newEngine(sk *skeleton, sigma []xfd.FD) (*Engine, error) {
 
 // WithSigma returns an engine for (D, sigma) over e's DTD. It shares
 // e's skeleton, conformer and branch assignments, all read-only, and
-// compiles only sigma: copied, resolved against the skeleton's
-// universe, compiled for the closure and as a CheckerSet. The result
-// answers every query exactly as NewEngine(D, sigma) would, and e is
-// left unchanged, so both stay safe for concurrent use.
+// compiles only sigma, for the closure and as a CheckerSet, each
+// looking its paths up in the skeleton's universe. The result answers
+// every query exactly as NewEngine(D, sigma) would, and e is left
+// unchanged, so both stay safe for concurrent use.
 func (e *Engine) WithSigma(sigma []xfd.FD) (*Engine, error) {
-	sigma = append([]xfd.FD(nil), sigma...)
-	for i := range sigma {
-		if err := sigma[i].Resolve(e.sk.u); err != nil {
-			return nil, fmt.Errorf("implication: %v", err)
-		}
-	}
 	compiled, err := compileFDs(e.sk, sigma)
 	if err != nil {
 		return nil, err
@@ -162,25 +156,36 @@ func impliesSk(sk *skeleton, sigma []xfd.FD, q xfd.FD) (Answer, error) {
 	return eng.Implies(q)
 }
 
+// compileFDs compiles Σ for the closure, one compiledFD per single-RHS
+// split; the splits of one FD share its LHS IDs, read-only. Every path
+// of every FD, LHS before RHS, must be a path of the skeleton; the
+// first that is not fails the compile.
 func compileFDs(sk *skeleton, sigma []xfd.FD) ([]compiledFD, error) {
 	var out []compiledFD
 	for _, f := range sigma {
-		for _, single := range f.SingleRHS() {
-			c := compiledFD{}
-			for _, p := range single.LHS {
-				n := sk.node(p)
-				if n == nil {
-					return nil, fmt.Errorf("implication: FD %s: %q is not a path of the DTD", f, p)
-				}
-				c.lhs = append(c.lhs, n.id)
+		nodeOf := func(p dtd.Path) (int, error) {
+			n := sk.node(p)
+			if n == nil {
+				return 0, fmt.Errorf("implication: xfd: %s: %q is not in the path universe", f, p)
 			}
-			r := sk.node(single.RHS[0])
-			if r == nil {
-				return nil, fmt.Errorf("implication: FD %s: %q is not a path of the DTD", f, single.RHS[0])
+			return n.id, nil
+		}
+		lhs := make([]int, len(f.LHS))
+		for i, p := range f.LHS {
+			id, err := nodeOf(p)
+			if err != nil {
+				return nil, err
 			}
-			c.rhs = r.id
-			for _, l := range c.lhs {
-				c.lcp = append(c.lcp, sk.lcpLen(l, c.rhs))
+			lhs[i] = id
+		}
+		for _, p := range f.RHS {
+			rhs, err := nodeOf(p)
+			if err != nil {
+				return nil, err
+			}
+			c := compiledFD{lhs: lhs, rhs: rhs}
+			for _, l := range lhs {
+				c.lcp = append(c.lcp, sk.lcpLen(l, rhs))
 			}
 			out = append(out, c)
 		}

@@ -118,7 +118,7 @@ func buildSkeleton(d *dtd.DTD) (*skeleton, error) {
 		}
 		return n.id
 	}
-	rootUID, ok := u.LookupString(d.Root())
+	rootUID, ok := u.Lookup(dtd.Path{d.Root()})
 	if !ok {
 		return nil, fmt.Errorf("implication: root %q missing from universe", d.Root())
 	}
@@ -137,9 +137,6 @@ func (sk *skeleton) node(p dtd.Path) *pnode {
 	}
 	return sk.nodes[sk.ofUID[uid]]
 }
-
-// nodeByUID returns the pnode for an interned path ID.
-func (sk *skeleton) nodeByUID(uid paths.ID) *pnode { return sk.nodes[sk.ofUID[uid]] }
 
 // isPrefix reports whether node a's path is a (non-strict) prefix of
 // node b's path.

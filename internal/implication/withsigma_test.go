@@ -201,3 +201,76 @@ func TestWithSigmaMatchesNewEngine(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBadSigmaPathErrors pins the error a Σ path outside paths(D) gets
+// from every constructor that compiles Σ: NewEngine, WithSigma and the
+// one-shot Implies name the FD and the first such path, LHS before RHS
+// and in Σ order. NewCheckerSet reports the same path, except for an FD
+// with mixed first steps, which it compiles as satisfied by every
+// document without looking its paths up.
+func TestBadSigmaPathErrors(t *testing.T) {
+	d := dtd.MustParse(`
+<!ELEMENT r (a*)>
+<!ELEMENT a EMPTY>
+<!ATTLIST a x CDATA #REQUIRED>
+`)
+	good := xfd.MustParse("r.a.@x -> r.a")
+	cases := []struct {
+		name  string
+		sigma []xfd.FD
+		want  string
+		cs    string // NewCheckerSet's error; "" when it compiles
+	}{
+		{
+			name:  "unknown attribute",
+			sigma: []xfd.FD{good, xfd.MustParse("r.a.@x -> r.a.@y")},
+			want:  `implication: xfd: r.a.@x -> r.a.@y: "r.a.@y" is not in the path universe`,
+			cs:    `xfd: r.a.@x -> r.a.@y: "r.a.@y" is not in the path universe`,
+		},
+		{
+			name:  "mixed first step",
+			sigma: []xfd.FD{xfd.MustParse("r.a.@x -> q.a.@y"), good},
+			want:  `implication: xfd: r.a.@x -> q.a.@y: "q.a.@y" is not in the path universe`,
+		},
+		{
+			name:  "unknown element",
+			sigma: []xfd.FD{xfd.MustParse("r.a, r.b.@x -> r.c")},
+			want:  `implication: xfd: r.a, r.b.@x -> r.c: "r.b.@x" is not in the path universe`,
+			cs:    `xfd: r.a, r.b.@x -> r.c: "r.b.@x" is not in the path universe`,
+		},
+		{
+			name:  "unknown attribute before a mixed FD",
+			sigma: []xfd.FD{xfd.MustParse("r.a.@z -> q.a"), xfd.MustParse("r.a.@y -> r.a")},
+			want:  `implication: xfd: r.a.@z -> q.a: "r.a.@z" is not in the path universe`,
+			cs:    `xfd: r.a.@y -> r.a: "r.a.@y" is not in the path universe`,
+		},
+	}
+	base, err := NewEngine(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, c := range cases {
+		_, err := NewEngine(d, c.sigma)
+		if got := errText(err); got != c.want {
+			t.Errorf("%s: NewEngine error = %q, want %q", c.name, got, c.want)
+		}
+		_, err = base.WithSigma(c.sigma)
+		if got := errText(err); got != c.want {
+			t.Errorf("%s: WithSigma error = %q, want %q", c.name, got, c.want)
+		}
+		_, err = Implies(d, c.sigma, good)
+		if got := errText(err); got != c.want {
+			t.Errorf("%s: Implies error = %q, want %q", c.name, got, c.want)
+		}
+		_, err = xfd.NewCheckerSet(base.Universe(), c.sigma)
+		if got := errText(err); got != c.cs {
+			t.Errorf("%s: NewCheckerSet error = %q, want %q", c.name, got, c.cs)
+		}
+	}
+}

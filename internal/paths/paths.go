@@ -84,9 +84,13 @@ type Info struct {
 // (all of paths(D) for a non-recursive DTD) or ForQuery (the prefix
 // closure of an ad-hoc path list).
 type Universe struct {
-	d        *dtd.DTD // nil for query universes
-	infos    []Info
-	byString map[string]ID
+	d     *dtd.DTD // nil for query universes
+	infos []Info
+	// firsts and kids are the universe's one path index, a trie over
+	// steps: firsts maps each first step to its one-step path (a DTD
+	// universe has one, a query universe may have several), kids each
+	// path's child steps to the child IDs.
+	firsts   map[string]ID
 	kids     []map[string]ID // per ID: child step -> child ID (nil when childless)
 	lexOrder []ID            // IDs sorted by Str; reproduces sorted-string-key iteration
 }
@@ -142,22 +146,23 @@ func ForQuery(ps []dtd.Path) *Universe {
 
 func newUniverse(capHint int) *Universe {
 	return &Universe{
-		infos:    make([]Info, 0, capHint),
-		byString: make(map[string]ID, capHint),
+		infos:  make([]Info, 0, capHint),
+		firsts: map[string]ID{},
 	}
 }
 
 // intern adds a path (whose parent, if any, must already be interned)
 // and returns its ID; re-interning is a no-op.
 func (u *Universe) intern(p dtd.Path) ID {
-	s := p.String()
-	if id, ok := u.byString[s]; ok {
+	if id, ok := u.Lookup(p); ok {
 		return id
 	}
 	id := ID(len(u.infos))
-	info := Info{Path: p, Str: s, Parent: None, Depth: len(p), Kind: kindOf(p), Mult: regex.One}
-	if len(p) > 1 {
-		parent := u.byString[p.Parent().String()]
+	info := Info{Path: p, Str: p.String(), Parent: None, Depth: len(p), Kind: kindOf(p), Mult: regex.One}
+	if len(p) == 1 {
+		u.firsts[p[0]] = id
+	} else {
+		parent := u.MustLookup(p[:len(p)-1])
 		info.Parent = parent
 		if u.kids[parent] == nil {
 			u.kids[parent] = map[string]ID{}
@@ -165,7 +170,6 @@ func (u *Universe) intern(p dtd.Path) ID {
 		u.kids[parent][p.Last()] = id
 	}
 	u.infos = append(u.infos, info)
-	u.byString[s] = id
 	u.kids = append(u.kids, nil)
 	return id
 }
@@ -189,14 +193,20 @@ func (u *Universe) DTD() *dtd.DTD { return u.d }
 func (u *Universe) Size() int { return len(u.infos) }
 
 // Lookup returns the ID of a path, or (None, false) if it is not in
-// the universe.
-func (u *Universe) Lookup(p dtd.Path) (ID, bool) { return u.LookupString(p.String()) }
-
-// LookupString is Lookup on the dotted rendering.
-func (u *Universe) LookupString(s string) (ID, bool) {
-	id, ok := u.byString[s]
+// the universe. It follows the path's steps through the index, so it
+// renders nothing.
+func (u *Universe) Lookup(p dtd.Path) (ID, bool) {
+	if len(p) == 0 {
+		return None, false
+	}
+	id, ok := u.firsts[p[0]]
 	if !ok {
 		return None, false
+	}
+	for _, step := range p[1:] {
+		if id, ok = u.Child(id, step); !ok {
+			return None, false
+		}
 	}
 	return id, true
 }

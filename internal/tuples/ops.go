@@ -114,7 +114,7 @@ func TuplesOf(u *paths.Universe, t *xmltree.Tree, cap int) ([]Tuple, error) {
 	if n := CountTuples(t, cap); n >= cap {
 		return nil, fmt.Errorf("tuples: tree has ≥ %d maximal tuples (cap %d)", n, cap)
 	}
-	rootID, ok := u.LookupString(t.Root.Label)
+	rootID, ok := u.Lookup(dtd.Path{t.Root.Label})
 	if !ok {
 		return nil, fmt.Errorf("tuples: root %q is not in the path universe", t.Root.Label)
 	}
@@ -227,7 +227,7 @@ func buildTree(root string, t Tuple) (*xmltree.Tree, error) {
 			pn.HasText = true
 		}
 	}
-	rootID, ok := u.LookupString(root)
+	rootID, ok := u.Lookup(dtd.Path{root})
 	if !ok || nodes[rootID] == nil {
 		return nil, fmt.Errorf("tuples: tuple has no root vertex")
 	}

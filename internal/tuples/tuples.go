@@ -154,17 +154,6 @@ func (t Tuple) Project(ps []dtd.Path) Tuple {
 	return out
 }
 
-// ProjectIDs is Project for pre-resolved path IDs.
-func (t Tuple) ProjectIDs(ids []paths.ID) Tuple {
-	out := NewTuple(t.u)
-	for _, id := range ids {
-		if t.set.Has(id) {
-			out.SetID(id, t.vals[id])
-		}
-	}
-	return out
-}
-
 // Canonical renders the tuple deterministically, for deduplication and
 // test comparison. Vertex identities are included. Keys appear in
 // sorted path order via the universe's precomputed lexicographic
@@ -241,8 +230,8 @@ func (t Tuple) appendKey(dst []byte) []byte {
 func (t Tuple) AppendKey(dst []byte) []byte { return t.appendKey(dst) }
 
 // LE reports t ⊑ o: whenever t.p is non-null, o.p equals it. Tuples
-// over the same universe compare by ID; otherwise values are matched
-// through the path strings.
+// over the same universe compare by ID; otherwise each path of t is
+// looked up in o's universe by its steps.
 func (t Tuple) LE(o Tuple) bool {
 	if t.u == o.u {
 		if !t.set.SubsetOf(o.set) {
@@ -258,7 +247,7 @@ func (t Tuple) LE(o Tuple) bool {
 	}
 	ok := true
 	t.set.ForEach(func(id paths.ID) {
-		oid, in := o.u.LookupString(t.u.StringOf(id))
+		oid, in := o.u.Lookup(t.u.PathOf(id))
 		if !in || !o.set.Has(oid) || o.vals[oid] != t.vals[id] {
 			ok = false
 		}
@@ -295,7 +284,7 @@ func (t Tuple) Validate(d *dtd.DTD) error {
 	if t.u == nil || t.set.Empty() {
 		return fmt.Errorf("tuples: empty tuple (t.r must be non-null)")
 	}
-	rootID, ok := t.u.LookupString(d.Root())
+	rootID, ok := t.u.Lookup(dtd.Path{d.Root()})
 	if !ok || !t.set.Has(rootID) {
 		return fmt.Errorf("tuples: t.%s is null", d.Root())
 	}

@@ -31,8 +31,8 @@ import (
 	"xmlnorm/internal/xmltree"
 )
 
-// compiledFD is one FD of the set with its sides pre-resolved to path
-// IDs and its common root label (the shared first step of all its
+// compiledFD is one FD of the set with its sides looked up as path IDs
+// and its common root label (the shared first step of all its
 // paths; "" when the first steps are mixed, which makes the FD
 // trivially satisfied on every document — no tree has two root labels,
 // so its projection is always empty).
@@ -44,8 +44,8 @@ type compiledFD struct {
 }
 
 // cluster bundles FDs with a common root label whose paths are
-// connected through shared second steps, plus the union projector that
-// feeds all of them. A document with that root label is checked
+// connected through shared two-step prefixes, plus the union projector
+// that feeds all of them. A document with that root label is checked
 // against the cluster in a single stream; on any other document the
 // cluster's FDs are vacuously satisfied.
 type cluster struct {
@@ -68,37 +68,22 @@ type CheckerSet struct {
 }
 
 // NewCheckerSet compiles sigma against the universe. Every path of
-// every FD must be interned in the universe.
+// every FD must be interned in the universe; each is looked up once.
 func NewCheckerSet(u *paths.Universe, sigma []FD) (*CheckerSet, error) {
 	cs := &CheckerSet{fds: make([]compiledFD, 0, len(sigma))}
 	for _, f := range sigma {
-		cf := compiledFD{fd: f}
-		for i, p := range f.Paths() {
-			if i == 0 {
-				cf.root = p[0]
-			} else if p[0] != cf.root {
-				cf.root = "" // mixed first steps: trivially satisfied
-				break
-			}
-		}
+		cf := compiledFD{fd: f, root: commonRoot(f)}
 		if cf.root != "" {
-			for _, p := range f.LHS {
-				id, ok := u.Lookup(p)
-				if !ok {
-					return nil, fmt.Errorf("xfd: %s: %q is not in the path universe", f, p)
-				}
-				cf.lhs = append(cf.lhs, id)
+			var err error
+			if cf.lhs, err = lookupSide(u, f, f.LHS); err != nil {
+				return nil, err
 			}
-			for _, p := range f.RHS {
-				id, ok := u.Lookup(p)
-				if !ok {
-					return nil, fmt.Errorf("xfd: %s: %q is not in the path universe", f, p)
-				}
-				cf.rhs = append(cf.rhs, id)
+			if cf.rhs, err = lookupSide(u, f, f.RHS); err != nil {
+				return nil, err
 			}
-			for _, ids := range [][]paths.ID{cf.lhs, cf.rhs} {
+			for _, ids := range [2][]paths.ID{cf.lhs, cf.rhs} {
 				for _, id := range ids {
-					if u.Info(id).Kind == paths.ElemKind {
+					if u.KindOf(id) == paths.ElemKind {
 						cs.elemSides = true
 					}
 				}
@@ -112,13 +97,45 @@ func NewCheckerSet(u *paths.Universe, sigma []FD) (*CheckerSet, error) {
 	return cs, nil
 }
 
+// commonRoot returns the first step every path of f shares, or "" when
+// the first steps are mixed or f has no path at all.
+func commonRoot(f FD) string {
+	root, first := "", true
+	for _, side := range [2][]dtd.Path{f.LHS, f.RHS} {
+		for _, p := range side {
+			if first {
+				root, first = p[0], false
+			} else if p[0] != root {
+				return ""
+			}
+		}
+	}
+	return root
+}
+
+// lookupSide looks up one side of f in the universe, in order.
+func lookupSide(u *paths.Universe, f FD, side []dtd.Path) ([]paths.ID, error) {
+	ids := make([]paths.ID, len(side))
+	for i, p := range side {
+		id, ok := u.Lookup(p)
+		if !ok {
+			return nil, fmt.Errorf("xfd: %s: %q is not in the path universe", f, p)
+		}
+		ids[i] = id
+	}
+	return ids, nil
+}
+
 // buildClusters partitions the applicable FDs into connected
 // components: two FDs land in one cluster iff they have the same root
 // label and their path sets are linked (transitively) through a shared
-// second step. Sharing any deeper branch implies sharing the whole
-// prefix including the second step, so second-step components are
-// exactly the FD groups whose union projection opens no choice point
-// that only one side needs.
+// two-step prefix. Sharing any deeper branch implies sharing the whole
+// prefix including the second step, so these components are exactly
+// the FD groups whose union projection opens no choice point that only
+// one side needs. Each cluster projects the union of its FDs' paths,
+// de-duplicated by ID in Σ order, LHS before RHS, first appearance
+// first: that order fixes the projector, and with it the enumeration
+// order and the witnesses.
 func (cs *CheckerSet) buildClusters(u *paths.Universe) error {
 	parent := make([]int, len(cs.fds))
 	for i := range parent {
@@ -140,27 +157,31 @@ func (cs *CheckerSet) buildClusters(u *paths.Universe) error {
 			parent[rb] = ra // lowest Σ index wins: deterministic order
 		}
 	}
-	bySecond := map[[2]string]int{} // (root label, second step) -> first FD index
+	byPrefix := map[paths.ID]int{} // two-step prefix -> first FD index
 	for i := range cs.fds {
 		cf := &cs.fds[i]
 		if cf.root == "" {
 			continue
 		}
-		for _, p := range cf.fd.Paths() {
-			if len(p) < 2 {
-				continue
-			}
-			key := [2]string{cf.root, p[1]}
-			if first, ok := bySecond[key]; ok {
-				union(i, first)
-			} else {
-				bySecond[key] = i
+		for _, ids := range [2][]paths.ID{cf.lhs, cf.rhs} {
+			for _, id := range ids {
+				if u.DepthOf(id) < 2 {
+					continue
+				}
+				for u.DepthOf(id) > 2 {
+					id = u.ParentOf(id)
+				}
+				if first, ok := byPrefix[id]; ok {
+					union(i, first)
+				} else {
+					byPrefix[id] = i
+				}
 			}
 		}
 	}
 	clusterOf := map[int]int{} // representative FD index -> cluster index
-	unionPaths := map[int][]dtd.Path{}
-	seen := map[int]map[string]bool{}
+	var unionPaths [][]dtd.Path
+	var seen []paths.Set
 	for i := range cs.fds {
 		cf := &cs.fds[i]
 		if cf.root == "" {
@@ -172,14 +193,16 @@ func (cs *CheckerSet) buildClusters(u *paths.Universe) error {
 			ci = len(cs.clusters)
 			clusterOf[r] = ci
 			cs.clusters = append(cs.clusters, cluster{label: cf.root})
-			seen[ci] = map[string]bool{}
+			unionPaths = append(unionPaths, nil)
+			seen = append(seen, u.NewSet())
 		}
 		cs.clusters[ci].fds = append(cs.clusters[ci].fds, i)
-		for _, p := range cf.fd.Paths() {
-			s := p.String()
-			if !seen[ci][s] {
-				seen[ci][s] = true
-				unionPaths[ci] = append(unionPaths[ci], p)
+		for _, ids := range [2][]paths.ID{cf.lhs, cf.rhs} {
+			for _, id := range ids {
+				if !seen[ci].Has(id) {
+					seen[ci].Add(id)
+					unionPaths[ci] = append(unionPaths[ci], u.PathOf(id))
+				}
 			}
 		}
 	}

@@ -365,3 +365,26 @@ func TestVerdictAllocs(t *testing.T) {
 		t.Errorf("Verdict allocates %.3f objects per group (%.0f in all), want under 0.1", perGroup, allocs)
 	}
 }
+
+// TestNewCheckerSetCompileAllocs bounds what compiling a Σ costs:
+// NewCheckerSet looks each path up once by its steps and clusters and
+// de-duplicates by path ID, so chain-18's 36 FDs, whose paths run up to
+// 20 steps, compile without rendering a path. Rendering them to
+// de-duplicate and cluster cost ~1,460 objects per compile.
+func TestNewCheckerSetCompileAllocs(t *testing.T) {
+	d := gen.ChainDTD(18, 2)
+	sigma := gen.ChainFDs(18, 2)
+	u, err := paths.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := xfd.NewCheckerSet(u, sigma); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per compile of %d FDs", allocs, len(sigma))
+	if allocs > 500 {
+		t.Errorf("NewCheckerSet of chain-18's Σ allocates %.0f objects, want at most 500", allocs)
+	}
+}

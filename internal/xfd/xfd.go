@@ -27,71 +27,14 @@ import (
 	"xmlnorm/internal/xmltree"
 )
 
-// FD is a functional dependency S1 → S2 over the paths of a DTD. The
-// parsed LHS/RHS path slices are the source of truth; Resolve populates
-// the interned SetLHS/SetRHS bitsets against a path universe so that
-// hot consumers (implication, the engine cache, XNF search) can compare
-// sides without re-serializing paths.
+// FD is a functional dependency S1 → S2 over the paths of a DTD: its
+// two sides as parsed paths, and nothing else. A path's interned
+// paths.ID is its name between parsing and printing, and each compiler
+// (CheckerSet, the closure engine, the engine's cache key) looks the
+// FD's paths up once in its own universe.
 type FD struct {
 	LHS []dtd.Path
 	RHS []dtd.Path
-
-	// SetLHS and SetRHS are the sides as bitsets over the universe the
-	// FD was last Resolved against; nil until Resolve is called.
-	SetLHS paths.Set
-	SetRHS paths.Set
-
-	resolvedIn *paths.Universe
-}
-
-// Resolve interns both sides against the universe, populating
-// SetLHS/SetRHS. It fails if some path of the FD is not in the
-// universe; the FD is left unresolved in that case.
-func (f *FD) Resolve(u *paths.Universe) error {
-	lhs := u.NewSet()
-	for _, p := range f.LHS {
-		id, ok := u.Lookup(p)
-		if !ok {
-			return fmt.Errorf("xfd: %s: %q is not in the path universe", f, p)
-		}
-		lhs.Add(id)
-	}
-	rhs := u.NewSet()
-	for _, p := range f.RHS {
-		id, ok := u.Lookup(p)
-		if !ok {
-			return fmt.Errorf("xfd: %s: %q is not in the path universe", f, p)
-		}
-		rhs.Add(id)
-	}
-	f.SetLHS, f.SetRHS, f.resolvedIn = lhs, rhs, u
-	return nil
-}
-
-// ResolvedIn returns the universe the FD's bitsets refer to, or nil if
-// Resolve has not been called.
-func (f FD) ResolvedIn() *paths.Universe { return f.resolvedIn }
-
-// AppendKey appends a canonical binary encoding of the FD over the
-// universe (LHS set words, a separator, RHS set words) to dst. It
-// reuses the resolved bitsets when they refer to u and resolves on the
-// fly otherwise; ok is false when some path is not in the universe (dst
-// is returned unchanged then). Two FDs append equal keys iff their
-// sides are equal as path sets.
-func (f FD) AppendKey(u *paths.Universe, dst []byte) (out []byte, ok bool) {
-	lhs, rhs := f.SetLHS, f.SetRHS
-	if f.resolvedIn != u {
-		var fresh FD
-		fresh.LHS, fresh.RHS = f.LHS, f.RHS
-		if err := fresh.Resolve(u); err != nil {
-			return dst, false
-		}
-		lhs, rhs = fresh.SetLHS, fresh.SetRHS
-	}
-	dst = lhs.AppendWords(dst)
-	dst = append(dst, 0xfe)
-	dst = rhs.AppendWords(dst)
-	return dst, true
 }
 
 // New builds an FD from dotted path strings, panicking on syntax errors;
@@ -198,18 +141,22 @@ func (f FD) Validate(d *dtd.DTD) error {
 
 // Paths returns LHS ∪ RHS without duplicates, in order of appearance.
 func (f FD) Paths() []dtd.Path {
-	seen := map[string]bool{}
-	var out []dtd.Path
-	for _, p := range append(append([]dtd.Path{}, f.LHS...), f.RHS...) {
-		if !seen[p.String()] {
-			seen[p.String()] = true
+	out := make([]dtd.Path, 0, len(f.LHS)+len(f.RHS))
+	for _, side := range [2][]dtd.Path{f.LHS, f.RHS} {
+	next:
+		for _, p := range side {
+			for _, q := range out {
+				if q.Equal(p) {
+					continue next
+				}
+			}
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy, including any resolved bitsets.
+// Clone returns a deep copy.
 func (f FD) Clone() FD {
 	c := FD{LHS: make([]dtd.Path, len(f.LHS)), RHS: make([]dtd.Path, len(f.RHS))}
 	for i, p := range f.LHS {
@@ -218,16 +165,11 @@ func (f FD) Clone() FD {
 	for i, p := range f.RHS {
 		c.RHS[i] = p.Clone()
 	}
-	c.SetLHS, c.SetRHS, c.resolvedIn = f.SetLHS.Clone(), f.SetRHS.Clone(), f.resolvedIn
 	return c
 }
 
-// Equal reports whether two FDs have the same sides as sets. FDs
-// resolved against the same universe compare by bitset.
+// Equal reports whether two FDs have the same sides as sets.
 func (f FD) Equal(o FD) bool {
-	if f.resolvedIn != nil && f.resolvedIn == o.resolvedIn {
-		return f.SetLHS.Equal(o.SetLHS) && f.SetRHS.Equal(o.SetRHS)
-	}
 	return samePathSet(f.LHS, o.LHS) && samePathSet(f.RHS, o.RHS)
 }
 
@@ -292,21 +234,12 @@ func pathStrings(ps []dtd.Path) []string {
 }
 
 // SingleRHS splits the FD into one FD per right-hand-side path
-// (implication treats S → {p, q} as {S → p, S → q}). If the FD is
-// resolved, each single inherits the resolution (the LHS bitset is
-// shared, read-only).
+// (implication treats S → {p, q} as {S → p, S → q}). The singles share
+// f's LHS slice, read-only.
 func (f FD) SingleRHS() []FD {
 	out := make([]FD, 0, len(f.RHS))
 	for _, p := range f.RHS {
-		single := FD{LHS: f.LHS, RHS: []dtd.Path{p}}
-		if f.resolvedIn != nil {
-			if id, ok := f.resolvedIn.Lookup(p); ok {
-				single.SetLHS = f.SetLHS
-				single.SetRHS = f.resolvedIn.SetOf(id)
-				single.resolvedIn = f.resolvedIn
-			}
-		}
-		out = append(out, single)
+		out = append(out, FD{LHS: f.LHS, RHS: []dtd.Path{p}})
 	}
 	return out
 }

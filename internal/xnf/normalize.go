@@ -250,6 +250,14 @@ func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool, error) {
 	if n < 1 {
 		return xfd.FD{}, false, nil
 	}
+	// f's sides as ID sets, to skip f itself among the candidates.
+	fLHS, fRHS := u.NewSet(), u.NewSet()
+	for _, p := range f.LHS {
+		fLHS.Add(u.MustLookup(p))
+	}
+	for _, p := range f.RHS {
+		fRHS.Add(u.MustLookup(p))
+	}
 	// Enumerate subsets of size ≤ n with ≤ 1 element path.
 	var subsets [][]paths.ID
 	var rec func(i int, cur []paths.ID, epaths int)
@@ -278,11 +286,10 @@ func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool, error) {
 	for _, sp := range subsets {
 		spSet := u.SetOf(sp...)
 		for _, target := range attrs {
-			cand := xfd.FD{LHS: idPaths(u, sp), RHS: []dtd.Path{u.PathOf(target)}}
-			_ = cand.Resolve(u) // candidate paths come from the universe; always succeeds
-			if cand.Equal(f) || spSet.Has(target) {
-				continue
+			if spSet.Has(target) || fRHS.Count() == 1 && fRHS.Has(target) && spSet.Equal(fLHS) {
+				continue // trivial, or f itself
 			}
+			cand := xfd.FD{LHS: idPaths(u, sp), RHS: []dtd.Path{u.PathOf(target)}}
 			implied, err := eng.Implied(cand)
 			if err != nil {
 				return xfd.FD{}, false, err

@@ -110,13 +110,6 @@ func anomaliesWith(eng *engine.Engine, fds []xfd.FD) ([]Anomaly, error) {
 	for _, f := range fds {
 		singles = append(singles, f.SingleRHS()...)
 	}
-	// Pre-resolve the splits against the engine's path universe so every
-	// downstream cache-key rendering takes the interned-bitset fast path.
-	// Validated FDs always resolve; one that does not is simply keyed by
-	// its string rendering instead.
-	for i := range singles {
-		_ = singles[i].Resolve(eng.Universe())
-	}
 	found := make([]*Anomaly, len(singles))
 	err := eng.ForEach(len(singles), func(i int) error {
 		a, ok, err := anomalous(eng, singles[i])
