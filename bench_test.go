@@ -4,9 +4,10 @@ package xmlnorm
 // per-experiment index and EXPERIMENTS.md for a recorded run of the full
 // tables via cmd/experiments), plus micro-benchmarks of the core
 // operations. Custom metrics report the figures the tables are built
-// from (tuple counts, redundancy, growth sizes). The ablations beyond
-// the paper (E16, E18–E24) have no wrapper here: CI runs each once, in
-// a `cmd/experiments` gate step.
+// from (tuple counts, redundancy, growth sizes). The engine ablation
+// beyond the paper (E16) has no wrapper here: CI runs it once, with the
+// rest of the suite, in the `cmd/experiments` gate step. End-to-end
+// speed is measured by the repository benchmark in perfbench/.
 
 import (
 	"fmt"

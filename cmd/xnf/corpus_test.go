@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -164,27 +165,71 @@ func TestCorpusFlagValidation(t *testing.T) {
 	}
 }
 
-// TestFragmentsMatchesWholeDocument checks that -fragments K produces
-// byte-identical output and the same exit signal as the whole-document
-// check, for satisfied and violating documents, witnesses included,
-// across fragment counts.
+// workerFleets starts in-process `xnf serve` workers for courses.spec
+// and returns two -workers values: two live workers, and one live
+// worker beside one that has shut down.
+func workerFleets(t *testing.T) []string {
+	t.Helper()
+	spec := serveSpec(t)
+	start := func() *httptest.Server {
+		srv := httptest.NewServer(mustServer(t, spec).handler())
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	a, b, closed := start(), start(), start()
+	closed.Close()
+	return []string{a.URL + "," + b.URL, a.URL + "," + closed.URL}
+}
+
+// sameRun fails the test unless two runs wrote the same stdout and
+// stderr and exit with the same code.
+func sameRun(t *testing.T, args []string, gotOut, gotErrS string, gotErr error, wantOut, wantErrS string, wantErr error) {
+	t.Helper()
+	if exitCode(gotErr) != exitCode(wantErr) {
+		t.Fatalf("run(%v): err %v, reference %v", args, gotErr, wantErr)
+	}
+	if gotOut != wantOut || gotErrS != wantErrS {
+		t.Fatalf("run(%v) output differs from the reference check:\n--- got ---\n%s\n-- stderr --\n%s\n--- want ---\n%s\n-- stderr --\n%s",
+			args, gotOut, gotErrS, wantOut, wantErrS)
+	}
+}
+
+// TestFragmentsMatchesWholeDocument checks that -fragments K and
+// -workers produce byte-identical stdout and stderr and the same exit
+// code as the whole-document check, for satisfied and violating
+// documents, text, -witness, -json and -json -witness alike, across
+// fragment counts and across worker fleets with and without a dead
+// worker; and that a -r sweep, a malformed file included, is
+// byte-identical under -workers.
 func TestFragmentsMatchesWholeDocument(t *testing.T) {
+	fleets := workerFleets(t)
+	var variants [][]string
+	for _, k := range []string{"1", "2", "7"} {
+		variants = append(variants, []string{"-fragments", k})
+	}
+	for _, fleet := range fleets {
+		variants = append(variants, []string{"-workers", fleet})
+	}
 	docs := []string{td("courses.xml"), filepath.Join("testdata", "courses_bad.xml")}
 	for _, doc := range docs {
-		for _, extra := range [][]string{nil, {"-witness"}, {"-json"}} {
+		for _, extra := range [][]string{nil, {"-witness"}, {"-json"}, {"-json", "-witness"}} {
 			base := append(append([]string{"check"}, extra...), td("courses.spec"), doc)
 			wantOut, wantErrS, wantErr := captureBoth(t, func() error { return run(base) })
-			for _, k := range []string{"1", "2", "7"} {
-				args := append(append([]string{"check", "-fragments", k}, extra...), td("courses.spec"), doc)
+			for _, v := range variants {
+				args := append(append(append([]string{"check"}, v...), extra...), td("courses.spec"), doc)
 				gotOut, gotErrS, gotErr := captureBoth(t, func() error { return run(args) })
-				if errors.Is(gotErr, errNegative) != errors.Is(wantErr, errNegative) || (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("run(%v): err %v, whole-document %v", args, gotErr, wantErr)
-				}
-				if gotOut != wantOut || gotErrS != wantErrS {
-					t.Fatalf("run(%v) output differs from the whole-document check:\n--- fragments ---\n%s\n--- whole ---\n%s",
-						args, gotOut, wantOut)
-				}
+				sameRun(t, args, gotOut, gotErrS, gotErr, wantOut, wantErrS, wantErr)
 			}
+		}
+	}
+	dir := writeCorpus(t, true)
+	for _, extra := range [][]string{nil, {"-witness"}} {
+		base := append(append([]string{"check", "-r"}, extra...), td("courses.spec"), dir)
+		wantOut, wantErrS, wantErr := captureBoth(t, func() error { return run(base) })
+		for _, fleet := range fleets {
+			args := append(append([]string{"check", "-r", "-workers", fleet}, extra...), td("courses.spec"), dir)
+			gotOut, gotErrS, gotErr := captureBoth(t, func() error { return run(args) })
+			sameRun(t, args, gotOut, gotErrS, gotErr, wantOut, wantErrS, wantErr)
 		}
 	}
 }

@@ -88,6 +88,7 @@ func TestAnalyzeCourses(t *testing.T) {
 func TestAnalyzeDeterministic(t *testing.T) {
 	specs := map[string]xnf.Spec{
 		"courses": coursesSpec(t),
+		"dblp":    loadSpec(t, "dblp.spec"),
 		"chain-8": {DTD: gen.ChainDTD(8, 2), FDs: gen.ChainFDs(8, 2)},
 	}
 	configs := []engine.Options{

@@ -154,8 +154,9 @@ func candidateKeysWith(eng *engine.Engine, maxSize int) ([]Key, error) {
 // analysis subsystem would write: one fresh implication engine per
 // candidate, queried sequentially, no counterexample reuse. It decides
 // exactly the same predicate as CandidateKeys and must return the
-// identical key list; experiment E24 gates both that identity and the
-// speedup of the memoized search over this baseline.
+// identical key list: TestCandidateKeysMatchBaseline holds that
+// identity, and perfbench's analyze_specs workload checks its key
+// lists against this oracle.
 func CandidateKeysBaseline(s xnf.Spec, maxSize int) ([]Key, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

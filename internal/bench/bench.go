@@ -95,25 +95,6 @@ func timeIt(f func() error) (time.Duration, error) {
 	return time.Since(start) / time.Duration(reps), nil
 }
 
-// timeLoop runs f iters times and returns the mean duration.
-func timeLoop(iters int, f func() error) (time.Duration, error) {
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := f(); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start) / time.Duration(iters), nil
-}
-
-// speedup formats base/fast as a ratio, "-" when fast is not positive.
-func speedup(base, fast time.Duration) string {
-	if fast <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2fx", float64(base)/float64(fast))
-}
-
 // ms formats a duration in fractional milliseconds.
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000.0)

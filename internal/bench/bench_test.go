@@ -63,8 +63,9 @@ func TestSpecLoaders(t *testing.T) {
 }
 
 // TestFastExperiments runs the quick experiments end to end to keep the
-// harness itself covered (the slow sweeps run under cmd/experiments,
-// each in one CI gate step).
+// harness itself covered, and fails on any of their MISMATCH checks
+// (the slow sweeps run under cmd/experiments, whose CI step runs the
+// whole suite).
 func TestFastExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments")
@@ -81,6 +82,9 @@ func TestFastExperiments(t *testing.T) {
 		}
 		if len(tab.Rows) == 0 || tab.ID == "" {
 			t.Errorf("experiment %s produced no rows", tab.ID)
+		}
+		for _, m := range tab.Mismatches {
+			t.Errorf("%s: MISMATCH: %s", tab.ID, m)
 		}
 	}
 	// E13's substantive assertion: ebXML simple, FAQ not.

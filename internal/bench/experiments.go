@@ -1005,13 +1005,6 @@ var registry = []struct {
 	{"E14", func(Options) (*Table, error) { return E14Redundancy() }},
 	{"E15", func(Options) (*Table, error) { return E15DesignStudies() }},
 	{"E16", E16EngineAblation},
-	{"E18", func(Options) (*Table, error) { return E18StreamingTuples() }},
-	{"E19", func(Options) (*Table, error) { return E19IncrementalChecking() }},
-	{"E20", func(Options) (*Table, error) { return E20SAXFusion() }},
-	{"E21", func(Options) (*Table, error) { return E21ServeThroughput() }},
-	{"E22", func(Options) (*Table, error) { return E22CorpusChecking() }},
-	{"E23", func(Options) (*Table, error) { return E23DistributedFold() }},
-	{"E24", func(Options) (*Table, error) { return E24SpecAnalysis() }},
 }
 
 // Run executes the selected experiments in suite order with the given

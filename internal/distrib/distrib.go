@@ -163,8 +163,8 @@ func FoldHandler(cs *xfd.CheckerSet, specHash string, maxBody int64) http.Handle
 }
 
 // Options tunes a Coordinator. The zero value is usable: 10s per
-// request, 2 retries, 4 in-flight requests per worker, the default
-// nesting bound.
+// request, 2 retries, the default nesting bound. A coordinator keeps
+// at most 4 requests per worker in flight.
 type Options struct {
 	// Timeout bounds each remote request (default 10s).
 	Timeout time.Duration
@@ -172,9 +172,6 @@ type Options struct {
 	// next worker) a fold gets before falling back to a local fold
 	// (default 2).
 	Retries int
-	// InFlight bounds concurrent remote requests across all workers
-	// (default 4 per worker).
-	InFlight int
 	// MaxDepth is the element-nesting bound in xfd.ReaderOptions'
 	// encoding (0 = default, negative = unlimited), applied locally
 	// and shipped to workers so both sides reject the same documents.
@@ -235,11 +232,7 @@ func New(cs *xfd.CheckerSet, specHash string, workers []string, opts Options) (*
 	} else if opts.Retries == 0 {
 		c.retries = 2
 	}
-	inFlight := opts.InFlight
-	if inFlight <= 0 {
-		inFlight = 4 * len(workers)
-	}
-	c.sem = make(chan struct{}, inFlight)
+	c.sem = make(chan struct{}, 4*len(workers))
 	for _, wkr := range workers {
 		base := strings.TrimRight(wkr, "/")
 		if !strings.Contains(base, "://") {

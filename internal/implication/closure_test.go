@@ -275,3 +275,45 @@ func TestRunMatchesParentsFirst(t *testing.T) {
 	}
 	t.Logf("%d pairs, %d closure runs: %d rounds two-way, %d parents-first", pairs, runs, newRounds, refRounds)
 }
+
+// TestLCPLenMatchesChains: for every node pair of 200 seeded random
+// simple DTDs and chain-18, lcpLen equals the common-prefix length of
+// the two nodes' ancestor chains, and computing it allocates nothing.
+func TestLCPLenMatchesChains(t *testing.T) {
+	rng := rand.New(rand.NewSource(20021025))
+	var ds []*dtd.DTD
+	for i := 0; i < 200; i++ {
+		ds = append(ds, gen.RandomSimpleDTD(rng))
+	}
+	ds = append(ds, gen.ChainDTD(18, 2))
+	pairs := 0
+	for di, d := range ds {
+		sk, err := buildSkeleton(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := range sk.nodes {
+			ca := sk.chain(a)
+			for b := range sk.nodes {
+				cb := sk.chain(b)
+				want := 0
+				for want < len(ca) && want < len(cb) && ca[want] == cb[want] {
+					want++
+				}
+				if got := sk.lcpLen(a, b); got != want {
+					t.Fatalf("DTD %d:\n%slcpLen(%s, %s) = %d, want %d", di, d, sk.nodes[a].path, sk.nodes[b].path, got, want)
+				}
+				pairs++
+			}
+		}
+	}
+	sk, err := buildSkeleton(gen.ChainDTD(18, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep, shallow := len(sk.nodes)-1, 1
+	if allocs := testing.AllocsPerRun(100, func() { sk.lcpLen(deep, shallow) }); allocs != 0 {
+		t.Errorf("lcpLen allocates %.0f objects per call, want 0", allocs)
+	}
+	t.Logf("%d node pairs", pairs)
+}

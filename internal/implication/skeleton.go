@@ -151,14 +151,23 @@ func (sk *skeleton) isPrefix(a, b int) bool {
 }
 
 // lcpLen returns the number of common ancestors (inclusive) of two
-// nodes: the length of the longest common prefix of their paths.
+// nodes: the length of the longest common prefix of their paths. It
+// lifts the deeper node to the other's depth (a path's depth counts its
+// steps, so it is the length of its ancestor chain), then walks both
+// up together until they meet.
 func (sk *skeleton) lcpLen(a, b int) int {
-	ca, cb := sk.chain(a), sk.chain(b)
-	n := 0
-	for n < len(ca) && n < len(cb) && ca[n] == cb[n] {
-		n++
+	da, db := sk.u.DepthOf(sk.nodes[a].uid), sk.u.DepthOf(sk.nodes[b].uid)
+	for ; da > db; da-- {
+		a = sk.nodes[a].parent
 	}
-	return n
+	for ; db > da; db-- {
+		b = sk.nodes[b].parent
+	}
+	for a != b {
+		a, b = sk.nodes[a].parent, sk.nodes[b].parent
+		da--
+	}
+	return da
 }
 
 // chain returns the ids of all ancestors of id (inclusive), root first.

@@ -267,6 +267,68 @@ func TestCheckerSetShardedWideFanOut(t *testing.T) {
 	}
 }
 
+// wideDoc builds a document of gen.WideDTD(width, attrsPer) with m
+// children per label. Attribute values are constant per (label,
+// attribute) position, so the chained Σ of wideSigma holds.
+func wideDoc(width, m, attrsPer int) *xmltree.Tree {
+	root := xmltree.NewNode("r")
+	for i := 0; i < width; i++ {
+		for j := 0; j < m; j++ {
+			c := xmltree.NewNode(fmt.Sprintf("c%d", i))
+			for a := 0; a < attrsPer; a++ {
+				c.SetAttr(fmt.Sprintf("a%d_%d", i, a), fmt.Sprintf("v%d_%d", i, a))
+			}
+			root.Children = append(root.Children, c)
+		}
+	}
+	return xmltree.NewTree(root)
+}
+
+// wideSigma chains the wide DTD's labels into one branch-sharing
+// cluster, r.c_i.@a_i_0 -> r.c_{i+1}.@a_{i+1}_0, so a check walks the
+// whole cross product of the root's sibling groups and, since every FD
+// holds, never stops early.
+func wideSigma(width int) []xfd.FD {
+	sigma := make([]xfd.FD, 0, width-1)
+	for i := 0; i+1 < width; i++ {
+		sigma = append(sigma, xfd.New(
+			[]string{fmt.Sprintf("r.c%d.@a%d_0", i, i)},
+			[]string{fmt.Sprintf("r.c%d.@a%d_0", i+1, i+1)},
+		))
+	}
+	return sigma
+}
+
+// TestCheckerSetPastTupleCap: eight children under each of
+// gen.WideDTD(7, 2)'s seven labels make 8^7 = 2,097,152 maximal
+// tuples, twice tuples.MaxTuples. TuplesOf refuses to materialize
+// them, while the streaming check and the sharded one both decide the
+// chained Σ, which holds.
+func TestCheckerSetPastTupleCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks 2^21 tuples")
+	}
+	const width, m, attrsPer = 7, 8, 2
+	u, err := paths.New(gen.WideDTD(width, attrsPer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := wideDoc(width, m, attrsPer)
+	if ts, err := tuples.TuplesOf(u, doc, 0); err == nil {
+		t.Fatalf("TuplesOf materialized %d tuples past the %d cap", len(ts), tuples.MaxTuples)
+	}
+	cs, err := xfd.NewCheckerSet(u, wideSigma(width))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cs.SatisfiesAll(doc) {
+		t.Error("SatisfiesAll: the chained Σ holds on the constant-value document")
+	}
+	if vs := cs.ViolationsSharded(doc, 2); len(vs) != 0 {
+		t.Errorf("ViolationsSharded(2 workers) reports %d violations on a satisfied document", len(vs))
+	}
+}
+
 // TestViolationsShardedCtxCancel pins the sharded check's cancellation
 // contract at one worker (where the witness fold runs alone) and at
 // two (fragment folds): a context that is already cancelled returns

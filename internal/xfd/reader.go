@@ -120,22 +120,6 @@ func (cs *CheckerSet) CheckReader(r io.Reader, opts ReaderOptions, onViolation f
 	})
 }
 
-// SatisfiesAllReader checks T ⊨ Σ for the document arriving on r,
-// stopping FD work at the first violation (the reader is still
-// consumed to the end of the document to validate its structure). The
-// verdict is identical to SatisfiesAll on the parsed tree.
-func (cs *CheckerSet) SatisfiesAllReader(r io.Reader, opts ReaderOptions) (bool, error) {
-	ok := true
-	err := cs.CheckReader(r, opts, func(int, [2]tuples.Tuple) bool {
-		ok = false
-		return false
-	})
-	if err != nil {
-		return false, err
-	}
-	return ok, nil
-}
-
 // ViolationsReader checks every FD against the document arriving on r
 // and returns the violated ones with first-conflict witnesses, in Σ
 // order — the same report Violations produces on the parsed tree (the

@@ -8,6 +8,7 @@ package xmlnorm
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -87,5 +88,67 @@ func TestCheckDocumentReaderAllocBytes(t *testing.T) {
 	})
 	if streamB*2 > treeB {
 		t.Errorf("streaming check allocated %d bytes, tree check %d; want stream < tree/2", streamB, treeB)
+	}
+}
+
+// heapSampler wraps a reader and, each time another MiB has been read,
+// collects garbage and records the live heap, so peak is the largest
+// live heap seen while the consumer still holds what it has read.
+type heapSampler struct {
+	r          io.Reader
+	read, next int64
+	peak       uint64
+}
+
+func (h *heapSampler) Read(p []byte) (int, error) {
+	n, err := h.r.Read(p)
+	if h.read += int64(n); h.read >= h.next {
+		h.next += 1 << 20
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		h.peak = max(h.peak, ms.HeapAlloc)
+	}
+	return n, err
+}
+
+// TestCheckDocumentReaderMemoryFlat streams log documents of 4 MiB and
+// 40 MiB through CheckDocumentReader and bounds the live heap's growth
+// over the settled heap before the check, sampled at every MiB read,
+// by one MiB at both sizes: the check holds the fold state of its 64
+// keys, not the document. A check that read its whole input before
+// parsing would grow by the document's size.
+func TestCheckDocumentReaderMemoryFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams 44 MiB of generated XML")
+	}
+	const bound = 1 << 20
+	sigma := gen.LogFDs()
+	for _, size := range []int64{4 << 20, 40 << 20} {
+		t.Run(fmt.Sprintf("%dMiB", size>>20), func(t *testing.T) {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			base := ms.HeapAlloc
+			h := &heapSampler{r: gen.SizedLog(size, 20020802, 64, 96, false)}
+			vs, err := CheckDocumentReader(h, sigma, ReaderOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(vs) != 0 {
+				t.Fatalf("%d violations on a satisfied document", len(vs))
+			}
+			if h.read < size {
+				t.Fatalf("the check read %d bytes of a %d-byte document", h.read, size)
+			}
+			var growth uint64
+			if h.peak > base {
+				growth = h.peak - base
+			}
+			t.Logf("peak live heap growth %.2f MB over %d MiB", float64(growth)/1e6, size>>20)
+			if growth > bound {
+				t.Errorf("peak live heap grew %d bytes streaming %d MiB, want <= %d", growth, size>>20, bound)
+			}
+		})
 	}
 }
