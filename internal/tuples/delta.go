@@ -36,7 +36,7 @@ func (pr *Projector) relevantAt(labels []string) (*relevant, bool) {
 	}
 	r := pr.rel
 	for _, label := range labels[1:] {
-		r = r.kids[label]
+		r = r.kid(label)
 		if r == nil {
 			return nil, false
 		}

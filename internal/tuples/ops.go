@@ -364,17 +364,29 @@ type attrReq struct {
 
 // relevant is the prefix-closed tree of a set of query paths, with the
 // interned ID of each requested path embedded, used to enumerate
-// projections without materializing full tuples.
+// projections without materializing full tuples. kids[g] is the child
+// under label kidOrder[g]; a node has one child per distinct next step
+// of its query paths, few enough to search linearly.
 type relevant struct {
 	wanted   paths.ID // the element path itself, or None if not requested
 	attrs    []attrReq
 	textID   paths.ID // the text path, or None if not requested
-	kids     map[string]*relevant
+	kids     []*relevant
 	kidOrder []string
 }
 
 func newRelevant() *relevant {
-	return &relevant{wanted: paths.None, textID: paths.None, kids: map[string]*relevant{}}
+	return &relevant{wanted: paths.None, textID: paths.None}
+}
+
+// kid returns the child under label, or nil.
+func (r *relevant) kid(label string) *relevant {
+	for g, l := range r.kidOrder {
+		if l == label {
+			return r.kids[g]
+		}
+	}
+	return nil
 }
 
 // Projector is a compiled projection: the relevant tree of a fixed
@@ -411,10 +423,10 @@ func NewProjector(u *paths.Universe, ps []dtd.Path) (*Projector, error) {
 				cur.textID = id
 				goto next
 			}
-			k := cur.kids[step]
+			k := cur.kid(step)
 			if k == nil {
 				k = newRelevant()
-				cur.kids[step] = k
+				cur.kids = append(cur.kids, k)
 				cur.kidOrder = append(cur.kidOrder, step)
 			}
 			cur = k

@@ -124,8 +124,7 @@ func (w *projWalk) groupsFrom(n *xmltree.Node, r *relevant, g, b, pin, rest int)
 		pinned = w.spine[pin+1]
 	}
 	for ; g < len(r.kidOrder); g++ {
-		label := r.kidOrder[g]
-		kr := r.kids[label]
+		label, kr := r.kidOrder[g], r.kids[g]
 		me := len(w.conts)
 		w.conts = append(w.conts, walkCont{n: n, r: r, g: g + 1, b: b, pin: pin, next: rest})
 		opened, ok := false, true

@@ -157,7 +157,7 @@ func (ts *TokenStream) Open(label string, attrs []xmltree.Attr) {
 		return
 	}
 	parent := &ts.frames[len(ts.frames)-1]
-	kr := parent.rel.kids[label]
+	kr := parent.rel.kid(label)
 	if kr == nil {
 		ts.skip = 1 // irrelevant subtree: count opens, touch nothing
 		return

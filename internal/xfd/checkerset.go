@@ -278,10 +278,10 @@ func (cs *CheckerSet) check(ctx context.Context, t *xmltree.Tree, filter GroupFi
 }
 
 // witnessGroups is one FD's share of a witness fold: its group table
-// and, per entry, the group's first tuple.
+// and, in entry order, each group's first tuple.
 type witnessGroups struct {
 	tab    groupTable
-	firsts []tuples.Tuple
+	firsts tuples.Slab
 }
 
 // witnessTables recycles witness folds' tables between walks. A sweep
@@ -292,19 +292,19 @@ type witnessGroups struct {
 // large document does not pin its tables under later small ones.
 var witnessTables = sync.Pool{New: func() any { return new(witnessGroups) }}
 
-// maxRecycledBytes bounds the slot and key bytes of a recycled table.
+// maxRecycledBytes bounds the slot, key and first-tuple bytes of a
+// recycled table.
 const maxRecycledBytes = 64 << 10
 
 // recycle empties g and returns it to witnessTables, unless it grew too
 // large to keep. The first tuples are cleared, so a recycled table
 // holds no reference into the walk that used it.
 func (g *witnessGroups) recycle() {
-	if 8*len(g.tab.slots)+cap(g.tab.arena) > maxRecycledBytes {
+	if 8*len(g.tab.slots)+cap(g.tab.arena)+g.firsts.Bytes() > maxRecycledBytes {
 		return
 	}
 	g.tab.reset()
-	clear(g.firsts)
-	g.firsts = g.firsts[:0]
+	g.firsts.Reset()
 	witnessTables.Put(g)
 }
 
@@ -386,14 +386,16 @@ func (cs *CheckerSet) witnessFold(done <-chan struct{}, cl *cluster, filter Grou
 			rhsBuf = rhsK
 			e, added, conflict := g.tab.put(lhsK, rhsK)
 			if added {
-				// The stream reuses its scratch tuple; clone what we keep.
-				g.firsts = append(g.firsts, tup.Clone())
+				// The stream reuses its scratch tuple; the slab copies it.
+				g.firsts.Add(tup)
 				continue
 			}
 			if !conflict {
 				continue
 			}
-			first := g.firsts[e]
+			// Copied out of the slab before the table goes back to the
+			// pool, where another walk may take it at once.
+			first := g.firsts.Tuple(e)
 			g.recycle() // dead once violated: free it mid-walk
 			groups[li] = nil
 			remaining--

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -391,15 +392,11 @@ func TestViolationsShardedCtxCancel(t *testing.T) {
 	}
 }
 
-// TestVerdictAllocs bounds what the verdict-only fold allocates per
-// LHS group: 4,096 c children with distinct @k and @v make 4,096
-// groups under each of two FDs, one with an element-valued RHS (keyed
-// by vertex ID). The group tables keep every key in one arena, so the
-// count grows with the tables' doublings, not with the groups; a fold
-// that allocated an LHS and an RHS key string per group per FD would
-// read about four objects per group.
-func TestVerdictAllocs(t *testing.T) {
-	const groups = 4096
+// distinctGroups is <r> with groups c children with distinct @k and
+// @v, and a Σ with two FDs that each make one LHS group per child, one
+// with an element-valued RHS (keyed by vertex ID).
+func distinctGroups(t *testing.T, groups int) (*xmltree.Tree, *xfd.CheckerSet) {
+	t.Helper()
 	var b bytes.Buffer
 	b.WriteString("<r>")
 	for i := 0; i < groups; i++ {
@@ -417,6 +414,19 @@ func TestVerdictAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return doc, cs
+}
+
+// TestVerdictAllocs bounds what the verdict-only fold allocates per
+// LHS group: 4,096 c children with distinct @k and @v make 4,096
+// groups under each of two FDs, one with an element-valued RHS (keyed
+// by vertex ID). The group tables keep every key in one arena, so the
+// count grows with the tables' doublings, not with the groups; a fold
+// that allocated an LHS and an RHS key string per group per FD would
+// read about four objects per group.
+func TestVerdictAllocs(t *testing.T) {
+	const groups = 4096
+	doc, cs := distinctGroups(t, groups)
 	allocs := testing.AllocsPerRun(5, func() {
 		if bad := cs.Verdict(doc, nil); bad != nil {
 			t.Fatalf("Verdict = %v on a satisfied document", bad)
@@ -425,6 +435,80 @@ func TestVerdictAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per Verdict over %d groups per FD", allocs, groups)
 	if perGroup := allocs / groups; perGroup >= 0.1 {
 		t.Errorf("Verdict allocates %.3f objects per group (%.0f in all), want under 0.1", perGroup, allocs)
+	}
+}
+
+// TestViolationsAllocs bounds the witness fold the same way on the
+// same document. The fold keeps each group's first tuple, and keeps
+// them in a slab that grows by doubling, so the count again grows
+// with the doublings; cloning each first tuple read about four
+// objects per group (two per group per FD).
+func TestViolationsAllocs(t *testing.T) {
+	const groups = 4096
+	doc, cs := distinctGroups(t, groups)
+	allocs := testing.AllocsPerRun(5, func() {
+		if vs := cs.Violations(doc); vs != nil {
+			t.Fatalf("Violations = %v on a satisfied document", vs)
+		}
+	})
+	t.Logf("%.0f allocs per Violations over %d groups per FD", allocs, groups)
+	if perGroup := allocs / groups; perGroup >= 0.1 {
+		t.Errorf("Violations allocates %.3f objects per group (%.0f in all), want under 0.1", perGroup, allocs)
+	}
+}
+
+// TestWitnessOutlivesPooledTables: the witness fold's tables, first
+// tuples included, go back to a pool that any later check may take
+// them from, on any goroutine. A witness Violations returned must be
+// a copy: it reads the same after checks on other goroutines refill
+// the pooled tables, and under -race a witness that still shared a
+// table's memory would show as a race as well.
+func TestWitnessOutlivesPooledTables(t *testing.T) {
+	cs, err := xfd.NewCheckerSetFor([]xfd.FD{xfd.MustParse("r.c.@k -> r.c.@v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	violating := func(v1, v2 string) *xmltree.Tree {
+		doc, err := xmltree.ParseString(fmt.Sprintf(`<r><c k="0" v="x"/><c k="1" v="%s"/><c k="1" v="%s"/></r>`, v1, v2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	vs := cs.Violations(violating("a", "b"))
+	if len(vs) != 1 {
+		t.Fatalf("%d violations, want 1", len(vs))
+	}
+	w := vs[0].Witness
+	values := func() [2]string {
+		var out [2]string
+		for i, tup := range w {
+			k, _ := tup.Get(dtd.MustParsePath("r.c.@k"))
+			v, _ := tup.Get(dtd.MustParsePath("r.c.@v"))
+			out[i] = k.Str() + "=" + v.Str()
+		}
+		return out
+	}
+	want := [2]string{"1=a", "1=b"}
+	if got := values(); got != want {
+		t.Fatalf("witness %q, want %q", got, want)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if vs := cs.Violations(violating(fmt.Sprint("p", g, i), fmt.Sprint("q", g, i))); len(vs) != 1 {
+					t.Errorf("%d violations, want 1", len(vs))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := values(); got != want {
+		t.Errorf("witness changed after later checks:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -8,7 +8,9 @@ package xfd_test
 // error behavior on malformed and over-deep input.
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -174,6 +176,33 @@ func TestCheckReaderWitnessDeterminism(t *testing.T) {
 		}
 		if r := xfd.CanonicalReport(got); r != want {
 			t.Fatalf("run %d: report\n%s\nwant\n%s", i, r, want)
+		}
+	}
+}
+
+// BenchmarkViolationsReader measures a streaming check in process: the
+// tokenizer, the token stream and the witness fold over a satisfied
+// 4 MB log document under gen.LogFDs(). xmltree's BenchmarkWalkTokens
+// walks the same document (log4MB) with no callbacks, so the two
+// split a check's time between the walk and the layers above it.
+func BenchmarkViolationsReader(b *testing.B) {
+	data, err := io.ReadAll(gen.SizedLog(4<<20, 1, 4096, 64, false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs, err := xfd.NewCheckerSetFor(gen.LogFDs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		vs, err := cs.ViolationsReader(bytes.NewReader(data), xfd.ReaderOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(vs) != 0 {
+			b.Fatalf("%d violations on a satisfied document", len(vs))
 		}
 	}
 }

@@ -292,6 +292,18 @@ var acceptanceCases = []string{
 	"<r>\n<a>\n</b>\n</r>", "<r>\n\n<a/ >", "<r\n\n/ >", "<![\nCDATA[", "<!-\n",
 	"<r>\n\n&bad;\n</r>", "<r a=\"\n\n<\"/>", "<r>\r\r<a/ ></r>", "\n\n\n", "\n<r>\n",
 	"<r>\n<!-- a -- -->\n</r>",
+	// The scanner's fast paths: end tags compared with the open
+	// element's name; names that share a name-table slot (the same
+	// length and end bytes), ten of them overrunning the probe bound;
+	// and character data validated only when it holds a non-ASCII or
+	// control byte or an entity produced one.
+	"<ab></a>", "<a></ab>", "<ab></ab:c>", "<p:a xmlns:p=\"u\"></p:a >", "<a></a\xc3\xa9>",
+	"<a\xc3\xa9></a\xc3\xa9>", "<r><axb/><ayb/><axb/></r>",
+	"<r><abcdefgh1ijklmnop/><abcdefgh2ijklmnop/><abcdefgh1ijklmnop/></r>",
+	"<r><abcdefgh0ijklmnop/><abcdefgh1ijklmnop/><abcdefgh2ijklmnop/><abcdefgh3ijklmnop/>" +
+		"<abcdefgh4ijklmnop/><abcdefgh5ijklmnop/><abcdefgh6ijklmnop/><abcdefgh7ijklmnop/>" +
+		"<abcdefgh8ijklmnop/><abcdefgh9ijklmnop/><abcdefgh8ijklmnop/></r>",
+	"<r>abc\x01</r>", "<r a=\"abc\x01\"/>", "<r><![CDATA[ab\xff]]></r>", "<r a=\"x&#1;\"/>",
 }
 
 // TestWalkTokensOracle runs every acceptance case through both walkers

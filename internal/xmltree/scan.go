@@ -2,8 +2,10 @@ package xmltree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -30,6 +32,10 @@ const (
 	// internMaxLen is the longest name the table keeps, so the table
 	// stays small however long the names of a hostile document are.
 	internMaxLen = 64
+	// internProbes bounds the slots a lookup probes, so names crafted
+	// to share a hash cost a few comparisons each, not a table's worth.
+	// A name that finds no free slot among them is not kept.
+	internProbes = 8
 	// maxEmptyReads is how many (0, nil) reads in a row the scanner
 	// tolerates before failing with io.ErrNoProgress, as bufio does.
 	maxEmptyReads = 100
@@ -80,9 +86,15 @@ type scanner struct {
 
 	lines int // newlines in the windows before this one
 
-	names map[string]string // per-walk interned names, at most internCap
-	ns    map[string]string // namespace prefix bindings in scope
-	undo  []binding
+	// names is the walk's name table, at most internCap names of at
+	// most internMaxLen bytes each. nameSlots indexes it by nameHash,
+	// probed linearly for at most internProbes slots: 0 marks an empty
+	// slot, any other value is an index into names plus one.
+	names     []string
+	nameSlots [2 * internCap]uint16
+
+	ns   map[string]string // namespace prefix bindings in scope
+	undo []binding
 
 	stack     []frame
 	needClose bool // the last start tag was self-closing
@@ -98,7 +110,7 @@ type scanner struct {
 }
 
 func newScanner(r io.Reader) *scanner {
-	return &scanner{r: r, win: make([]byte, windowSize), names: make(map[string]string)}
+	return &scanner{r: r, win: make([]byte, windowSize)}
 }
 
 // fill reads the next window once every byte of the current one is
@@ -234,27 +246,40 @@ func (s *scanner) charData(cdata bool) (token, error) {
 		return 0, err
 	}
 	s.text = text
-	if err := s.checkChars(text[s.chunk:]); err != nil {
-		return 0, err
-	}
 	return tokText, nil
 }
 
-// Byte classes for the run loops of chars: a byte outside its class
-// needs the decoder's per-byte handling.
-var (
-	plainText  = plainBytes("<&\r]")
-	plainCDATA = plainBytes("]\r")
-	plainQuot  = plainBytes("<&\r\"")
-	plainApos  = plainBytes("<&\r'")
+// Byte classes of character data. A stop bit marks the bytes that end
+// a run of one kind of data in chars, because they need the decoder's
+// per-byte handling. charCheck marks the bytes checkChars must see:
+// every byte of a multi-byte sequence, and the control characters other
+// than tab, line feed and carriage return. Data in which chars meets
+// none of them is valid as it stands.
+const (
+	stopText  = 1 << iota // '<', '&', '\r' or ']' in text
+	stopCDATA             // ']' or '\r' in a CDATA section
+	stopQuot              // '<', '&', '\r' or '"' in a "-quoted value
+	stopApos              // '<', '&', '\r' or '\'' in a '-quoted value
+	charCheck
 )
 
-func plainBytes(special string) (t [256]bool) {
+var charClass = func() (t [256]uint8) {
+	stops := []struct {
+		bit     uint8
+		special string
+	}{{stopText, "<&\r]"}, {stopCDATA, "]\r"}, {stopQuot, "<&\r\""}, {stopApos, "<&\r'"}}
 	for c := range t {
-		t[c] = strings.IndexByte(special, byte(c)) < 0
+		for _, st := range stops {
+			if strings.IndexByte(st.special, byte(c)) >= 0 {
+				t[c] |= st.bit
+			}
+		}
+		if c >= utf8.RuneSelf || c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
+			t[c] |= charCheck
+		}
 	}
 	return t
-}
+}()
 
 // Name byte classes. scanName reads a run of bytes with any class;
 // isName decides the ASCII ones with the table and decodes the rest.
@@ -262,6 +287,7 @@ const (
 	nameStartByte = 1 << iota // letter, '_' or ':'
 	nameByte                  // also digit, '.' or '-'
 	nameHighByte              // part of a multi-byte sequence
+	nameColon                 // ':'
 )
 
 var nameClass = func() (t [256]uint8) {
@@ -269,7 +295,9 @@ var nameClass = func() (t [256]uint8) {
 		switch {
 		case c >= utf8.RuneSelf:
 			t[c] = nameHighByte
-		case 'A' <= c && c <= 'Z', 'a' <= c && c <= 'z', c == '_', c == ':':
+		case c == ':':
+			t[c] = nameStartByte | nameByte | nameColon
+		case 'A' <= c && c <= 'Z', 'a' <= c && c <= 'z', c == '_':
 			t[c] = nameStartByte | nameByte
 		case '0' <= c && c <= '9', c == '.', c == '-':
 			t[c] = nameByte
@@ -281,17 +309,20 @@ var nameClass = func() (t [256]uint8) {
 // chars appends decoded character data to dst: text up to '<' or the
 // end of the input, an attribute value up to its closing quote (quote
 // != 0), or a CDATA section up to "]]>". Entities are expanded and
-// "\r\n" and "\r" become "\n". The caller validates the characters.
+// "\r\n" and "\r" become "\n". The data is validated once it is
+// complete, and only when it holds a byte of class charCheck.
 func (s *scanner) chars(dst []byte, quote byte, cdata bool) ([]byte, error) {
-	plain := &plainText
+	stop := uint8(stopText)
 	switch {
 	case cdata:
-		plain = &plainCDATA
+		stop = stopCDATA
 	case quote == '"':
-		plain = &plainQuot
+		stop = stopQuot
 	case quote == '\'':
-		plain = &plainApos
+		stop = stopApos
 	}
+	from := len(dst)
+	var seen uint8 // the classes of the bytes appended
 	// b0 and b1 are the last two raw bytes, for "]]>" and "\r\n". After
 	// a run of plain bytes b0 no longer matters, since b1 is not ']'.
 	var b0, b1 byte
@@ -299,8 +330,12 @@ func (s *scanner) chars(dst []byte, quote byte, cdata bool) ([]byte, error) {
 		if b1 != ']' && b1 != '\r' {
 			w := s.win[s.pos:s.end]
 			i := 0
-			for i < len(w) && plain[w[i]] {
-				i++
+			for ; i < len(w); i++ {
+				c := charClass[w[i]]
+				if c&stop != 0 {
+					break
+				}
+				seen |= c
 			}
 			if i > 0 {
 				dst = append(dst, w[:i]...)
@@ -313,12 +348,12 @@ func (s *scanner) chars(dst []byte, quote byte, cdata bool) ([]byte, error) {
 			if cdata {
 				return nil, s.failure("unexpected EOF in CDATA section")
 			}
-			return dst, nil
+			return s.validated(dst, from, seen)
 		}
 		s.pos++
 		if quote == 0 && b0 == ']' && b1 == ']' && b == '>' {
 			if cdata {
-				return dst[:len(dst)-2], nil
+				return s.validated(dst[:len(dst)-2], from, seen)
 			}
 			return nil, s.syntaxError("unescaped ]]> not in CDATA section")
 		}
@@ -327,19 +362,24 @@ func (s *scanner) chars(dst []byte, quote byte, cdata bool) ([]byte, error) {
 				return nil, s.syntaxError("unescaped < inside quoted string")
 			}
 			s.pos--
-			return dst, nil
+			return s.validated(dst, from, seen)
 		}
 		if quote != 0 && b == quote {
-			return dst, nil
+			return s.validated(dst, from, seen)
 		}
 		if b == '&' && !cdata {
+			n := len(dst)
 			var err error
 			if dst, err = s.entity(dst); err != nil {
 				return nil, err
 			}
+			for _, c := range dst[n:] {
+				seen |= charClass[c]
+			}
 			b0, b1 = 0, 0
 			continue
 		}
+		seen |= charClass[b]
 		switch {
 		case b == '\r':
 			dst = append(dst, '\n')
@@ -349,6 +389,18 @@ func (s *scanner) chars(dst []byte, quote byte, cdata bool) ([]byte, error) {
 		}
 		b0, b1 = b1, b
 	}
+}
+
+// validated returns dst, whose data from index from on chars decoded,
+// once checkChars has passed that data, if seen holds charCheck. An
+// error's line is the one chars stopped on, as the decoder's is.
+func (s *scanner) validated(dst []byte, from int, seen uint8) ([]byte, error) {
+	if seen&charCheck != 0 {
+		if err := s.checkChars(dst[from:]); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // entity expands the reference after a consumed '&', appending its
@@ -477,36 +529,50 @@ func (s *scanner) checkChars(b []byte) error {
 
 // scanName reads a maximal run of name bytes: ASCII name characters
 // and every byte of a multi-byte sequence, which isName judges later.
-// ok is false, with nothing consumed, when the next byte cannot start
-// a name. The result aliases the window (or s.nbuf, when the name
-// spans a refill) and is valid until the next read.
-func (s *scanner) scanName() (name []byte, ok bool, err error) {
+// class is the union of the name's byte classes, and 0, with nothing
+// consumed, when the next byte cannot start a name. The result aliases
+// the window (or s.nbuf, when the name spans a refill) and is valid
+// until the next read.
+func (s *scanner) scanName() (name []byte, class uint8, err error) {
 	b, err := s.mustPeek()
 	if err != nil || nameClass[b] == 0 {
-		return nil, false, err
+		return nil, 0, err
 	}
 	start := s.pos
 	s.nbuf = s.nbuf[:0]
 	for {
 		w := s.win[:s.end]
 		i := s.pos
-		for i < len(w) && nameClass[w[i]] != 0 {
-			i++
+		for ; i < len(w); i++ {
+			c := nameClass[w[i]]
+			if c == 0 {
+				break
+			}
+			class |= c
 		}
 		s.pos = i
 		if i < len(w) {
 			if len(s.nbuf) == 0 {
-				return w[start:i], true, nil
+				return w[start:i], class, nil
 			}
 			s.nbuf = append(s.nbuf, w[start:i]...)
-			return s.nbuf, true, nil
+			return s.nbuf, class, nil
 		}
 		s.nbuf = append(s.nbuf, w[start:i]...)
 		if !s.fill() {
-			return nil, false, s.failure("unexpected EOF")
+			return nil, 0, s.failure("unexpected EOF")
 		}
 		start = 0
 	}
+}
+
+// validName is isName for a name scanName read with the given class:
+// an ASCII name is a name when its first byte can start one.
+func validName(name []byte, class uint8) bool {
+	if class&nameHighByte != 0 {
+		return isName(name)
+	}
+	return nameClass[name[0]]&nameStartByte != 0
 }
 
 // isName reports whether b is an XML name: a nameStart character
@@ -544,18 +610,21 @@ func isName(b []byte) bool {
 // of the prefix separator, or -1 when the name has no prefix (no
 // colon, or a colon at either end). The name aliases the window.
 func (s *scanner) qname(missing string) (name []byte, colon int, err error) {
-	name, ok, err := s.scanName()
+	name, class, err := s.scanName()
 	if err != nil {
 		return nil, 0, err
 	}
-	if !ok {
+	if class == 0 {
 		return nil, 0, s.syntaxError(missing)
 	}
-	if !isName(name) {
+	if !validName(name, class) {
 		return nil, 0, s.syntaxError("invalid XML name: " + string(name))
 	}
+	if class&nameColon == 0 {
+		return name, -1, nil
+	}
 	colon = bytes.IndexByte(name, ':')
-	if colon >= 0 && bytes.IndexByte(name[colon+1:], ':') >= 0 {
+	if bytes.IndexByte(name[colon+1:], ':') >= 0 {
 		return nil, 0, s.syntaxError(missing)
 	}
 	if colon == 0 || colon == len(name)-1 {
@@ -572,15 +641,49 @@ func split(name string, colon int) (prefix, local string) {
 	return name[:colon], name[colon+1:]
 }
 
+// intern returns b as a string: the name table's copy when it holds
+// b, else a new string, which the table keeps while it has room.
 func (s *scanner) intern(b []byte) string {
-	if v, ok := s.names[string(b)]; ok {
-		return v
+	if len(b) > internMaxLen {
+		return string(b)
 	}
-	v := string(b)
-	if len(b) <= internMaxLen && len(s.names) < internCap {
-		s.names[v] = v
+	const mask = uint64(len(s.nameSlots) - 1)
+	i := nameHash(b)
+	for range internProbes {
+		i &= mask
+		k := s.nameSlots[i]
+		if k == 0 {
+			v := string(b)
+			if len(s.names) < internCap {
+				s.names = append(s.names, v)
+				s.nameSlots[i] = uint16(len(s.names))
+			}
+			return v
+		}
+		if v := s.names[k-1]; v == string(b) {
+			return v
+		}
+		i++
 	}
-	return v
+	return string(b)
+}
+
+// nameHash mixes a name's length with its first and last eight bytes,
+// or four, or its first, middle and last byte: every byte of a name of
+// up to sixteen bytes.
+func nameHash(b []byte) uint64 {
+	n := len(b)
+	var lo, hi uint64
+	switch {
+	case n >= 8:
+		lo, hi = binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[n-8:])
+	case n >= 4:
+		lo, hi = uint64(binary.LittleEndian.Uint32(b)), uint64(binary.LittleEndian.Uint32(b[n-4:]))
+	case n > 0:
+		lo = uint64(b[0])<<16 | uint64(b[n/2])<<8 | uint64(b[n-1])
+	}
+	h, l := bits.Mul64(lo^0xa0761d6478bd642f, hi^uint64(n)^0xe7037ed1a0b428db)
+	return h ^ l
 }
 
 // startTag scans a start tag after its '<', pushes its element and
@@ -636,9 +739,6 @@ func (s *scanner) startTag() (token, error) {
 			return 0, err
 		}
 		a.to = len(s.vals)
-		if err := s.checkChars(s.vals[a.from:]); err != nil {
-			return 0, err
-		}
 		s.raws = append(s.raws, a)
 	}
 
@@ -686,6 +786,9 @@ func (s *scanner) bind(prefix, uri string) {
 // names, the default namespace) becomes its URI, "xml" becomes the XML
 // namespace URI, and anything else stays as written.
 func (s *scanner) translate(name string, colon int, elem bool) string {
+	if colon < 0 && len(s.ns) == 0 {
+		return name // no prefix, and no default namespace in scope
+	}
 	prefix, local := split(name, colon)
 	space := prefix
 	switch {
@@ -728,20 +831,26 @@ func (s *scanner) pop() frame {
 // endTag scans an end tag after its "</" and checks it closes the
 // innermost open element.
 func (s *scanner) endTag() (token, error) {
-	b, colon, err := s.qname("expected element name after </")
-	if err != nil {
-		return 0, err
-	}
 	var top *frame
 	if len(s.stack) > 0 {
 		top = &s.stack[len(s.stack)-1]
 	}
-	matched := top != nil && string(b) == top.raw
 	var name string
+	var colon int
+	matched := top != nil && s.skipName(top.raw)
 	if matched {
-		name = top.raw
+		name, colon = top.raw, top.colon
 	} else {
-		name = string(b) // copied: the window moves on below
+		b, c, err := s.qname("expected element name after </")
+		if err != nil {
+			return 0, err
+		}
+		if matched = top != nil && string(b) == top.raw; matched {
+			name = top.raw
+		} else {
+			name = string(b) // copied: the window moves on below
+		}
+		colon = c
 	}
 	s.space()
 	c, err := s.mustGet()
@@ -769,17 +878,30 @@ func (s *scanner) endTag() (token, error) {
 		" closed by </" + local + "> in space " + prefix)
 }
 
+// skipName consumes name when the window holds it followed by a byte that
+// cannot continue a name: the name qname would read there, and valid,
+// since name came from a start tag. Anything else, including a name
+// that reaches the window's end, is left to qname.
+func (s *scanner) skipName(name string) bool {
+	end := s.pos + len(name)
+	if end >= s.end || string(s.win[s.pos:end]) != name || nameClass[s.win[end]] != 0 {
+		return false
+	}
+	s.pos = end
+	return true
+}
+
 // procInst skips a processing instruction after its "<?". An XML
 // declaration is checked: version 1.0 and UTF-8 only.
 func (s *scanner) procInst() error {
-	target, ok, err := s.scanName()
+	target, class, err := s.scanName()
 	if err != nil {
 		return err
 	}
-	if !ok {
+	if class == 0 {
 		return s.syntaxError("expected target name after <?")
 	}
-	if !isName(target) {
+	if !validName(target, class) {
 		return s.syntaxError("invalid XML name: " + string(target))
 	}
 	decl := string(target) == "xml"

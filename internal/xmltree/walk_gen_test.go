@@ -43,7 +43,37 @@ func genDocs(tb testing.TB) []genDoc {
 	for depth := 2; depth <= 6; depth += 2 {
 		docs = append(docs, genDoc{"chain", []byte(gen.ChainDocument(depth, rng).String())})
 	}
-	return docs
+	return append(docs,
+		genDoc{"windows-control", windowsDoc("\x01")},
+		genDoc{"windows-utf8", windowsDoc("\xc3(")})
+}
+
+// windowsDoc is a document of about 96 KB that puts the scanner's fast
+// paths across the boundaries of its 32 KB read window: the é of a
+// non-ASCII element name straddles the first, an end tag's name the
+// second, and the text chunk that ends the document holds bad, whose
+// first byte is the last before the third. A walk stops at the first
+// bad character, so each bad byte needs a document of its own.
+func windowsDoc(bad string) []byte {
+	const window = 32 << 10
+	var b bytes.Buffer
+	b.WriteString("<r>\n")
+	padTo := func(off int) {
+		const filler = "<e a=\"v\">plain text</e>\n"
+		for b.Len()+len(filler) <= off {
+			b.WriteString(filler)
+		}
+		for b.Len() < off {
+			b.WriteByte(' ')
+		}
+	}
+	padTo(window - len("<d\xc3"))
+	b.WriteString("<d\u00e9tail>x</d\u00e9tail>\n")
+	padTo(2*window - len("<entry>x</en"))
+	b.WriteString("<entry>x</entry>\n")
+	padTo(3*window - 1 - len("<t>text"))
+	b.WriteString("<t>text" + bad + "</t>\n</r>\n")
+	return b.Bytes()
 }
 
 // TestWalkTokensGenDifferential holds the scanner to the oracle on the
@@ -83,10 +113,15 @@ func TestWalkTokensGenDifferential(t *testing.T) {
 }
 
 // BenchmarkWalkTokens measures the tokenizer alone (no callbacks) on a
-// 4 MB log document and a 1000-course University document.
+// 4 MB log document, the same document with non-ASCII element names
+// and padding, and a 1000-course University document. The generators
+// print only ASCII, so log4MB-nonascii is what shows the cost of the
+// scanner's ASCII fast paths to other input.
 func BenchmarkWalkTokens(b *testing.B) {
+	log := readAll(b, gen.SizedLog(4<<20, 1, 4096, 64, false))
 	docs := []genDoc{
-		{"log4MB", readAll(b, gen.SizedLog(4<<20, 1, 4096, 64, false))},
+		{"log4MB", log},
+		{"log4MB-nonascii", nonASCII(log)},
 		{"university1000", []byte(gen.University(1000, 10, 200, 50, rand.New(rand.NewSource(1))).String())},
 	}
 	for _, d := range docs {
@@ -100,4 +135,17 @@ func BenchmarkWalkTokens(b *testing.B) {
 			}
 		})
 	}
+}
+
+// nonASCII rewrites a log document's entry, detail and note element
+// names to names with a non-ASCII letter, and each pair of its x
+// padding bytes to the two-byte letter é, so the padding keeps its
+// length.
+func nonASCII(log []byte) []byte {
+	for _, r := range []struct{ from, to string }{
+		{"entry", "entrée"}, {"detail", "détail"}, {"note", "noté"}, {"xx", "é"},
+	} {
+		log = bytes.ReplaceAll(log, []byte(r.from), []byte(r.to))
+	}
+	return log
 }
