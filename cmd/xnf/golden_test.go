@@ -41,7 +41,9 @@ func captureBoth(t *testing.T, fn func() error) (stdout, stderr string, err erro
 // -depth 7 -attrs 2"), whose 14-column flat image is the first pinned
 // one wide enough to make the 4NF sweep cost anything, and of chain-18
 // (-depth 18), whose 36-column image asks 630 implication queries, most
-// of them refuted from cached counterexamples: stdout, stderr
+// of them refuted from cached counterexamples, and three "xnf implies"
+// answers, whose counterexample documents number their values in the
+// closure's pre-order of paths(D): stdout, stderr
 // and the negative-result signal must match the recorded golden files
 // byte for byte, in the default configuration and across the
 // -parallel/-cache matrix (the engine's knobs must never change
@@ -63,6 +65,11 @@ func TestGoldenOutput(t *testing.T) {
 		{"analyze_chain7.golden", []string{"analyze", td("chain7.spec")}, true},
 		{"analyze_chain7_json.golden", []string{"analyze", "-json", "-witness", td("chain7.spec")}, true},
 		{"analyze_chain18.golden", []string{"analyze", td("chain18.spec")}, true},
+		{"implies_dblp_refuted.golden", []string{"implies", td("dblp.spec"), "db.conf.issue -> db.conf.issue.inproceedings"}, true},
+		{"implies_courses_refuted.golden", []string{"implies", td("courses.spec"),
+			"courses.course.taken_by.student.@sno -> courses.course.taken_by.student"}, true},
+		{"implies_dblp_implied.golden", []string{"implies", td("dblp.spec"),
+			"db.conf.issue.inproceedings.@key -> db.conf.issue.inproceedings.@year"}, false},
 	}
 	configs := [][]string{
 		nil,                                // defaults: GOMAXPROCS workers, cache on

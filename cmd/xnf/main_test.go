@@ -111,6 +111,13 @@ func TestImpliesCommand(t *testing.T) {
 	if err := run([]string{"implies", td("dblp.spec"), "not an fd"}); err == nil {
 		t.Error("bad FD accepted")
 	}
+	out, err = capture(t, func() error {
+		return run([]string{"implies", td("dblp.spec"), "db.conf.nope -> db.conf"})
+	})
+	const want = `implication: query db.conf.nope -> db.conf: "db.conf.nope" is not a path of the DTD`
+	if exitCode(err) != 2 || fmt.Sprint(err) != want || out != "" {
+		t.Errorf("out-of-DTD path: exit %d, err %v, output %q; want exit 2 with %q", exitCode(err), err, out, want)
+	}
 }
 
 func TestClassifyCommand(t *testing.T) {

@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"slices"
 	"strings"
 
 	"xmlnorm/internal/dtd"
@@ -146,7 +147,7 @@ func candidateKeysWith(eng *engine.Engine, maxSize int) ([]Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &keySearch{eng: eng, ps: ps, ref: ref}
+	a := &keySearch{eng: eng, ref: ref}
 	return searchKeys(ps, maxSize, a.superkey)
 }
 
@@ -168,13 +169,17 @@ func CandidateKeysBaseline(s xnf.Spec, maxSize int) ([]Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	superkey := func(sub []int, lhs []dtd.Path) (bool, error) {
+	superkey := func(sub []int) (bool, error) {
 		imp, err := implication.NewEngine(s.DTD, s.FDs)
 		if err != nil {
 			return false, err
 		}
-		for _, q := range superkeyQueries(sub, lhs, ps) {
-			ans, err := imp.Implies(q)
+		lhs := pathsAt(ps, sub)
+		for i, p := range ps {
+			if slices.Contains(sub, i) {
+				continue
+			}
+			ans, err := imp.Implies(xfd.FD{LHS: lhs, RHS: []dtd.Path{p}})
 			if err != nil {
 				return false, err
 			}
@@ -188,10 +193,11 @@ func CandidateKeysBaseline(s xnf.Spec, maxSize int) ([]Key, error) {
 }
 
 // searchKeys is the enumeration shared by both searches: candidates of
-// size 1, 2, ..., maxSize over paths(D) in d.Paths order, skipping any
-// candidate containing an already-found key (its verdict would not be
-// minimal), each decided before the next one starts.
-func searchKeys(ps []dtd.Path, maxSize int, superkey func(sub []int, lhs []dtd.Path) (bool, error)) ([]Key, error) {
+// size 1, 2, ..., maxSize over paths(D) in d.Paths order (sub indexes
+// a candidate within ps), skipping any candidate containing an
+// already-found key (its verdict would not be minimal), each decided
+// before the next one starts.
+func searchKeys(ps []dtd.Path, maxSize int, superkey func(sub []int) (bool, error)) ([]Key, error) {
 	var keyIdx [][]int
 	var out []Key
 	var err error
@@ -200,16 +206,12 @@ func searchKeys(ps []dtd.Path, maxSize int, superkey func(sub []int, lhs []dtd.P
 			if err != nil || containsAnyKey(keyIdx, sub) {
 				return
 			}
-			lhs := make([]dtd.Path, len(sub))
-			for j, pi := range sub {
-				lhs[j] = ps[pi]
-			}
 			var ok bool
-			if ok, err = superkey(sub, lhs); !ok {
+			if ok, err = superkey(sub); !ok {
 				return
 			}
 			keyIdx = append(keyIdx, append([]int(nil), sub...))
-			out = append(out, Key{Paths: lhs})
+			out = append(out, Key{Paths: pathsAt(ps, sub)})
 		})
 	}
 	if err != nil {
@@ -218,20 +220,29 @@ func searchKeys(ps []dtd.Path, maxSize int, superkey func(sub []int, lhs []dtd.P
 	return out, nil
 }
 
+// pathsAt returns the paths of ps at the indexes sub, in a new slice.
+func pathsAt(ps []dtd.Path, sub []int) []dtd.Path {
+	out := make([]dtd.Path, len(sub))
+	for j, pi := range sub {
+		out[j] = ps[pi]
+	}
+	return out
+}
+
 // keySearch carries the state of one search: the engine, its refuter,
 // and the ID lists it reuses from candidate to candidate.
 type keySearch struct {
 	eng       *engine.Engine
-	ps        []dtd.Path
 	ref       *refuter
 	lhs, rest []paths.ID
 }
 
-// superkey decides (D, Σ) ⊢ lhs → p for every path p, one query at a
-// time, stopping at the first refutation. The verdict is exact; the
-// refuter only short-circuits candidates a cached counterexample
-// already refutes, and caches each new one.
-func (a *keySearch) superkey(sub []int, lhs []dtd.Path) (bool, error) {
+// superkey decides (D, Σ) ⊢ lhs → p for the candidate lhs (sub
+// indexes it within paths(D)) and every path p outside it, one query
+// by ID at a time, stopping at the first refutation. The verdict is
+// exact; the refuter only short-circuits candidates a cached
+// counterexample already refutes, and caches each new one.
+func (a *keySearch) superkey(sub []int) (bool, error) {
 	a.lhs, a.rest = a.lhs[:0], a.rest[:0]
 	j := 0
 	for i, id := range a.ref.ids {
@@ -245,8 +256,9 @@ func (a *keySearch) superkey(sub []int, lhs []dtd.Path) (bool, error) {
 	if a.ref.refutes(a.lhs, a.rest) {
 		return false, nil
 	}
-	for _, q := range superkeyQueries(sub, lhs, a.ps) {
-		ans, err := a.eng.Implies(q)
+	lhs := a.eng.Universe().SetOf(a.lhs...)
+	for _, rhs := range a.rest {
+		ans, err := a.eng.ImpliesIDs(lhs, rhs)
 		if err != nil {
 			return false, err
 		}
@@ -257,24 +269,6 @@ func (a *keySearch) superkey(sub []int, lhs []dtd.Path) (bool, error) {
 		return false, nil
 	}
 	return true, nil
-}
-
-// superkeyQueries builds the queries lhs → p for every path p outside
-// the candidate (sub indexes lhs within ps). The engine looks their
-// paths up when it keys them.
-func superkeyQueries(sub []int, lhs []dtd.Path, ps []dtd.Path) []xfd.FD {
-	inSub := make([]bool, len(ps))
-	for _, i := range sub {
-		inSub[i] = true
-	}
-	qs := make([]xfd.FD, 0, len(ps)-len(sub))
-	for i, p := range ps {
-		if inSub[i] {
-			continue
-		}
-		qs = append(qs, xfd.FD{LHS: lhs, RHS: []dtd.Path{p}})
-	}
-	return qs
 }
 
 // combinations enumerates the size-k index subsets of [0, n) in

@@ -3,7 +3,6 @@ package analyze
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"xmlnorm/internal/dtd"
@@ -14,24 +13,20 @@ import (
 	"xmlnorm/internal/xnf"
 )
 
-// pathIndices maps a path set to its index positions within ps, the
-// form superkeyQueries addresses candidates in.
-func pathIndices(t *testing.T, lhs, ps []dtd.Path) []int {
-	t.Helper()
-	byName := map[string]int{}
-	for i, p := range ps {
-		byName[p.String()] = i
-	}
-	sub := make([]int, 0, len(lhs))
+// superkeyQueries builds the queries lhs → p for every path p of ps
+// outside lhs: lhs is a superkey iff (D, Σ) implies them all.
+func superkeyQueries(lhs, ps []dtd.Path) []xfd.FD {
+	in := map[string]bool{}
 	for _, p := range lhs {
-		i, ok := byName[p.String()]
-		if !ok {
-			t.Fatalf("path %s not in paths(D)", p)
-		}
-		sub = append(sub, i)
+		in[p.String()] = true
 	}
-	sort.Ints(sub)
-	return sub
+	var qs []xfd.FD
+	for _, p := range ps {
+		if !in[p.String()] {
+			qs = append(qs, xfd.FD{LHS: lhs, RHS: []dtd.Path{p}})
+		}
+	}
+	return qs
 }
 
 // TestCandidateKeysCourses pins the courses keys: the three deepest
@@ -205,7 +200,7 @@ func TestKeysAreMinimalSuperkeysTreeLevel(t *testing.T) {
 		}
 		docs++
 		for _, k := range keys {
-			cs, err := xfd.NewCheckerSet(u, superkeyQueries(pathIndices(t, k.Paths, ps), k.Paths, ps))
+			cs, err := xfd.NewCheckerSet(u, superkeyQueries(k.Paths, ps))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +224,7 @@ func TestKeysAreMinimalSuperkeysTreeLevel(t *testing.T) {
 				continue
 			}
 			refuted := false
-			for _, q := range superkeyQueries(pathIndices(t, sub, ps), sub, ps) {
+			for _, q := range superkeyQueries(sub, ps) {
 				ans, err := eng.Implies(q)
 				if err != nil {
 					t.Fatal(err)

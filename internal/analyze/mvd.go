@@ -13,7 +13,6 @@ import (
 	"xmlnorm/internal/relational"
 	"xmlnorm/internal/table"
 	"xmlnorm/internal/tuples"
-	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xmltree"
 	"xmlnorm/internal/xnf"
 )
@@ -376,7 +375,7 @@ func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, err
 			if in.Has(vids[qi]) || ref.refutes(lhs.ids, vids[qi:qi+1]) {
 				continue
 			}
-			ans, err := eng.Implies(xfd.FD{LHS: lhs.paths, RHS: []dtd.Path{vps[qi]}})
+			ans, err := eng.ImpliesIDs(in, vids[qi])
 			if err != nil {
 				return FourXNF{}, err
 			}

@@ -1,13 +1,14 @@
 package engine
 
-// Differential test for the interned cache keys: the bitset-rendered
-// query key must induce exactly the same equivalence classes as the
+// Differential test for the interned cache keys: the ID-rendered query
+// key must induce exactly the same equivalence classes as the
 // historical sorted-string rendering, and the cached engine must answer
 // every query exactly like the string-free direct decider.
 
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -39,9 +40,45 @@ func diffDTD(rng *rand.Rand) *dtd.DTD {
 	return d
 }
 
+// canonicalQuery renders a single-RHS query as its canonical string
+// key, the reference for the engine's ID keys: the LHS as a sorted,
+// deduplicated path set (FD semantics is set-based, see xfd.FD.Equal),
+// then the RHS path.
+func canonicalQuery(q xfd.FD) string {
+	lhs := make([]string, 0, len(q.LHS))
+	seen := map[string]bool{}
+	for _, p := range q.LHS {
+		s := p.String()
+		if !seen[s] {
+			seen[s] = true
+			lhs = append(lhs, s)
+		}
+	}
+	sort.Strings(lhs)
+	var b strings.Builder
+	for _, s := range lhs {
+		b.WriteString(s)
+		b.WriteByte('\x1f')
+	}
+	b.WriteString("->")
+	b.WriteString(q.RHS[0].String())
+	return b.String()
+}
+
+// queryKey resolves a single-RHS query and renders the closure cache
+// key the engine files its answer under.
+func queryKey(t *testing.T, e *Engine, q xfd.FD) string {
+	t.Helper()
+	lhs, rhs, err := e.imp.Resolve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(appendKey(nil, closureSpace, lhs, rhs))
+}
+
 // TestQueryKeyMatchesStringReference: over random single-RHS queries —
-// including permuted and duplicated LHS variants — the binary key and
-// the canonical string key agree on equality.
+// including permuted and duplicated LHS variants — the ID key and the
+// canonical string key agree on equality.
 func TestQueryKeyMatchesStringReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	d := diffDTD(rand.New(rand.NewSource(1)))
@@ -76,7 +113,7 @@ func TestQueryKeyMatchesStringReference(t *testing.T) {
 	}
 	for i := range qs {
 		for j := range qs {
-			bin := e.queryKey(qs[i]) == e.queryKey(qs[j])
+			bin := queryKey(t, e, qs[i]) == queryKey(t, e, qs[j])
 			str := canonicalQuery(qs[i]) == canonicalQuery(qs[j])
 			if bin != str {
 				t.Fatalf("key disagreement between %s and %s: binary equal=%v, string equal=%v",

@@ -5,24 +5,30 @@
 // out in many independent implication queries over one specification
 // (D, Σ). The engine amortizes them two ways:
 //
-//   - a per-spec answer cache keyed by the canonicalized query
-//     (LHS path *set* + RHS path; Σ is fixed per engine), with
-//     single-flight deduplication so concurrent identical queries are
-//     computed once;
+//   - a per-spec answer cache keyed by the query's path IDs in the
+//     DTD's universe (the RHS ID and the LHS ID set's words; Σ is fixed
+//     per engine), with single-flight deduplication so concurrent
+//     identical queries are computed once;
 //   - a worker pool that fans out what callers hand it as a batch —
 //     ForEach and ImpliesBatch index ranges (the XNF anomaly scan of
 //     internal/xnf) and the per-shape searches of BruteForce — across
 //     up to GOMAXPROCS goroutines. Single queries (Implies, Implied,
-//     Trivial) run on the caller's goroutine: the candidate-key search
-//     of internal/analyze asks them one at a time, in order, and
-//     analyze.Analyze gets its parallelism by running its report's
-//     four parts side by side over one engine.
+//     Trivial and their ID forms) run on the caller's goroutine: the
+//     candidate-key search of internal/analyze asks them one at a
+//     time, in order, and analyze.Analyze gets its parallelism by
+//     running its report's four parts side by side over one engine.
+//
+// A query crosses the engine as an LHS paths.Set and an RHS paths.ID
+// of the DTD's universe (ImpliesIDs, ImpliedIDs, TrivialIDs). The
+// xfd.FD forms resolve each single-RHS split once, through the closure
+// engine's Resolve, and ask the ID form; a path outside the universe
+// fails the query there, before the cache is touched.
 //
 // Both layers preserve answers exactly: a cached or parallel run
-// returns the same Implied bit. Implies, ImpliesBatch and BruteForce
-// hand every caller its own clone of a counterexample, so callers can
-// never observe shared mutable state; Implied and Trivial return
-// verdicts only and clone nothing.
+// returns the same Implied bit. Implies, ImpliesIDs, ImpliesBatch and
+// BruteForce hand every caller its own clone of a counterexample, so
+// callers can never observe shared mutable state; Implied, Trivial
+// and their ID forms return verdicts only and clone nothing.
 //
 // The package also hosts the process-global Registry sharing one
 // engine and one compiled xfd.CheckerSet per canonicalized spec —
@@ -33,10 +39,9 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -151,7 +156,7 @@ func (e *Engine) Stats() Stats {
 // is; splits are cached individually. A refutation's counterexample is
 // the caller's own clone.
 func (e *Engine) Implies(q xfd.FD) (implication.Answer, error) {
-	ans, err := e.implies(q)
+	ans, err := e.ask(q, e.implies)
 	return owned(ans), err
 }
 
@@ -159,87 +164,126 @@ func (e *Engine) Implies(q xfd.FD) (implication.Answer, error) {
 // cache entries, same single-flight, same counters, but no
 // counterexample is cloned.
 func (e *Engine) Implied(q xfd.FD) (bool, error) {
-	ans, err := e.implies(q)
+	ans, err := e.ask(q, e.implies)
 	return ans.Implied, err
 }
 
-// implies is Implies without the clone: a refutation carries the
-// cached counterexample itself, which callers must not let escape.
-func (e *Engine) implies(q xfd.FD) (implication.Answer, error) {
+// Trivial decides whether q follows from the DTD alone: (D, ∅) ⊢ q.
+func (e *Engine) Trivial(q xfd.FD) (bool, error) {
+	ans, err := e.ask(q, e.trivial)
+	return ans.Implied, err
+}
+
+// ImpliesIDs decides (D, Σ) ⊢ lhs → rhs for paths of the engine's
+// universe, from the same cache entry as the equal Implies query. A
+// refutation's counterexample is the caller's own clone. lhs is only
+// read.
+func (e *Engine) ImpliesIDs(lhs paths.Set, rhs paths.ID) (implication.Answer, error) {
+	ans, err := e.implies(lhs, rhs)
+	return owned(ans), err
+}
+
+// ImpliedIDs is ImpliesIDs for callers that read only the verdict.
+func (e *Engine) ImpliedIDs(lhs paths.Set, rhs paths.ID) (bool, error) {
+	ans, err := e.implies(lhs, rhs)
+	return ans.Implied, err
+}
+
+// TrivialIDs decides (D, ∅) ⊢ lhs → rhs for paths of the engine's
+// universe.
+func (e *Engine) TrivialIDs(lhs paths.Set, rhs paths.ID) (bool, error) {
+	ans, err := e.trivial(lhs, rhs)
+	return ans.Implied, err
+}
+
+// ask answers q one single-RHS split at a time through decide,
+// stopping at the first refutation. Each split is resolved in the
+// universe first, so a path outside it fails q with the closure
+// engine's error and leaves the cache and its counters alone.
+func (e *Engine) ask(q xfd.FD, decide func(paths.Set, paths.ID) (implication.Answer, error)) (implication.Answer, error) {
 	for _, single := range q.SingleRHS() {
-		ans, err := e.single("", single, func() (implication.Answer, error) {
-			return e.imp.Implies(single)
-		})
+		lhs, rhs, err := e.imp.Resolve(single)
 		if err != nil {
 			return implication.Answer{}, err
 		}
-		if !ans.Implied {
-			return ans, nil
+		ans, err := decide(lhs, rhs)
+		if err != nil || !ans.Implied {
+			return ans, err
 		}
 	}
 	return implication.Answer{Implied: true}, nil
 }
 
-// Trivial decides whether q follows from the DTD alone: (D, ∅) ⊢ q.
-// The (D, ∅) closure engine is derived once, on first use, from the
-// (D, Σ) one (implication.Engine.WithSigma: it shares the skeleton, the
-// conformer and the branch assignments), and its answers share the
-// cache under a separate key space.
-func (e *Engine) Trivial(q xfd.FD) (bool, error) {
+// implies answers lhs → rhs over (D, Σ) through the cache. A
+// refutation carries the cached counterexample itself, which callers
+// must not let escape.
+func (e *Engine) implies(lhs paths.Set, rhs paths.ID) (implication.Answer, error) {
+	return e.single(closureSpace, lhs, rhs, func() (implication.Answer, error) {
+		return e.imp.ImpliesIDs(lhs, rhs), nil
+	})
+}
+
+// trivial answers lhs → rhs over (D, ∅) through the cache. The (D, ∅)
+// closure engine is derived once, on first use, from the (D, Σ) one
+// (implication.Engine.WithSigma: it shares the skeleton, the conformer
+// and the branch assignments), and its answers share the cache under
+// their own key space.
+func (e *Engine) trivial(lhs paths.Set, rhs paths.ID) (implication.Answer, error) {
 	e.trivOnce.Do(func() {
 		e.triv, e.trivErr = e.imp.WithSigma(nil)
 	})
 	if e.trivErr != nil {
-		return false, e.trivErr
+		return implication.Answer{}, e.trivErr
 	}
-	for _, single := range q.SingleRHS() {
-		ans, err := e.single("triv\x00", single, func() (implication.Answer, error) {
-			return e.triv.Implies(single)
-		})
-		if err != nil {
-			return false, err
-		}
-		if !ans.Implied {
-			return false, nil
-		}
-	}
-	return true, nil
+	return e.single(trivialSpace, lhs, rhs, func() (implication.Answer, error) {
+		return e.triv.ImpliesIDs(lhs, rhs), nil
+	})
 }
 
 // BruteForce decides (D, Σ) ⊢ q with the bounded semantic checker,
 // fanning the per-shape value searches across the engine's workers.
 // Answers are cached under a key that includes the bounds.
 func (e *Engine) BruteForce(q xfd.FD, bounds implication.Bounds) (implication.Answer, error) {
-	key := boundsKey(bounds)
-	for _, single := range q.SingleRHS() {
-		ans, err := e.single(key, single, func() (implication.Answer, error) {
+	space := boundsKey(bounds)
+	ans, err := e.ask(q, func(lhs paths.Set, rhs paths.ID) (implication.Answer, error) {
+		single := xfd.FD{LHS: q.LHS, RHS: []dtd.Path{e.Universe().PathOf(rhs)}}
+		return e.single(space, lhs, rhs, func() (implication.Answer, error) {
 			return implication.BruteForceParallel(e.d, e.sigma, single, bounds, e.opts.workers())
 		})
-		if err != nil {
-			return implication.Answer{}, err
-		}
-		if !ans.Implied {
-			return owned(ans), nil
-		}
-	}
-	return implication.Answer{Implied: true}, nil
+	})
+	return owned(ans), err
+}
+
+// Key spaces of the cache: closure, trivial and brute-force answers
+// (boundsKey, per bounds) never share a key.
+const (
+	closureSpace = "c"
+	trivialSpace = "t"
+)
+
+// appendKey appends the cache key of the single-RHS query lhs → rhs in
+// a key space: the space, the RHS ID, then the LHS set's words. A set
+// has no order and no duplicates, so reordered or repeated LHS paths
+// share one key.
+func appendKey(dst []byte, space string, lhs paths.Set, rhs paths.ID) []byte {
+	dst = binary.LittleEndian.AppendUint32(append(dst, space...), uint32(rhs))
+	return lhs.AppendWords(dst)
 }
 
 // single answers one single-RHS query through the cache (or directly
-// when caching is off). space prefixes the key so closure, trivial and
-// brute-force answers never collide. The answer's counterexample is
-// the cached tree itself; exported methods that return it hand out a
-// clone (owned).
-func (e *Engine) single(space string, q xfd.FD, compute func() (implication.Answer, error)) (implication.Answer, error) {
+// when caching is off). The answer's counterexample is the cached tree
+// itself; exported methods that return it hand out a clone (owned).
+func (e *Engine) single(space string, lhs paths.Set, rhs paths.ID, compute func() (implication.Answer, error)) (implication.Answer, error) {
 	if e.opts.NoCache {
 		return compute()
 	}
-	key := space + e.queryKey(q)
+	var buf [64]byte
+	key := appendKey(buf[:0], space, lhs, rhs)
 	e.mu.Lock()
-	ent, ok := e.results[key]
+	ent, ok := e.results[string(key)]
 	if !ok {
 		ent = &entry{}
-		e.results[key] = ent
+		e.results[string(key)] = ent
 	}
 	e.mu.Unlock()
 	hit := true
@@ -300,61 +344,6 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 // loose on shutdown or request deadline.
 func (e *Engine) ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 	return pool.ForEachCtx(ctx, e.opts.workers(), n, fn)
-}
-
-// queryKey canonicalizes a single-RHS query into its cache key. The
-// fast path looks the query's paths up in the closure engine's path
-// universe and writes each side as a bitset ("\x01", the LHS set's
-// words, 0xfe, the RHS set's words): bitsets are sets, so LHS
-// deduplication and order-independence come for free and the key is a
-// few machine words instead of the concatenated path strings. Queries
-// mentioning paths outside the universe can never be answered, but
-// they are keyed anyway (by the sorted string rendering, under a
-// distinct leading byte) so their errors are memoized like any other
-// answer.
-func (e *Engine) queryKey(q xfd.FD) string {
-	u := e.imp.Universe()
-	key := []byte{1}
-	for i, side := range [2][]dtd.Path{q.LHS, q.RHS} {
-		set := u.NewSet()
-		for _, p := range side {
-			id, ok := u.Lookup(p)
-			if !ok {
-				return "\x02" + canonicalQuery(q)
-			}
-			set.Add(id)
-		}
-		if i == 1 {
-			key = append(key, 0xfe)
-		}
-		key = set.AppendWords(key)
-	}
-	return string(key)
-}
-
-// canonicalQuery renders a single-RHS query as its canonical string
-// cache key: the LHS as a sorted, deduplicated path set (FD semantics
-// is set-based, see xfd.FD.Equal), then the RHS path. It is the slow
-// fallback of queryKey for queries that do not resolve in the universe.
-func canonicalQuery(q xfd.FD) string {
-	lhs := make([]string, 0, len(q.LHS))
-	seen := map[string]bool{}
-	for _, p := range q.LHS {
-		s := p.String()
-		if !seen[s] {
-			seen[s] = true
-			lhs = append(lhs, s)
-		}
-	}
-	sort.Strings(lhs)
-	var b strings.Builder
-	for _, s := range lhs {
-		b.WriteString(s)
-		b.WriteByte('\x1f')
-	}
-	b.WriteString("->")
-	b.WriteString(q.RHS[0].String())
-	return b.String()
 }
 
 // boundsKey renders brute-force bounds into the cache-key prefix.

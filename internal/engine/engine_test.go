@@ -50,12 +50,16 @@ func TestCacheCounters(t *testing.T) {
 	}
 }
 
-// TestImpliedSharesCache: Implied and Implies answer from one cache
-// entry per query — whichever asks first takes the one miss, every
-// later call of either is a hit — and an entry Implied computed still
-// serves Implies its counterexample.
+// TestImpliedSharesCache: every form of one query — Implies and
+// Implied, and by path ID ImpliesIDs and ImpliedIDs — answers from one
+// cache entry: whichever asks first takes the one miss, every later
+// call of any form is a hit, an entry Implied computed still serves
+// Implies its counterexample, and an ImpliesIDs refutation hands out a
+// clone of its own. Trivial and TrivialIDs share a key space of their
+// own: the same query misses there once.
 func TestImpliedSharesCache(t *testing.T) {
 	e := chainEngine(t, 4, Options{})
+	u := e.Universe()
 	lhs := gen.ChainPaths(4)[2].Child("@a2_0")
 	rhs := gen.ChainPaths(4)[4].Child("@a4_0")
 	refuted := xfd.FD{LHS: []dtd.Path{lhs}, RHS: []dtd.Path{rhs}}
@@ -70,6 +74,29 @@ func TestImpliedSharesCache(t *testing.T) {
 	if s := e.Stats(); s.Misses != 1 || s.Hits != 1 {
 		t.Errorf("after Implied then Implies: stats = %+v, want 1 miss and 1 hit", s)
 	}
+	lhsIDs, rhsID := u.SetOf(u.MustLookup(lhs)), u.MustLookup(rhs)
+	byID, err := e.ImpliesIDs(lhsIDs, rhsID)
+	if err != nil || byID.Implied || byID.Counterexample == nil {
+		t.Fatalf("ImpliesIDs(%s) = %+v, %v; want a counterexample", refuted, byID, err)
+	}
+	if byID.Counterexample == ans.Counterexample || !xmltree.Isomorphic(byID.Counterexample, ans.Counterexample) {
+		t.Error("ImpliesIDs's counterexample is not a clone of its own")
+	}
+	if implied, err := e.ImpliedIDs(lhsIDs, rhsID); err != nil || implied {
+		t.Fatalf("ImpliedIDs(%s) = %v, %v; want false", refuted, implied, err)
+	}
+	if s := e.Stats(); s.Misses != 1 || s.Hits != 3 {
+		t.Errorf("after ImpliesIDs and ImpliedIDs: stats = %+v, want 1 miss and 3 hits", s)
+	}
+	if triv, err := e.TrivialIDs(lhsIDs, rhsID); err != nil || triv {
+		t.Fatalf("TrivialIDs(%s) = %v, %v; want false", refuted, triv, err)
+	}
+	if triv, err := e.Trivial(refuted); err != nil || triv {
+		t.Fatalf("Trivial(%s) = %v, %v; want false", refuted, triv, err)
+	}
+	if s := e.Stats(); s.Misses != 2 || s.Hits != 4 {
+		t.Errorf("after TrivialIDs and Trivial: stats = %+v, want 2 misses and 4 hits", s)
+	}
 	q := chainQuery(4)
 	want, err := e.Implies(q)
 	if err != nil {
@@ -80,8 +107,44 @@ func TestImpliedSharesCache(t *testing.T) {
 			t.Fatalf("Implied(%s) = %v, %v; Implies said %v", q, got, err, want.Implied)
 		}
 	}
-	if s := e.Stats(); s.Misses != 2 || s.Hits != 3 {
-		t.Errorf("after Implies then Implied twice: stats = %+v, want 2 misses and 3 hits", s)
+	if s := e.Stats(); s.Misses != 3 || s.Hits != 6 {
+		t.Errorf("after Implies then Implied twice: stats = %+v, want 3 misses and 6 hits", s)
+	}
+}
+
+// TestOutsideUniverseFails: an FD naming a path outside paths(D) fails
+// every FD form with the closure's error text, LHS or RHS alike, and
+// never reaches the cache.
+func TestOutsideUniverseFails(t *testing.T) {
+	e := chainEngine(t, 3, Options{})
+	bad := xfd.MustParse("r.nope -> r")
+	badRHS := xfd.MustParse("r -> r.nope.@x")
+	for _, c := range []struct {
+		name string
+		ask  func(xfd.FD) error
+	}{
+		{"Implies", func(q xfd.FD) error { _, err := e.Implies(q); return err }},
+		{"Implied", func(q xfd.FD) error { _, err := e.Implied(q); return err }},
+		{"Trivial", func(q xfd.FD) error { _, err := e.Trivial(q); return err }},
+		{"BruteForce", func(q xfd.FD) error { _, err := e.BruteForce(q, implication.Bounds{}); return err }},
+		{"ImpliesBatch", func(q xfd.FD) error { _, err := e.ImpliesBatch([]xfd.FD{q}); return err }},
+	} {
+		for _, q := range []struct {
+			fd   xfd.FD
+			want string
+		}{
+			{bad, `implication: query r.nope -> r: "r.nope" is not a path of the DTD`},
+			{badRHS, `implication: query r -> r.nope.@x: "r.nope.@x" is not a path of the DTD`},
+		} {
+			for i := 0; i < 2; i++ {
+				if err := c.ask(q.fd); err == nil || err.Error() != q.want {
+					t.Errorf("%s(%s): err = %v, want %q", c.name, q.fd, err, q.want)
+				}
+			}
+		}
+	}
+	if s := e.Stats(); s != (Stats{}) {
+		t.Errorf("stats = %+v, want none: a failed resolution must not touch the cache", s)
 	}
 }
 

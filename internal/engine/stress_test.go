@@ -16,6 +16,7 @@ import (
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/gen"
 	"xmlnorm/internal/implication"
+	"xmlnorm/internal/paths"
 	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xmltree"
 )
@@ -139,11 +140,13 @@ func TestStressImplies(t *testing.T) {
 	}
 }
 
-// TestStressImplied: goroutines interleave the verdict-only Implied
-// with Implies over the stress suite's query pools; both must return
-// the sequential uncached reference's verdict, and a refutation must
-// still hand Implies callers a counterexample, whichever of the two
-// computed the shared cache entry.
+// TestStressImplied: goroutines interleave the verdict-only Implied and
+// ImpliedIDs with Implies and ImpliesIDs over the stress suite's query
+// pools; all four must return the sequential uncached reference's
+// verdict, and a refutation must still hand Implies and ImpliesIDs
+// callers a counterexample, whichever form computed the shared cache
+// entry. An ImpliesIDs counterexample must match the reference's and be
+// the caller's private clone: each caller scribbles on its own.
 func TestStressImplied(t *testing.T) {
 	for _, sp := range stressSpecs(t) {
 		for _, opts := range []Options{{}, {Workers: 4, NoCache: true}} {
@@ -156,6 +159,14 @@ func TestStressImplied(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				u := e.Universe()
+				lhss, rhss := make([]paths.Set, len(qs)), make([]paths.ID, len(qs))
+				for i, q := range qs {
+					lhss[i], rhss[i] = u.NewSet(), u.MustLookup(q.RHS[0])
+					for _, p := range q.LHS {
+						lhss[i].Add(u.MustLookup(p))
+					}
+				}
 				var wg sync.WaitGroup
 				errs := make(chan error, stressGoroutines)
 				for g := 0; g < stressGoroutines; g++ {
@@ -165,18 +176,34 @@ func TestStressImplied(t *testing.T) {
 						rng := rand.New(rand.NewSource(sp.seed<<9 + int64(g)))
 						for k := 0; k < 2*len(qs); k++ {
 							i := rng.Intn(len(qs))
-							if (g+k)%2 == 0 {
-								got, err := e.Implied(qs[i])
-								if err != nil || got != want[i].Implied {
-									errs <- fmt.Errorf("goroutine %d: Implied(%s) = %v, %v; want %v", g, qs[i], got, err, want[i].Implied)
+							var implied bool
+							var cx *xmltree.Tree
+							var err error
+							switch (g + k) % 4 {
+							case 0:
+								implied, err = e.Implied(qs[i])
+							case 1:
+								implied, err = e.ImpliedIDs(lhss[i], rhss[i])
+							case 2:
+								var ans implication.Answer
+								ans, err = e.Implies(qs[i])
+								implied, cx = ans.Implied, ans.Counterexample
+							case 3:
+								var ans implication.Answer
+								ans, err = e.ImpliesIDs(lhss[i], rhss[i])
+								implied, cx = ans.Implied, ans.Counterexample
+								if cx != nil && !xmltree.Isomorphic(cx, want[i].Counterexample) {
+									errs <- fmt.Errorf("goroutine %d: ImpliesIDs(%s): counterexample differs from the reference", g, qs[i])
 									return
 								}
-								continue
 							}
-							got, err := e.Implies(qs[i])
-							if err != nil || got.Implied != want[i].Implied || (got.Counterexample == nil) != got.Implied {
-								errs <- fmt.Errorf("goroutine %d: Implies(%s) = %+v, %v; want %v", g, qs[i], got, err, want[i].Implied)
+							if err != nil || implied != want[i].Implied || (g+k)%4 >= 2 && (cx == nil) != implied {
+								errs <- fmt.Errorf("goroutine %d, form %d: %s = %v (counterexample %v), %v; want %v",
+									g, (g+k)%4, qs[i], implied, cx != nil, err, want[i].Implied)
 								return
+							}
+							if cx != nil {
+								cx.Root.Children = nil // the caller's own copy
 							}
 						}
 					}(g)

@@ -1,6 +1,7 @@
 package implication
 
 import (
+	"xmlnorm/internal/paths"
 	"xmlnorm/internal/regex"
 )
 
@@ -38,12 +39,14 @@ import (
 // The query S → p is implied iff every feasible assignment forces eq[p].
 
 // assignment chooses, for each disjunction group and each of the two
-// tuples, the branch taken: a member node id, or -1 for the ε branch.
+// tuples, the branch taken: a member path, or paths.None for the ε
+// branch.
 type assignment struct {
-	b1, b2 []int // indexed by group id
+	b1, b2 []paths.ID // indexed by group
 }
 
-// state is the proposition state of one closure run.
+// state is the proposition state of one closure run. Every per-path
+// slice is indexed by paths.ID.
 type state struct {
 	sk         *skeleton
 	sigma      []compiledFD
@@ -52,26 +55,27 @@ type state struct {
 	nn1, nn2   []bool
 	forced1    []bool // forced ⊥ for t1 under the assignment
 	forced2    []bool
-	maxOk      []int // per node: deepest element ancestor usable as a swap point (0 = none)
+	maxOk      []int // per path: depth of the deepest element ancestor usable as a swap point (0 = none)
 	infeasible bool
 	rounds     int // rounds run has completed
 }
 
-// compiledFD is an FD with paths resolved to skeleton ids. lcp[i] is the
-// length of the common chain prefix of lhs[i] and rhs, precomputed so
-// that the crossover ("coverable") test in fires() is O(1): a swap point
-// u on the chain of lhs[i] avoids the RHS exactly when its depth exceeds
+// compiledFD is a single-RHS FD of Σ by path ID. lcp[i] is the length
+// of the common chain prefix of lhs[i] and rhs, precomputed so that the
+// crossover ("coverable") test in fires() is O(1): a swap point u on
+// the chain of lhs[i] avoids the RHS exactly when its depth exceeds
 // that common prefix.
 type compiledFD struct {
-	lhs []int
-	rhs int
+	lhs []paths.ID
+	rhs paths.ID
 	lcp []int
 }
 
-// newState initializes the propositions for hypothesis hyp (path ids,
-// asserted equal and non-null in both tuples) and goal (asserted
-// non-null in t1, so that a violation t1.goal ≠ t2.goal is possible).
-func newState(sk *skeleton, sigma []compiledFD, asg assignment, hyp []int, goal int) *state {
+// newState initializes the propositions for hypothesis hyp (asserted
+// equal and non-null in both tuples) and goal (asserted non-null in t1,
+// with its whole chain, so that a violation t1.goal ≠ t2.goal is
+// possible).
+func newState(sk *skeleton, sigma []compiledFD, asg assignment, hyp paths.Set, goal paths.ID) *state {
 	n := len(sk.nodes)
 	s := &state{
 		sk: sk, sigma: sigma, asg: asg,
@@ -81,15 +85,16 @@ func newState(sk *skeleton, sigma []compiledFD, asg assignment, hyp []int, goal 
 		maxOk: make([]int, n),
 	}
 	s.computeForced()
-	s.markEq(0) // the root: t1.r = t2.r = root vertex
-	s.markNN(0, true)
-	s.markNN(0, false)
-	for _, h := range hyp {
+	root := sk.order[0] // t1.r = t2.r = the root vertex
+	s.markEq(root)
+	s.markNN(root, true)
+	s.markNN(root, false)
+	hyp.ForEach(func(h paths.ID) {
 		s.markEq(h)
 		s.markNN(h, true)
 		s.markNN(h, false)
-	}
-	for _, p := range sk.chain(goal) {
+	})
+	for p := goal; p != paths.None; p = sk.nodes[p].parent {
 		s.markNN(p, true)
 	}
 	return s
@@ -98,8 +103,8 @@ func newState(sk *skeleton, sigma []compiledFD, asg assignment, hyp []int, goal 
 // computeForced derives the forced-⊥ sets from the assignment: each
 // unchosen branch of each group, together with its whole subtree.
 func (s *state) computeForced() {
-	var forceDown func(forced []bool, id int)
-	forceDown = func(forced []bool, id int) {
+	var forceDown func(forced []bool, id paths.ID)
+	forceDown = func(forced []bool, id paths.ID) {
 		if forced[id] {
 			return
 		}
@@ -120,13 +125,13 @@ func (s *state) computeForced() {
 	}
 }
 
-func (s *state) markEq(id int) {
+func (s *state) markEq(id paths.ID) {
 	if !s.eq[id] {
 		s.eq[id] = true
 	}
 }
 
-func (s *state) markNN(id int, first bool) {
+func (s *state) markNN(id paths.ID, first bool) {
 	nn, forced := s.nn1, s.forced1
 	if !first {
 		nn, forced = s.nn2, s.forced2
@@ -141,22 +146,21 @@ func (s *state) markNN(id int, first bool) {
 	nn[id] = true
 }
 
-// computeMaxOk refreshes, for every node, the depth of the deepest
-// element ancestor (or the node itself) whose parent is a shared
+// computeMaxOk refreshes, for every path, the depth of the deepest
+// element ancestor (or the path itself) whose parent is a shared
 // non-null vertex — the candidate branch-swap points of the crossover
-// rule. One pre-order sweep; skeleton nodes are stored parents-first.
+// rule. One sweep in the skeleton's pre-order, parents first.
 func (s *state) computeMaxOk() {
-	for _, n := range s.sk.nodes {
+	for _, id := range s.sk.order {
+		n := &s.sk.nodes[id]
 		best := 0
-		if n.parent >= 0 {
+		if n.parent != paths.None {
 			best = s.maxOk[n.parent]
-			if n.kind == elemPath && s.eq[n.parent] && s.nn1[n.parent] && s.nn2[n.parent] {
-				if d := len(n.path); d > best {
-					best = d
-				}
+			if n.elem && s.eq[n.parent] && s.nn1[n.parent] && s.nn2[n.parent] && int(n.depth) > best {
+				best = int(n.depth)
 			}
 		}
-		s.maxOk[n.id] = best
+		s.maxOk[id] = best
 	}
 }
 
@@ -189,19 +193,19 @@ func (s *state) run() bool {
 	return !s.infeasible
 }
 
-// sweep visits every skeleton node once — parents-first, or
-// children-first when reverse is set — stopping early once the
-// assignment turns out infeasible, and reports whether any
+// sweep visits every path once in the skeleton's pre-order — parents
+// first, or children first when reverse is set — stopping early once
+// the assignment turns out infeasible, and reports whether any
 // proposition changed.
 func (s *state) sweep(reverse bool) bool {
-	nodes := s.sk.nodes
+	order := s.sk.order
 	changed := false
-	for i := range nodes {
-		n := nodes[i]
+	for i := range order {
+		id := order[i]
 		if reverse {
-			n = nodes[len(nodes)-1-i]
+			id = order[len(order)-1-i]
 		}
-		if s.visit(n) {
+		if s.visit(id) {
 			changed = true
 		}
 		if s.infeasible {
@@ -211,10 +215,11 @@ func (s *state) sweep(reverse bool) bool {
 	return changed
 }
 
-// visit applies every rule anchored at one node — R1, R4 and R5 at the
-// node itself, R2, R3 and R7 towards its children — and the branch
+// visit applies every rule anchored at one path — R1, R4 and R5 at the
+// path itself, R2, R3 and R7 towards its children — and the branch
 // feasibility check, reporting whether any proposition changed.
-func (s *state) visit(n *pnode) bool {
+func (s *state) visit(id paths.ID) bool {
+	n := &s.sk.nodes[id]
 	changed := false
 	step := func(did bool) {
 		if did {
@@ -222,56 +227,56 @@ func (s *state) visit(n *pnode) bool {
 		}
 	}
 	// R1: non-nullness propagates to the parent.
-	if n.parent >= 0 {
-		if s.nn1[n.id] && !s.nn1[n.parent] {
+	if n.parent != paths.None {
+		if s.nn1[id] && !s.nn1[n.parent] {
 			s.markNN(n.parent, true)
 			step(true)
 		}
-		if s.nn2[n.id] && !s.nn2[n.parent] {
+		if s.nn2[id] && !s.nn2[n.parent] {
 			s.markNN(n.parent, false)
 			step(true)
 		}
 	}
 	// R4: equal values share nullness.
-	if s.eq[n.id] {
-		if s.nn1[n.id] && !s.nn2[n.id] {
-			s.markNN(n.id, false)
+	if s.eq[id] {
+		if s.nn1[id] && !s.nn2[id] {
+			s.markNN(id, false)
 			step(true)
 		}
-		if s.nn2[n.id] && !s.nn1[n.id] {
-			s.markNN(n.id, true)
+		if s.nn2[id] && !s.nn1[id] {
+			s.markNN(id, true)
 			step(true)
 		}
 	}
 	// R5: a shared non-null element vertex has a shared parent.
-	if n.kind == elemPath && n.parent >= 0 && s.eq[n.id] && s.nn1[n.id] && !s.eq[n.parent] {
+	if n.elem && n.parent != paths.None && s.eq[id] && s.nn1[id] && !s.eq[n.parent] {
 		s.markEq(n.parent)
 		step(true)
 	}
 	// R2 and R3: downward propagation to children.
 	for _, k := range n.kids {
-		kid := s.sk.nodes[k]
-		if required(s, n.id, kid) {
-			if s.nn1[n.id] && !s.nn1[k] {
+		kid := &s.sk.nodes[k]
+		if required(kid) {
+			if s.nn1[id] && !s.nn1[k] {
 				s.markNN(k, true)
 				step(true)
 			}
-			if s.nn2[n.id] && !s.nn2[k] {
+			if s.nn2[id] && !s.nn2[k] {
 				s.markNN(k, false)
 				step(true)
 			}
 		} else if kid.group >= 0 {
 			// Chosen group branches are required per tuple.
-			if s.asg.b1[kid.group] == k && s.nn1[n.id] && !s.nn1[k] {
+			if s.asg.b1[kid.group] == k && s.nn1[id] && !s.nn1[k] {
 				s.markNN(k, true)
 				step(true)
 			}
-			if s.asg.b2[kid.group] == k && s.nn2[n.id] && !s.nn2[k] {
+			if s.asg.b2[kid.group] == k && s.nn2[id] && !s.nn2[k] {
 				s.markNN(k, false)
 				step(true)
 			}
 		}
-		if s.eq[n.id] && !s.eq[k] && atMostOnce(kid) {
+		if s.eq[id] && !s.eq[k] && atMostOnce(kid) {
 			s.markEq(k)
 			step(true)
 		}
@@ -279,7 +284,7 @@ func (s *state) visit(n *pnode) bool {
 		// some label in one tuple has children with that label in
 		// the tree, so the other maximal tuple must also contain
 		// one (not necessarily the same one).
-		if kid.kind == elemPath && s.eq[n.id] && s.nn1[n.id] && s.nn2[n.id] {
+		if kid.elem && s.eq[id] && s.nn1[id] && s.nn2[id] {
 			if s.nn1[k] && !s.nn2[k] {
 				s.markNN(k, false)
 				step(true)
@@ -292,9 +297,9 @@ func (s *state) visit(n *pnode) bool {
 	}
 	// Feasibility: a shared non-null vertex cannot take two
 	// different group branches.
-	if n.kind == elemPath && s.eq[n.id] && s.nn1[n.id] && s.nn2[n.id] {
-		for _, g := range s.sk.groups {
-			if g.parent == n.id && s.asg.b1[g.id] != s.asg.b2[g.id] {
+	if n.elem && s.eq[id] && s.nn1[id] && s.nn2[id] {
+		for g := range s.sk.groups {
+			if s.sk.groups[g].parent == id && s.asg.b1[g] != s.asg.b2[g] {
 				s.infeasible = true
 			}
 		}
@@ -321,9 +326,8 @@ func (s *state) fireSigma() bool {
 // required reports whether the child is present whenever the parent is:
 // attributes, text content, and element children with multiplicity one
 // or plus (group members are handled separately, per assignment).
-func required(s *state, parent int, kid *pnode) bool {
-	switch kid.kind {
-	case attrPath, textPath:
+func required(kid *pnode) bool {
+	if !kid.elem {
 		return true
 	}
 	if kid.group >= 0 {
@@ -337,8 +341,7 @@ func required(s *state, parent int, kid *pnode) bool {
 // attributes, text, element children with multiplicity one or ?, and
 // all disjunction-group members.
 func atMostOnce(kid *pnode) bool {
-	switch kid.kind {
-	case attrPath, textPath:
+	if !kid.elem {
 		return true
 	}
 	if kid.group >= 0 {

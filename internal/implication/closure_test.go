@@ -10,6 +10,7 @@ import (
 
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/gen"
+	"xmlnorm/internal/paths"
 	"xmlnorm/internal/xfd"
 )
 
@@ -166,8 +167,8 @@ func (s *state) runParentsFirst() (rounds int, feasible bool) {
 	for changed := true; changed && !s.infeasible; rounds++ {
 		changed = false
 		s.computeMaxOk()
-		for _, n := range s.sk.nodes {
-			if s.visit(n) {
+		for _, id := range s.sk.order {
+			if s.visit(id) {
 				changed = true
 			}
 			if s.infeasible {
@@ -225,7 +226,7 @@ func TestRunMatchesParentsFirst(t *testing.T) {
 	}
 	pairs, runs, newRounds, refRounds := 0, 0, 0, 0
 	for si, sp := range specs {
-		sk, err := buildSkeleton(sp.d)
+		sk, err := buildSkeleton(sp.d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,11 +234,11 @@ func TestRunMatchesParentsFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hyp []int
+		hyp := sk.u.NewSet()
 		for j := 0; j < 1+rng.Intn(2); j++ {
-			hyp = append(hyp, rng.Intn(len(sk.nodes)))
+			hyp.Add(paths.ID(rng.Intn(len(sk.nodes))))
 		}
-		goal := rng.Intn(len(sk.nodes))
+		goal := paths.ID(rng.Intn(len(sk.nodes)))
 		pairs++
 		for ai, asg := range enumerateAssignments(sk) {
 			got := newState(sk, compiled, asg, hyp, goal)
@@ -250,7 +251,7 @@ func TestRunMatchesParentsFirst(t *testing.T) {
 			rounds, wantFeasible := want.runParentsFirst()
 			newRounds += got.rounds
 			refRounds += rounds
-			where := fmt.Sprintf("spec %d, assignment %d:\n%sΣ = %s\nhyp %v goal %d", si, ai, sp.d, xfd.FormatSet(sp.sigma), hyp, goal)
+			where := fmt.Sprintf("spec %d, assignment %d:\n%sΣ = %s\nhyp %v goal %d", si, ai, sp.d, xfd.FormatSet(sp.sigma), hyp.IDs(), goal)
 			if feasible != wantFeasible {
 				t.Fatalf("%s: feasible = %v, parents-first %v", where, feasible, wantFeasible)
 			}
@@ -288,32 +289,42 @@ func TestLCPLenMatchesChains(t *testing.T) {
 	ds = append(ds, gen.ChainDTD(18, 2))
 	pairs := 0
 	for di, d := range ds {
-		sk, err := buildSkeleton(d)
+		sk, err := buildSkeleton(d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for a := range sk.nodes {
-			ca := sk.chain(a)
-			for b := range sk.nodes {
-				cb := sk.chain(b)
+		for _, a := range sk.order {
+			ca := chain(sk, a)
+			for _, b := range sk.order {
+				cb := chain(sk, b)
 				want := 0
 				for want < len(ca) && want < len(cb) && ca[want] == cb[want] {
 					want++
 				}
 				if got := sk.lcpLen(a, b); got != want {
-					t.Fatalf("DTD %d:\n%slcpLen(%s, %s) = %d, want %d", di, d, sk.nodes[a].path, sk.nodes[b].path, got, want)
+					t.Fatalf("DTD %d:\n%slcpLen(%s, %s) = %d, want %d", di, d, sk.u.StringOf(a), sk.u.StringOf(b), got, want)
 				}
 				pairs++
 			}
 		}
 	}
-	sk, err := buildSkeleton(gen.ChainDTD(18, 2))
+	sk, err := buildSkeleton(gen.ChainDTD(18, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, shallow := len(sk.nodes)-1, 1
+	deep, shallow := sk.order[len(sk.order)-1], sk.order[1]
 	if allocs := testing.AllocsPerRun(100, func() { sk.lcpLen(deep, shallow) }); allocs != 0 {
 		t.Errorf("lcpLen allocates %.0f objects per call, want 0", allocs)
 	}
 	t.Logf("%d node pairs", pairs)
+}
+
+// chain returns the IDs of a path's ancestors (inclusive), root first.
+func chain(sk *skeleton, id paths.ID) []paths.ID {
+	var out []paths.ID
+	for ; id != paths.None; id = sk.nodes[id].parent {
+		out = append(out, id)
+	}
+	slices.Reverse(out)
+	return out
 }

@@ -337,7 +337,7 @@ func TestVerifyCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := buildSkeleton(d)
+	sk, err := buildSkeleton(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestVerifyCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsk, err := buildSkeletonBounded(d, 6)
+	bsk, err := buildSkeleton(d, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

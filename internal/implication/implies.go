@@ -49,7 +49,7 @@ type Answer struct {
 // the closure algorithm. A query with several RHS paths is implied iff
 // each single-RHS split is.
 func Implies(d *dtd.DTD, sigma []xfd.FD, q xfd.FD) (Answer, error) {
-	sk, err := buildSkeleton(d)
+	sk, err := buildSkeleton(d, 0)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -70,6 +70,10 @@ func Implies(d *dtd.DTD, sigma []xfd.FD, q xfd.FD) (Answer, error) {
 // that shares exactly these read-only parts and compiles only its own
 // Σ, which is what lets a caller testing many reduced FD sets
 // (xnf.MinimalCover) build the DTD's half once.
+//
+// A query is asked by path ID in the engine's universe (ImpliesIDs):
+// an LHS set and an RHS path. Implies resolves an xfd.FD query into
+// that form first (Resolve).
 type Engine struct {
 	// Σ-independent, shared with every engine WithSigma derives.
 	sk      *skeleton
@@ -85,7 +89,7 @@ type Engine struct {
 // through WithSigma, whose two compilers each look its paths up once
 // in the DTD's interned path universe.
 func NewEngine(d *dtd.DTD, sigma []xfd.FD) (*Engine, error) {
-	sk, err := buildSkeleton(d)
+	sk, err := buildSkeleton(d, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -133,19 +137,40 @@ func (e *Engine) WithSigma(sigma []xfd.FD) (*Engine, error) {
 // Universe returns the interned path universe of the engine's DTD.
 func (e *Engine) Universe() *paths.Universe { return e.sk.u }
 
-// Implies decides (D, Σ) ⊢ q.
+// Implies decides (D, Σ) ⊢ q: each single-RHS split is resolved in the
+// engine's universe and asked through ImpliesIDs, and q is implied iff
+// every split is.
 func (e *Engine) Implies(q xfd.FD) (Answer, error) {
 	for _, single := range q.SingleRHS() {
-		hyp, goal, err := compileQuery(e.sk, single)
+		lhs, rhs, err := e.Resolve(single)
 		if err != nil {
 			return Answer{}, err
 		}
-		ans := e.impliesSingle(hyp, goal)
-		if !ans.Implied {
+		if ans := e.ImpliesIDs(lhs, rhs); !ans.Implied {
 			return ans, nil
 		}
 	}
 	return Answer{Implied: true}, nil
+}
+
+// Resolve looks the paths of a single-RHS query up in the engine's
+// universe: q.LHS as a set, q.RHS[0] as an ID. A path outside the
+// universe fails the query, naming q and the path.
+func (e *Engine) Resolve(q xfd.FD) (paths.Set, paths.ID, error) {
+	u := e.sk.u
+	lhs := u.NewSet()
+	for _, p := range q.LHS {
+		id, ok := u.Lookup(p)
+		if !ok {
+			return nil, paths.None, fmt.Errorf("implication: query %s: %q is not a path of the DTD", q, p)
+		}
+		lhs.Add(id)
+	}
+	rhs, ok := u.Lookup(q.RHS[0])
+	if !ok {
+		return nil, paths.None, fmt.Errorf("implication: query %s: %q is not a path of the DTD", q, q.RHS[0])
+	}
+	return lhs, rhs, nil
 }
 
 func impliesSk(sk *skeleton, sigma []xfd.FD, q xfd.FD) (Answer, error) {
@@ -163,23 +188,23 @@ func impliesSk(sk *skeleton, sigma []xfd.FD, q xfd.FD) (Answer, error) {
 func compileFDs(sk *skeleton, sigma []xfd.FD) ([]compiledFD, error) {
 	var out []compiledFD
 	for _, f := range sigma {
-		nodeOf := func(p dtd.Path) (int, error) {
-			n := sk.node(p)
-			if n == nil {
-				return 0, fmt.Errorf("implication: xfd: %s: %q is not in the path universe", f, p)
+		idOf := func(p dtd.Path) (paths.ID, error) {
+			id, ok := sk.u.Lookup(p)
+			if !ok {
+				return paths.None, fmt.Errorf("implication: xfd: %s: %q is not in the path universe", f, p)
 			}
-			return n.id, nil
+			return id, nil
 		}
-		lhs := make([]int, len(f.LHS))
+		lhs := make([]paths.ID, len(f.LHS))
 		for i, p := range f.LHS {
-			id, err := nodeOf(p)
+			id, err := idOf(p)
 			if err != nil {
 				return nil, err
 			}
 			lhs[i] = id
 		}
 		for _, p := range f.RHS {
-			rhs, err := nodeOf(p)
+			rhs, err := idOf(p)
 			if err != nil {
 				return nil, err
 			}
@@ -193,38 +218,24 @@ func compileFDs(sk *skeleton, sigma []xfd.FD) ([]compiledFD, error) {
 	return out, nil
 }
 
-func compileQuery(sk *skeleton, q xfd.FD) (hyp []int, goal int, err error) {
-	for _, p := range q.LHS {
-		n := sk.node(p)
-		if n == nil {
-			return nil, 0, fmt.Errorf("implication: query %s: %q is not a path of the DTD", q, p)
-		}
-		hyp = append(hyp, n.id)
-	}
-	r := sk.node(q.RHS[0])
-	if r == nil {
-		return nil, 0, fmt.Errorf("implication: query %s: %q is not a path of the DTD", q, q.RHS[0])
-	}
-	return hyp, r.id, nil
-}
-
-// impliesSingle runs the closure for every branch assignment. The query
-// is implied iff no feasible assignment leaves eq[goal] underivable —
+// ImpliesIDs decides (D, Σ) ⊢ lhs → rhs for paths of the engine's
+// universe. It runs the closure for every branch assignment: the query
+// is implied iff no feasible assignment leaves eq[rhs] underivable —
 // and every refutation is realized into a concrete tree and re-checked;
 // a scenario that fails realization is treated as no refutation (this
 // never occurred across the randomized cross-validation suite, see
 // closure_test.go, but keeps negative answers trustworthy by
-// construction).
-func (e *Engine) impliesSingle(hyp []int, goal int) Answer {
+// construction). lhs is only read.
+func (e *Engine) ImpliesIDs(lhs paths.Set, rhs paths.ID) Answer {
 	for _, asg := range e.asgs {
-		st := newState(e.sk, e.compiled, asg, hyp, goal)
+		st := newState(e.sk, e.compiled, asg, lhs, rhs)
 		if st.infeasible {
 			continue
 		}
 		if !st.run() {
 			continue // infeasible assignment
 		}
-		if st.eq[goal] {
+		if st.eq[rhs] {
 			continue // implied under this assignment
 		}
 		// Candidate refutation: realize and verify.
@@ -233,19 +244,17 @@ func (e *Engine) impliesSingle(hyp []int, goal int) Answer {
 			// Spurious scenario; treat as implied under this assignment.
 			continue
 		}
-		if e.verifyCounterexample(queryOf(e.sk, hyp, goal), tree) {
+		if e.verifyCounterexample(queryOf(e.sk.u, lhs, rhs), tree) {
 			return Answer{Implied: false, Counterexample: tree, Verified: true}
 		}
 	}
 	return Answer{Implied: true}
 }
 
-func queryOf(sk *skeleton, hyp []int, goal int) xfd.FD {
-	var q xfd.FD
-	for _, h := range hyp {
-		q.LHS = append(q.LHS, sk.nodes[h].path)
-	}
-	q.RHS = []dtd.Path{sk.nodes[goal].path}
+// queryOf renders a query by ID back to paths, for the certificate.
+func queryOf(u *paths.Universe, lhs paths.Set, rhs paths.ID) xfd.FD {
+	q := xfd.FD{RHS: []dtd.Path{u.PathOf(rhs)}}
+	lhs.ForEach(func(id paths.ID) { q.LHS = append(q.LHS, u.PathOf(id)) })
 	return q
 }
 
@@ -253,22 +262,22 @@ func queryOf(sk *skeleton, hyp []int, goal int) xfd.FD {
 // group. With no groups there is exactly one (empty) assignment.
 func enumerateAssignments(sk *skeleton) []assignment {
 	n := len(sk.groups)
-	out := []assignment{{b1: make([]int, n), b2: make([]int, n)}}
+	out := []assignment{{b1: make([]paths.ID, n), b2: make([]paths.ID, n)}}
 	if n == 0 {
 		return out
 	}
 	var res []assignment
-	cur := assignment{b1: make([]int, n), b2: make([]int, n)}
+	cur := assignment{b1: make([]paths.ID, n), b2: make([]paths.ID, n)}
 	var rec func(g int)
 	rec = func(g int) {
 		if g == n {
-			c := assignment{b1: append([]int(nil), cur.b1...), b2: append([]int(nil), cur.b2...)}
+			c := assignment{b1: append([]paths.ID(nil), cur.b1...), b2: append([]paths.ID(nil), cur.b2...)}
 			res = append(res, c)
 			return
 		}
-		choices := append([]int(nil), sk.groups[g].members...)
+		choices := append([]paths.ID(nil), sk.groups[g].members...)
 		if sk.groups[g].nullable {
-			choices = append(choices, -1)
+			choices = append(choices, paths.None)
 		}
 		for _, c1 := range choices {
 			for _, c2 := range choices {

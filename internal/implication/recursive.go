@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"xmlnorm/internal/dtd"
-	"xmlnorm/internal/paths"
-	"xmlnorm/internal/regex"
 	"xmlnorm/internal/xfd"
 )
 
@@ -13,17 +11,20 @@ import (
 // that "the recursive case can be handled in a very similar fashion":
 // although paths(D) is infinite, any FD set and query mention finitely
 // many paths, and the closure reasoning only ever touches a bounded
-// neighbourhood of those. ImpliesBounded makes that concrete: it
-// unfolds the recursive DTD's path tree to a finite depth and runs the
-// same closure.
+// neighbourhood of those. ImpliesBounded makes that concrete: the one
+// skeleton builder, buildSkeleton(d, maxDepth), unfolds the DTD's path
+// tree in pre-order with element children cut at maxDepth steps, and
+// the same closure runs over that unfolding, named by the IDs
+// paths.ForQuery interns it with. At a non-recursive DTD's depth the
+// cut removes nothing: the unfolding renders exactly as the unbounded
+// one and answers exactly as Implies does (recursive_test.go).
 //
 // Soundness contract: a negative answer is definitive — the
 // counterexample is realized and verified semantically, exactly as in
 // the non-recursive case. A positive answer means "no counterexample
 // whose witness pair stays within the unfolded depth"; callers choose
-// the depth (at least the deepest path mentioned, plus slack for the
-// crossover rules — maxDepth+2 has matched the bounded brute force on
-// every randomized trial, see recursive_test.go).
+// the depth: at least the deepest path mentioned, plus slack for the
+// crossover rules.
 
 // ImpliesBounded decides (D, Σ) ⊢ q for a (possibly recursive)
 // disjunctive DTD by unfolding paths to maxDepth steps.
@@ -32,7 +33,7 @@ func ImpliesBounded(d *dtd.DTD, sigma []xfd.FD, q xfd.FD, maxDepth int) (Answer,
 	if maxDepth < need {
 		return Answer{}, fmt.Errorf("implication: maxDepth %d is shallower than a mentioned path (%d steps)", maxDepth, need)
 	}
-	sk, err := buildSkeletonBounded(d, maxDepth)
+	sk, err := buildSkeleton(d, maxDepth)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -53,73 +54,4 @@ func deepestPath(sigma []xfd.FD, q xfd.FD) int {
 	}
 	consider(q)
 	return max
-}
-
-// buildSkeletonBounded unfolds the DTD's path tree to maxDepth steps.
-// Beyond the bound, children are simply absent — which is sound for
-// refutations (they are verified semantically) and makes positive
-// answers relative to the bound.
-func buildSkeletonBounded(d *dtd.DTD, maxDepth int) (*skeleton, error) {
-	factors, ok := d.Factors()
-	if !ok {
-		return nil, fmt.Errorf("implication: DTD is not disjunctive; use BruteForce")
-	}
-	sk := &skeleton{d: d}
-	var add func(path dtd.Path, parent int, mult regex.Mult, group int) int
-	add = func(path dtd.Path, parent int, mult regex.Mult, group int) int {
-		n := &pnode{id: len(sk.nodes), path: path, parent: parent, mult: mult, group: group}
-		sk.nodes = append(sk.nodes, n)
-		if parent >= 0 {
-			sk.nodes[parent].kids = append(sk.nodes[parent].kids, n.id)
-		}
-		elem := d.Element(path.Last())
-		for _, a := range elem.Attrs {
-			c := &pnode{id: len(sk.nodes), path: path.Child("@" + a), kind: attrPath, parent: n.id, group: -1}
-			sk.nodes = append(sk.nodes, c)
-			n.kids = append(n.kids, c.id)
-		}
-		switch elem.Kind {
-		case dtd.TextContent:
-			c := &pnode{id: len(sk.nodes), path: path.Child(dtd.TextStep), kind: textPath, parent: n.id, group: -1}
-			sk.nodes = append(sk.nodes, c)
-			n.kids = append(n.kids, c.id)
-		case dtd.ModelContent:
-			if len(path) >= maxDepth {
-				return n.id // unfolding stops here
-			}
-			for _, f := range factors[path.Last()] {
-				if !f.IsDisjunction() {
-					for _, letter := range f.Alphabet() {
-						add(path.Child(letter), n.id, f.Units[letter], -1)
-					}
-					continue
-				}
-				g := &pgroup{id: len(sk.groups), parent: n.id, nullable: f.Disj.Nullable}
-				sk.groups = append(sk.groups, g)
-				for _, letter := range f.Disj.Letters {
-					cid := add(path.Child(letter), n.id, regex.OptM, g.id)
-					g.members = append(g.members, cid)
-				}
-			}
-		}
-		return n.id
-	}
-	add(dtd.Path{d.Root()}, -1, regex.One, -1)
-	// The full universe of a recursive DTD is infinite, so intern exactly
-	// the bounded unfolding. DFS order lists every prefix before its
-	// extensions, so ForQuery interns one ID per skeleton node.
-	ps := make([]dtd.Path, len(sk.nodes))
-	for i, n := range sk.nodes {
-		ps[i] = n.path
-	}
-	sk.u = paths.ForQuery(ps)
-	if sk.u.Size() != len(sk.nodes) {
-		return nil, fmt.Errorf("implication: bounded skeleton has %d paths but universe has %d", len(sk.nodes), sk.u.Size())
-	}
-	sk.ofUID = make([]int, sk.u.Size())
-	for _, n := range sk.nodes {
-		n.uid = sk.u.MustLookup(n.path)
-		sk.ofUID[n.uid] = n.id
-	}
-	return sk, nil
 }

@@ -1,9 +1,14 @@
 package implication
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"xmlnorm/internal/dtd"
+	"xmlnorm/internal/gen"
+	"xmlnorm/internal/paths"
 	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xmltree"
 )
@@ -87,35 +92,144 @@ func TestImpliesBoundedDepthGuard(t *testing.T) {
 }
 
 // TestImpliesBoundedAgreesOnNonRecursive: on a non-recursive DTD the
-// bounded engine with a generous bound agrees with the exact one.
+// bounded unfolding at the DTD's depth (its deepest path's steps, or
+// its deepest element path's, the tightest complete bound) or above it
+// is the whole unfolding, which buildSkeleton(d, 0) interns by
+// paths.New: the same paths in the same pre-order, with the same
+// parents, children, multiplicities and disjunction groups, compared
+// by rendering. The bounded decider, at the DTD's depth and at a bound
+// above it (at least 8), answers as the exact one does, counterexample
+// documents byte for byte: on the fixed DTD for every single-path pair,
+// elsewhere for 40 sampled queries of one or two LHS paths. The DTDs
+// are a fixed one, seeded random specs with disjunctions, seeded
+// random simple DTDs and the chain family at depths 1–18.
 func TestImpliesBoundedAgreesOnNonRecursive(t *testing.T) {
-	d := dtd.MustParse(`
+	type spec struct {
+		d     *dtd.DTD
+		sigma []xfd.FD
+	}
+	specs := []spec{{dtd.MustParse(`
 <!ELEMENT r (a+, b*)>
 <!ELEMENT a EMPTY>
 <!ATTLIST a x CDATA #REQUIRED>
 <!ELEMENT b EMPTY>
-<!ATTLIST b y CDATA #REQUIRED>`)
-	sigma := []xfd.FD{xfd.MustParse("r.a.@x -> r.b.@y")}
-	paths, err := d.Paths()
-	if err != nil {
-		t.Fatal(err)
+<!ATTLIST b y CDATA #REQUIRED>`), []xfd.FD{xfd.MustParse("r.a.@x -> r.b.@y")}}}
+	rng := rand.New(rand.NewSource(20021026))
+	for i := 0; i < 100; i++ {
+		d, sigma, _ := randomSpec(rng)
+		specs = append(specs, spec{d, sigma})
 	}
-	for _, l := range paths {
-		for _, r := range paths {
-			q := xfd.FD{LHS: []dtd.Path{l}, RHS: []dtd.Path{r}}
-			exact, err := Implies(d, sigma, q)
+	for i := 0; i < 40; i++ {
+		d := gen.RandomSimpleDTD(rng)
+		ps, err := d.Paths()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec{d, randomSigma(rng, ps, rng.Intn(4))})
+	}
+	for depth := 1; depth <= 18; depth++ {
+		specs = append(specs, spec{gen.ChainDTD(depth, 2), gen.ChainFDs(depth, 2)})
+	}
+	qrng := rand.New(rand.NewSource(1938))
+	groups, queries, refuted := 0, 0, 0
+	for si, sp := range specs {
+		ps, err := sp.d.Paths()
+		if err != nil {
+			t.Fatal(err)
+		}
+		depth, elemDepth := 0, 0
+		for _, p := range ps {
+			depth = max(depth, len(p))
+			if p.IsElem() {
+				elemDepth = max(elemDepth, len(p))
+			}
+		}
+		exact, err := buildSkeleton(sp.d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := renderSkeleton(exact)
+		groups += len(exact.groups)
+		above := max(8, depth+2)
+		for _, bound := range []int{elemDepth, depth, above} {
+			bounded, err := buildSkeleton(sp.d, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bounded, err := ImpliesBounded(d, sigma, q, 8)
+			if got := renderSkeleton(bounded); got != want {
+				t.Fatalf("spec %d:\n%sbuildSkeleton(d, %d):\n%s\nbuildSkeleton(d, 0):\n%s", si, sp.d, bound, got, want)
+			}
+		}
+		var qs []xfd.FD
+		if si == 0 {
+			for _, l := range ps {
+				for _, r := range ps {
+					qs = append(qs, xfd.FD{LHS: []dtd.Path{l}, RHS: []dtd.Path{r}})
+				}
+			}
+		} else {
+			for k := 0; k < 40; k++ {
+				q := xfd.FD{RHS: []dtd.Path{ps[qrng.Intn(len(ps))]}}
+				for j := 0; j < 1+qrng.Intn(2); j++ {
+					q.LHS = append(q.LHS, ps[qrng.Intn(len(ps))])
+				}
+				qs = append(qs, q)
+			}
+		}
+		for _, q := range qs {
+			want, err := Implies(sp.d, sp.sigma, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if exact.Implied != bounded.Implied {
-				t.Errorf("disagreement on %s: exact=%v bounded=%v", q, exact.Implied, bounded.Implied)
+			queries++
+			if !want.Implied {
+				refuted++
+			}
+			for _, bound := range []int{depth, above} {
+				got, err := ImpliesBounded(sp.d, sp.sigma, q, bound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Implied != want.Implied {
+					t.Fatalf("spec %d:\n%sΣ = %s\n%s at bound %d: exact=%v bounded=%v", si, sp.d, xfd.FormatSet(sp.sigma), q, bound, want.Implied, got.Implied)
+				}
+				if !want.Implied && got.Counterexample.String() != want.Counterexample.String() {
+					t.Fatalf("spec %d: %s at bound %d: bounded counterexample\n%s\nexact\n%s", si, q, bound, got.Counterexample, want.Counterexample)
+				}
 			}
 		}
 	}
+	t.Logf("%d specs (%d disjunction groups), %d queries, %d refuted", len(specs), groups, queries, refuted)
+}
+
+// renderSkeleton prints a skeleton in its pre-order, one path per line
+// with its parent, depth, kind, multiplicity, group and children, then
+// its disjunction groups, all by path name, so skeletons over
+// different universes compare as text.
+func renderSkeleton(sk *skeleton) string {
+	name := func(id paths.ID) string {
+		if id == paths.None {
+			return "-"
+		}
+		return sk.u.StringOf(id)
+	}
+	var b strings.Builder
+	for _, id := range sk.order {
+		n := sk.nodes[id]
+		fmt.Fprintf(&b, "%s parent=%s depth=%d elem=%v mult=%q group=%d kids=[", name(id), name(n.parent), n.depth, n.elem, n.mult, n.group)
+		for _, k := range n.kids {
+			b.WriteString(" " + name(k))
+		}
+		b.WriteString(" ]\n")
+	}
+	for gi, g := range sk.groups {
+		fmt.Fprintf(&b, "group %d at %s nullable=%v members=[", gi, name(g.parent), g.nullable)
+		for _, m := range g.members {
+			b.WriteString(" " + name(m))
+		}
+		b.WriteString(" ]\n")
+	}
+	return b.String()
 }
 
 // TestBoundedRelativeKeysRecursive: relative keys at two unfolded

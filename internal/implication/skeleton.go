@@ -8,155 +8,128 @@ import (
 	"xmlnorm/internal/regex"
 )
 
-// pathKind distinguishes the three kinds of paths.
-type pathKind uint8
-
-const (
-	elemPath pathKind = iota
-	attrPath
-	textPath
-)
-
-// pnode is one path of the DTD in the flattened skeleton used by the
-// closure engine. Every path of a non-recursive disjunctive DTD gets a
-// dense integer id.
+// pnode is the closure's record of one path, indexed by the path's ID
+// in the skeleton's universe.
 type pnode struct {
-	id     int
-	uid    paths.ID // the path's ID in the DTD's interned universe
-	path   dtd.Path
-	kind   pathKind
-	parent int        // id of the parent path; -1 for the root
-	mult   regex.Mult // multiplicity of this element under its parent (elemPath only; One for the root)
-	group  int        // disjunction group id, or -1 (elemPath only)
-	kids   []int      // child path ids, in enumeration order
+	parent paths.ID   // paths.None for the root
+	depth  int32      // number of steps
+	group  int32      // disjunction group index, or -1 (element paths only)
+	elem   bool       // an element path; attribute and text paths are not
+	mult   regex.Mult // multiplicity under the parent (element paths only; One for the root)
+	kids   []paths.ID // child paths, in pre-order
 }
 
 // pgroup is one simple-disjunction factor at one element path: a
 // conforming node at the parent path has exactly one child among the
 // member paths (or none, when nullable).
 type pgroup struct {
-	id       int
-	parent   int   // element path id the group hangs off
-	members  []int // element path ids of the branches
+	parent   paths.ID   // element path the group hangs off
+	members  []paths.ID // element paths of the branches
 	nullable bool
 }
 
-// skeleton is the unfolding of a non-recursive disjunctive DTD into its
-// path tree, with per-letter multiplicities and disjunction groups. It
-// carries the DTD's interned path universe: skeleton node ids are
-// DFS-ordered while universe IDs are BFS-ordered, so ofUID bridges the
-// two numberings.
+// skeleton is the unfolding of a disjunctive DTD into its path tree,
+// with per-letter multiplicities and disjunction groups. Paths are
+// named by their IDs in the skeleton's universe u alone: nodes holds
+// one record per ID, and order lists the IDs in the unfolding's
+// pre-order, every path before its extensions.
 type skeleton struct {
 	d      *dtd.DTD
 	u      *paths.Universe
-	nodes  []*pnode
-	groups []*pgroup
-	ofUID  []int // universe ID -> skeleton node id
+	nodes  []pnode
+	order  []paths.ID
+	groups []pgroup
 }
 
-// buildSkeleton unfolds the DTD. It fails if the DTD is recursive or not
-// disjunctive.
-func buildSkeleton(d *dtd.DTD) (*skeleton, error) {
-	if d.IsRecursive() {
+// buildSkeleton unfolds the DTD's path tree in pre-order. With maxDepth
+// 0 the DTD must be non-recursive, the unfolding is all of paths(D) and
+// its IDs are those of paths.New(d), the universe an Engine shares with
+// its compiled Σ and its callers. With maxDepth > 0 element children
+// stop at maxDepth steps, which makes a recursive DTD's unfolding
+// finite, and the unfolding is interned by paths.ForQuery, which
+// numbers it in pre-order. It fails if the DTD is not disjunctive.
+func buildSkeleton(d *dtd.DTD, maxDepth int) (*skeleton, error) {
+	if maxDepth == 0 && d.IsRecursive() {
 		return nil, fmt.Errorf("implication: DTD is recursive; paths(D) is infinite")
 	}
 	factors, ok := d.Factors()
 	if !ok {
 		return nil, fmt.Errorf("implication: DTD is not disjunctive; use BruteForce")
 	}
-	u, err := paths.New(d)
-	if err != nil {
-		return nil, fmt.Errorf("implication: %v", err)
+	sk := &skeleton{d: d}
+	if maxDepth == 0 {
+		u, err := paths.New(d)
+		if err != nil {
+			return nil, fmt.Errorf("implication: %v", err)
+		}
+		sk.u, sk.nodes = u, make([]pnode, u.Size())
 	}
-	sk := &skeleton{d: d, u: u, ofUID: make([]int, u.Size())}
-	// uidOf navigates the universe alongside the skeleton unfolding; both
-	// enumerate exactly paths(D), so a miss is an internal inconsistency.
-	uidOf := func(parent paths.ID, step string) paths.ID {
-		uid, ok := u.Child(parent, step)
-		if !ok {
-			panic(fmt.Sprintf("implication: skeleton path %s.%s missing from universe", u.StringOf(parent), step))
+	var unfolded []dtd.Path // the bounded unfolding's paths, in pre-order
+	var add func(path dtd.Path, parent paths.ID, elem bool, mult regex.Mult, group int32) paths.ID
+	add = func(path dtd.Path, parent paths.ID, elem bool, mult regex.Mult, group int32) paths.ID {
+		// Bounded, a path's ID is its pre-order position, the ID
+		// ForQuery gives it below. Unbounded, paths.New(d) has
+		// interned exactly paths(D), so a miss would be an internal
+		// inconsistency.
+		id := paths.ID(len(unfolded))
+		if maxDepth == 0 {
+			id = sk.u.MustLookup(path)
+		} else {
+			unfolded = append(unfolded, path)
+			sk.nodes = append(sk.nodes, pnode{})
 		}
-		return uid
-	}
-	var add func(uid paths.ID, path dtd.Path, parent int, mult regex.Mult, group int) int
-	add = func(uid paths.ID, path dtd.Path, parent int, mult regex.Mult, group int) int {
-		n := &pnode{id: len(sk.nodes), uid: uid, path: path, parent: parent, mult: mult, group: group}
-		sk.nodes = append(sk.nodes, n)
-		sk.ofUID[uid] = n.id
-		if parent >= 0 {
-			sk.nodes[parent].kids = append(sk.nodes[parent].kids, n.id)
+		sk.order = append(sk.order, id)
+		sk.nodes[id] = pnode{parent: parent, depth: int32(len(path)), group: group, elem: elem, mult: mult}
+		if parent != paths.None {
+			sk.nodes[parent].kids = append(sk.nodes[parent].kids, id)
 		}
-		elem := d.Element(path.Last())
-		// Attributes.
-		for _, a := range elem.Attrs {
-			c := &pnode{id: len(sk.nodes), uid: uidOf(uid, "@"+a), path: path.Child("@" + a), kind: attrPath, parent: n.id, group: -1}
-			sk.nodes = append(sk.nodes, c)
-			sk.ofUID[c.uid] = c.id
-			n.kids = append(n.kids, c.id)
+		if !elem {
+			return id
 		}
-		switch elem.Kind {
+		e := d.Element(path.Last())
+		for _, a := range e.Attrs {
+			add(path.Child("@"+a), id, false, regex.One, -1)
+		}
+		switch e.Kind {
 		case dtd.TextContent:
-			c := &pnode{id: len(sk.nodes), uid: uidOf(uid, dtd.TextStep), path: path.Child(dtd.TextStep), kind: textPath, parent: n.id, group: -1}
-			sk.nodes = append(sk.nodes, c)
-			sk.ofUID[c.uid] = c.id
-			n.kids = append(n.kids, c.id)
+			add(path.Child(dtd.TextStep), id, false, regex.One, -1)
 		case dtd.ModelContent:
+			if maxDepth > 0 && len(path) >= maxDepth {
+				return id // the bounded unfolding stops here
+			}
 			for _, f := range factors[path.Last()] {
 				if !f.IsDisjunction() {
 					for _, letter := range f.Alphabet() {
-						add(uidOf(uid, letter), path.Child(letter), n.id, f.Units[letter], -1)
+						add(path.Child(letter), id, true, f.Units[letter], -1)
 					}
 					continue
 				}
-				g := &pgroup{id: len(sk.groups), parent: n.id, nullable: f.Disj.Nullable}
-				sk.groups = append(sk.groups, g)
+				g := int32(len(sk.groups))
+				sk.groups = append(sk.groups, pgroup{parent: id, nullable: f.Disj.Nullable})
 				for _, letter := range f.Disj.Letters {
-					cid := add(uidOf(uid, letter), path.Child(letter), n.id, regex.OptM, g.id)
-					g.members = append(g.members, cid)
+					m := add(path.Child(letter), id, true, regex.OptM, g)
+					sk.groups[g].members = append(sk.groups[g].members, m)
 				}
 			}
 		}
-		return n.id
+		return id
 	}
-	rootUID, ok := u.Lookup(dtd.Path{d.Root()})
-	if !ok {
-		return nil, fmt.Errorf("implication: root %q missing from universe", d.Root())
+	add(dtd.Path{d.Root()}, paths.None, true, regex.One, -1)
+	if maxDepth > 0 {
+		sk.u = paths.ForQuery(unfolded)
 	}
-	add(rootUID, dtd.Path{d.Root()}, -1, regex.One, -1)
-	if len(sk.nodes) != u.Size() {
-		return nil, fmt.Errorf("implication: skeleton has %d paths but universe has %d", len(sk.nodes), u.Size())
+	if sk.u.Size() != len(sk.order) {
+		return nil, fmt.Errorf("implication: skeleton has %d paths but universe has %d", len(sk.order), sk.u.Size())
 	}
 	return sk, nil
 }
 
-// node returns the pnode for a path, or nil.
-func (sk *skeleton) node(p dtd.Path) *pnode {
-	uid, ok := sk.u.Lookup(p)
-	if !ok {
-		return nil
-	}
-	return sk.nodes[sk.ofUID[uid]]
-}
-
-// isPrefix reports whether node a's path is a (non-strict) prefix of
-// node b's path.
-func (sk *skeleton) isPrefix(a, b int) bool {
-	for b != -1 {
-		if b == a {
-			return true
-		}
-		b = sk.nodes[b].parent
-	}
-	return false
-}
-
 // lcpLen returns the number of common ancestors (inclusive) of two
-// nodes: the length of the longest common prefix of their paths. It
-// lifts the deeper node to the other's depth (a path's depth counts its
-// steps, so it is the length of its ancestor chain), then walks both
-// up together until they meet.
-func (sk *skeleton) lcpLen(a, b int) int {
-	da, db := sk.u.DepthOf(sk.nodes[a].uid), sk.u.DepthOf(sk.nodes[b].uid)
+// paths: the length of their longest common prefix. It lifts the
+// deeper path to the other's depth, then walks both up together until
+// they meet.
+func (sk *skeleton) lcpLen(a, b paths.ID) int {
+	da, db := sk.nodes[a].depth, sk.nodes[b].depth
 	for ; da > db; da-- {
 		a = sk.nodes[a].parent
 	}
@@ -167,19 +140,5 @@ func (sk *skeleton) lcpLen(a, b int) int {
 		a, b = sk.nodes[a].parent, sk.nodes[b].parent
 		da--
 	}
-	return da
-}
-
-// chain returns the ids of all ancestors of id (inclusive), root first.
-func (sk *skeleton) chain(id int) []int {
-	var rev []int
-	for id != -1 {
-		rev = append(rev, id)
-		id = sk.nodes[id].parent
-	}
-	out := make([]int, len(rev))
-	for i, v := range rev {
-		out[len(rev)-1-i] = v
-	}
-	return out
+	return int(da)
 }

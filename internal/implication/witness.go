@@ -3,6 +3,7 @@ package implication
 import (
 	"fmt"
 
+	"xmlnorm/internal/paths"
 	"xmlnorm/internal/tuples"
 	"xmlnorm/internal/xmltree"
 )
@@ -13,11 +14,9 @@ import (
 // values exactly on the derived eq set, and differ everywhere else. The
 // glued tree trees_D({t1, t2}) is the candidate counterexample; the
 // caller re-verifies it semantically. The tuples are built directly on
-// the skeleton's interned universe via the per-node path IDs.
+// the skeleton's universe, visiting paths in the skeleton's pre-order,
+// which numbers the fresh values v1, v2, … a counterexample prints.
 func realize(s *state) (*xmltree.Tree, error) {
-	n := len(s.sk.nodes)
-	// Shared values for eq paths, per-tuple values otherwise.
-	sharedNode := make([]xmltree.NodeID, n)
 	t1 := tuples.NewTuple(s.sk.u)
 	t2 := tuples.NewTuple(s.sk.u)
 	valueCounter := 0
@@ -25,33 +24,26 @@ func realize(s *state) (*xmltree.Tree, error) {
 		valueCounter++
 		return fmt.Sprintf("v%d", valueCounter)
 	}
-	for id, pn := range s.sk.nodes {
-		switch {
-		case s.nn1[id] && s.nn2[id] && s.eq[id]:
-			if pn.kind == elemPath {
-				sharedNode[id] = xmltree.FreshID()
-				t1.SetID(pn.uid, tuples.NodeValue(sharedNode[id]))
-				t2.SetID(pn.uid, tuples.NodeValue(sharedNode[id]))
-			} else {
-				v := fresh()
-				t1.SetID(pn.uid, tuples.StringValue(v))
-				t2.SetID(pn.uid, tuples.StringValue(v))
-			}
-		default:
-			if s.nn1[id] {
-				if pn.kind == elemPath {
-					t1.SetID(pn.uid, tuples.NodeValue(xmltree.FreshID()))
-				} else {
-					t1.SetID(pn.uid, tuples.StringValue(fresh()))
-				}
-			}
-			if s.nn2[id] {
-				if pn.kind == elemPath {
-					t2.SetID(pn.uid, tuples.NodeValue(xmltree.FreshID()))
-				} else {
-					t2.SetID(pn.uid, tuples.StringValue(fresh()))
-				}
-			}
+	// value returns a fresh vertex for an element path, a fresh string
+	// value otherwise.
+	value := func(id paths.ID) tuples.Value {
+		if s.sk.nodes[id].elem {
+			return tuples.NodeValue(xmltree.FreshID())
+		}
+		return tuples.StringValue(fresh())
+	}
+	for _, id := range s.sk.order {
+		if s.nn1[id] && s.nn2[id] && s.eq[id] {
+			v := value(id) // shared by both tuples
+			t1.SetID(id, v)
+			t2.SetID(id, v)
+			continue
+		}
+		if s.nn1[id] {
+			t1.SetID(id, value(id))
+		}
+		if s.nn2[id] {
+			t2.SetID(id, value(id))
 		}
 	}
 	return tuples.TreesOf(s.sk.d, []tuples.Tuple{t1, t2})

@@ -31,6 +31,11 @@ func IsNNF(s *Schema, fds []relational.FD) (bool, []NNFViolation, error) {
 	if err != nil {
 		return false, nil, err
 	}
+	// (D, ∅) over the same skeleton decides triviality.
+	triv, err := eng.WithSigma(nil)
+	if err != nil {
+		return false, nil, err
+	}
 	attrs := s.AtomicAttrs()
 	var viols []NNFViolation
 	// Enumerate all non-empty X ⊆ attrs and each A ∉ X.
@@ -55,11 +60,11 @@ func IsNNF(s *Schema, fds []relational.FD) (bool, []NNFViolation, error) {
 			}
 			q := xfd.FD{LHS: xPaths, RHS: []dtd.Path{aPath}}
 			// Non-trivial: not implied by the DTD alone.
-			trivial, err := implication.Trivial(d, q)
+			trivial, err := triv.Implies(q)
 			if err != nil {
 				return false, nil, err
 			}
-			if trivial {
+			if trivial.Implied {
 				continue
 			}
 			ans, err := eng.Implies(q)

@@ -62,18 +62,6 @@ func (m Mult) withMany() Mult {
 	return m
 }
 
-// union returns the weakest multiplicity covering both operands.
-func (m Mult) union(o Mult) Mult {
-	r := m
-	if o.AllowsZero() {
-		r = r.withZero()
-	}
-	if o.AllowsMany() {
-		r = r.withMany()
-	}
-	return r
-}
-
 // Counts is an occurrence-count interval for one letter: Lo is the
 // minimum number of occurrences over all words (capped at 2), Hi is the
 // maximum (capped at 2, where 2 stands for "two or more"; Unbounded

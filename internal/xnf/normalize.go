@@ -226,10 +226,10 @@ func minimize(eng *engine.Engine, f xfd.FD) (xfd.FD, error) {
 // definition: subsets S' of {q, p1, ..., pn, p0.@l0, ..., pn.@ln} with
 // |S'| ≤ n and at most one element path, targeting any pᵢ.@lᵢ. The
 // candidates are interned into the engine's path universe up front;
-// the enumeration then manipulates integer IDs and tests membership on
-// bitsets, rendering each subset back to paths only when it is about to
-// be queried. The enumeration order is identical to the historical
-// path-slice recursion.
+// the enumeration then manipulates integer IDs, tests membership on
+// bitsets and asks the engine by ID, rendering a subset back to paths
+// only when it is the answer. The enumeration order is identical to
+// the historical path-slice recursion.
 func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool, error) {
 	u := eng.Universe()
 	rhs := u.MustLookup(f.RHS[0])
@@ -289,15 +289,14 @@ func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool, error) {
 			if spSet.Has(target) || fRHS.Count() == 1 && fRHS.Has(target) && spSet.Equal(fLHS) {
 				continue // trivial, or f itself
 			}
-			cand := xfd.FD{LHS: idPaths(u, sp), RHS: []dtd.Path{u.PathOf(target)}}
-			implied, err := eng.Implied(cand)
+			implied, err := eng.ImpliedIDs(spSet, target)
 			if err != nil {
 				return xfd.FD{}, false, err
 			}
 			if !implied {
 				continue
 			}
-			trivial, err := eng.Trivial(cand)
+			trivial, err := eng.TrivialIDs(spSet, target)
 			if err != nil {
 				return xfd.FD{}, false, err
 			}
@@ -305,14 +304,14 @@ func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool, error) {
 				continue
 			}
 			// Anomalous: S' must not determine the parent element.
-			parent, err := eng.Implied(xfd.FD{LHS: cand.LHS, RHS: []dtd.Path{u.PathOf(u.ParentOf(target))}})
+			parent, err := eng.ImpliedIDs(spSet, u.ParentOf(target))
 			if err != nil {
 				return xfd.FD{}, false, err
 			}
 			if parent {
 				continue
 			}
-			return cand, true, nil
+			return xfd.FD{LHS: idPaths(u, sp), RHS: []dtd.Path{u.PathOf(target)}}, true, nil
 		}
 	}
 	return xfd.FD{}, false, nil
