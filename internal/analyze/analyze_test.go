@@ -14,7 +14,7 @@ import (
 	"xmlnorm/internal/xnf"
 )
 
-func load(t *testing.T, name string) string {
+func load(t testing.TB, name string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("../../testdata", name))
 	if err != nil {
@@ -167,7 +167,7 @@ func TestAnalyzeDBLP(t *testing.T) {
 }
 
 // loadSpec reads a testdata "DTD %% FDs" spec file.
-func loadSpec(t *testing.T, name string) xnf.Spec {
+func loadSpec(t testing.TB, name string) xnf.Spec {
 	t.Helper()
 	text := load(t, name)
 	parts := strings.SplitN(text, "\n%%\n", 2)
@@ -183,4 +183,30 @@ func loadSpec(t *testing.T, name string) xnf.Spec {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// BenchmarkAnalyze runs the whole analysis on the specs of the
+// repository benchmark's analyze_specs workload: the paper's courses
+// and dblp specs, and the chain family at depths 7 (whose 4XNF image
+// sweeps 14 value columns) and 18 (whose key search, cover and
+// certified refutations dominate), each with a fresh engine per pass.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		spec xnf.Spec
+	}{
+		{"courses", loadSpec(b, "courses.spec")},
+		{"dblp", loadSpec(b, "dblp.spec")},
+		{"chain-7", xnf.Spec{DTD: gen.ChainDTD(7, 2), FDs: gen.ChainFDs(7, 2)}},
+		{"chain-18", xnf.Spec{DTD: gen.ChainDTD(18, 2), FDs: gen.ChainFDs(18, 2)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Analyze(c.spec, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -45,8 +45,9 @@ type assignment struct {
 	b1, b2 []paths.ID // indexed by group
 }
 
-// state is the proposition state of one closure run. Every per-path
-// slice is indexed by paths.ID.
+// state is the proposition state of a closure run; a query resets one
+// state for each branch assignment. Every per-path slice is indexed by
+// paths.ID.
 type state struct {
 	sk         *skeleton
 	sigma      []compiledFD
@@ -71,21 +72,34 @@ type compiledFD struct {
 	lcp []int
 }
 
-// newState initializes the propositions for hypothesis hyp (asserted
-// equal and non-null in both tuples) and goal (asserted non-null in t1,
-// with its whole chain, so that a violation t1.goal ≠ t2.goal is
-// possible).
-func newState(sk *skeleton, sigma []compiledFD, asg assignment, hyp paths.Set, goal paths.ID) *state {
+// newState allocates the proposition state of closure runs over sk
+// and Σ: one backing array for the five per-path bool slices, one for
+// maxOk. A query builds one and resets it for each branch assignment.
+func newState(sk *skeleton, sigma []compiledFD) *state {
 	n := len(sk.nodes)
-	s := &state{
-		sk: sk, sigma: sigma, asg: asg,
-		eq:  make([]bool, n),
-		nn1: make([]bool, n), nn2: make([]bool, n),
-		forced1: make([]bool, n), forced2: make([]bool, n),
+	flags := make([]bool, 5*n)
+	return &state{
+		sk: sk, sigma: sigma,
+		eq:  flags[:n],
+		nn1: flags[n : 2*n], nn2: flags[2*n : 3*n],
+		forced1: flags[3*n : 4*n], forced2: flags[4*n:],
 		maxOk: make([]int, n),
 	}
+}
+
+// reset clears the state and initializes the propositions for branch
+// assignment asg, hypothesis hyp (asserted equal and non-null in both
+// tuples) and goal (asserted non-null in t1, with its whole chain, so
+// that a violation t1.goal ≠ t2.goal is possible).
+func (s *state) reset(asg assignment, hyp paths.Set, goal paths.ID) {
+	clear(s.eq)
+	clear(s.nn1)
+	clear(s.nn2)
+	clear(s.forced1)
+	clear(s.forced2) // maxOk needs no clearing: run recomputes it before every use
+	s.asg, s.infeasible, s.rounds = asg, false, 0
 	s.computeForced()
-	root := sk.order[0] // t1.r = t2.r = the root vertex
+	root := s.sk.order[0] // t1.r = t2.r = the root vertex
 	s.markEq(root)
 	s.markNN(root, true)
 	s.markNN(root, false)
@@ -94,34 +108,34 @@ func newState(sk *skeleton, sigma []compiledFD, asg assignment, hyp paths.Set, g
 		s.markNN(h, true)
 		s.markNN(h, false)
 	})
-	for p := goal; p != paths.None; p = sk.nodes[p].parent {
+	for p := goal; p != paths.None; p = s.sk.nodes[p].parent {
 		s.markNN(p, true)
 	}
-	return s
 }
 
 // computeForced derives the forced-⊥ sets from the assignment: each
 // unchosen branch of each group, together with its whole subtree.
 func (s *state) computeForced() {
-	var forceDown func(forced []bool, id paths.ID)
-	forceDown = func(forced []bool, id paths.ID) {
-		if forced[id] {
-			return
-		}
-		forced[id] = true
-		for _, k := range s.sk.nodes[id].kids {
-			forceDown(forced, k)
-		}
-	}
 	for gi, g := range s.sk.groups {
 		for _, m := range g.members {
 			if s.asg.b1[gi] != m {
-				forceDown(s.forced1, m)
+				s.forceDown(s.forced1, m)
 			}
 			if s.asg.b2[gi] != m {
-				forceDown(s.forced2, m)
+				s.forceDown(s.forced2, m)
 			}
 		}
+	}
+}
+
+// forceDown forces id and its whole subtree to ⊥ in forced.
+func (s *state) forceDown(forced []bool, id paths.ID) {
+	if forced[id] {
+		return
+	}
+	forced[id] = true
+	for _, k := range s.sk.nodes[id].kids {
+		s.forceDown(forced, k)
 	}
 }
 

@@ -199,7 +199,9 @@ func randomSigma(rng *rand.Rand, ps []dtd.Path, n int) []xfd.FD {
 // random specs with disjunction groups, random simple DTDs with random
 // Σ, and the chain family at depths 2–18 — every branch assignment
 // must close to the same feasibility as the parents-first loop, to the
-// same eq, nn1 and nn2 state when feasible, and in no more rounds.
+// same eq, nn1 and nn2 state when feasible, and in no more rounds. The
+// state under test is reset for each assignment of a pair, as a query
+// reuses it; the reference state is fresh each time.
 func TestRunMatchesParentsFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(20020604))
 	type spec struct {
@@ -240,9 +242,15 @@ func TestRunMatchesParentsFirst(t *testing.T) {
 		}
 		goal := paths.ID(rng.Intn(len(sk.nodes)))
 		pairs++
+		got := newState(sk, compiled) // reset for every assignment, as a query does
 		for ai, asg := range enumerateAssignments(sk) {
-			got := newState(sk, compiled, asg, hyp, goal)
-			want := newState(sk, compiled, asg, hyp, goal)
+			got.reset(asg, hyp, goal)
+			want := newState(sk, compiled)
+			want.reset(asg, hyp, goal)
+			where := fmt.Sprintf("spec %d, assignment %d:\n%sΣ = %s\nhyp %v goal %d", si, ai, sp.d, xfd.FormatSet(sp.sigma), hyp.IDs(), goal)
+			if got.infeasible != want.infeasible {
+				t.Fatalf("%s: infeasible after reset = %v, fresh state %v", where, got.infeasible, want.infeasible)
+			}
 			if got.infeasible {
 				continue
 			}
@@ -251,7 +259,6 @@ func TestRunMatchesParentsFirst(t *testing.T) {
 			rounds, wantFeasible := want.runParentsFirst()
 			newRounds += got.rounds
 			refRounds += rounds
-			where := fmt.Sprintf("spec %d, assignment %d:\n%sΣ = %s\nhyp %v goal %d", si, ai, sp.d, xfd.FormatSet(sp.sigma), hyp.IDs(), goal)
 			if feasible != wantFeasible {
 				t.Fatalf("%s: feasible = %v, parents-first %v", where, feasible, wantFeasible)
 			}
@@ -327,4 +334,37 @@ func chain(sk *skeleton, id paths.ID) []paths.ID {
 	}
 	slices.Reverse(out)
 	return out
+}
+
+// TestImpliesIDsAllocs: a query builds one closure state and resets it
+// for each branch assignment, so its allocations do not grow with the
+// number of assignments. On gen.DisjunctiveDTD with 1–4 groups (N_D 2
+// to 16, so 4 to 256 assignments), an implied query allocates the same
+// handful of objects at every size.
+func TestImpliesIDsAllocs(t *testing.T) {
+	sigma := []xfd.FD{{LHS: []dtd.Path{{"r", "p", "@k"}}, RHS: []dtd.Path{{"r", "p"}}}}
+	q := xfd.FD{LHS: []dtd.Path{{"r", "p", "@k"}}, RHS: []dtd.Path{{"r", "p", "b0_0", "@v"}}}
+	var first float64
+	for groups := 1; groups <= 4; groups++ {
+		eng, err := NewEngine(gen.DisjunctiveDTD(groups, 2), sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lhs, rhs, err := eng.Resolve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans := eng.ImpliesIDs(lhs, rhs); !ans.Implied {
+			t.Fatalf("%d groups: %s not implied", groups, q)
+		}
+		allocs := testing.AllocsPerRun(20, func() { eng.ImpliesIDs(lhs, rhs) })
+		t.Logf("%d groups, %d assignments: %.0f allocations per query", groups, len(eng.asgs), allocs)
+		if groups == 1 {
+			first = allocs
+		}
+		if allocs > first || allocs >= 100 {
+			t.Errorf("%d groups, %d assignments: %.0f allocations per query, %.0f with one group; want no growth, under 100",
+				groups, len(eng.asgs), allocs, first)
+		}
+	}
 }

@@ -225,10 +225,13 @@ func compileFDs(sk *skeleton, sigma []xfd.FD) ([]compiledFD, error) {
 // a scenario that fails realization is treated as no refutation (this
 // never occurred across the randomized cross-validation suite, see
 // closure_test.go, but keeps negative answers trustworthy by
-// construction). lhs is only read.
+// construction). lhs is only read. The query builds one closure state
+// and resets it for each assignment; a realized counterexample is a
+// fresh tree that shares nothing with it.
 func (e *Engine) ImpliesIDs(lhs paths.Set, rhs paths.ID) Answer {
+	st := newState(e.sk, e.compiled)
 	for _, asg := range e.asgs {
-		st := newState(e.sk, e.compiled, asg, lhs, rhs)
+		st.reset(asg, lhs, rhs)
 		if st.infeasible {
 			continue
 		}

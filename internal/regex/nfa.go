@@ -1,41 +1,50 @@
 package regex
 
-// Thompson-style NFA construction and subset-simulation matching over
+import "math/bits"
+
+// Thompson-style NFA construction and bit-set simulation matching over
 // element-name alphabets. Used for DTD conformance checking (Definition 3)
 // and for the exact sub-tests of the simplicity classifier.
 
-// nfa is a nondeterministic finite automaton with ε-transitions.
+// nfa is a nondeterministic finite automaton with ε-transitions. A
+// Thompson NFA gives each state at most one letter transition: state s
+// moves on letter index letter[s] (-1 for none) to state next[s].
 type nfa struct {
-	start, accept int
-	eps           [][]int          // eps[s] = states reachable by ε from s
-	trans         []map[string]int // trans[s][letter] = next state (Thompson NFAs have ≤1 per letter)
+	start, accept int32
+	eps           [][]int32 // eps[s] = states reachable by one ε-edge from s
+	letter        []int32
+	next          []int32
+	letters       map[string]int32 // letter name -> index
 }
 
-// Compile builds an NFA recognizing the language of e.
+// Compile builds an NFA recognizing the language of e. Its letters are
+// numbered here, once, so matching looks each input letter up once.
 func Compile(e *Expr) *Matcher {
-	n := &nfa{}
-	s, a := n.build(e)
-	n.start, n.accept = s, a
+	n := &nfa{letters: map[string]int32{}}
+	n.start, n.accept = n.build(e)
 	return &Matcher{n: n}
 }
 
-func (n *nfa) newState() int {
+func (n *nfa) newState() int32 {
 	n.eps = append(n.eps, nil)
-	n.trans = append(n.trans, nil)
-	return len(n.eps) - 1
+	n.letter = append(n.letter, -1)
+	n.next = append(n.next, -1)
+	return int32(len(n.eps) - 1)
 }
 
-func (n *nfa) addEps(from, to int) { n.eps[from] = append(n.eps[from], to) }
+func (n *nfa) addEps(from, to int32) { n.eps[from] = append(n.eps[from], to) }
 
-func (n *nfa) addTrans(from int, letter string, to int) {
-	if n.trans[from] == nil {
-		n.trans[from] = map[string]int{}
+func (n *nfa) addTrans(from int32, letter string, to int32) {
+	li, ok := n.letters[letter]
+	if !ok {
+		li = int32(len(n.letters))
+		n.letters[letter] = li
 	}
-	n.trans[from][letter] = to
+	n.letter[from], n.next[from] = li, to
 }
 
 // build returns (start, accept) states for e.
-func (n *nfa) build(e *Expr) (int, int) {
+func (n *nfa) build(e *Expr) (int32, int32) {
 	switch e.Kind {
 	case KindEmpty:
 		s, a := n.newState(), n.newState()
@@ -94,39 +103,71 @@ type Matcher struct {
 	n *nfa
 }
 
-// Match reports whether the word is in the language.
+// smallWords is the size, in 64-bit words, up to which Match keeps its
+// two state sets and its ε-walk stack on the goroutine stack: NFAs of
+// up to 256 states match without allocating.
+const smallWords = 4
+
+// Match reports whether the word is in the language. It simulates the
+// NFA on state bit sets: each letter moves the current set along the
+// states' letter transitions into the next set, which is then closed
+// under ε-edges. Memory stays linear in the NFA: two sets of one bit
+// per state and a walk stack of at most one entry per state.
 func (m *Matcher) Match(word []string) bool {
-	cur := m.closure(map[int]bool{m.n.start: true})
-	for _, letter := range word {
-		next := map[int]bool{}
-		for s := range cur {
-			if to, ok := m.n.trans[s][letter]; ok {
-				next[to] = true
+	n := m.n
+	words := (len(n.letter) + 63) / 64
+	var sets [2 * smallWords]uint64
+	var stackBuf [64 * smallWords]int32
+	var cur, next []uint64
+	stack := stackBuf[:0]
+	if words <= smallWords {
+		cur, next = sets[:words:words], sets[smallWords:smallWords+words]
+	} else {
+		cur, next, stack = make([]uint64, words), make([]uint64, words), make([]int32, 0, len(n.letter))
+	}
+	stack = n.add(cur, stack, n.start)
+	for _, w := range word {
+		li, ok := n.letters[w]
+		if !ok {
+			return false // a letter outside the alphabet has no transition
+		}
+		clear(next)
+		moved := false
+		for i, set := range cur {
+			for ; set != 0; set &= set - 1 {
+				s := i*64 + bits.TrailingZeros64(set)
+				if n.letter[s] == li {
+					stack = n.add(next, stack, n.next[s])
+					moved = true
+				}
 			}
 		}
-		if len(next) == 0 {
+		if !moved {
 			return false
 		}
-		cur = m.closure(next)
+		cur, next = next, cur
 	}
-	return cur[m.n.accept]
+	return cur[n.accept>>6]&(1<<(n.accept&63)) != 0
 }
 
-// closure expands a state set under ε-transitions, in place.
-func (m *Matcher) closure(set map[int]bool) map[int]bool {
-	stack := make([]int, 0, len(set))
-	for s := range set {
-		stack = append(stack, s)
+// add puts state s and every state its ε-edges reach into set, by a
+// stack walk whose visited set is set itself. stack is the walk's
+// scratch space; it is returned empty, for reuse.
+func (n *nfa) add(set []uint64, stack []int32, s int32) []int32 {
+	if set[s>>6]&(1<<(s&63)) != 0 {
+		return stack
 	}
+	set[s>>6] |= 1 << (s & 63)
+	stack = append(stack, s)
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, t := range m.n.eps[s] {
-			if !set[t] {
-				set[t] = true
+		for _, t := range n.eps[s] {
+			if set[t>>6]&(1<<(t&63)) == 0 {
+				set[t>>6] |= 1 << (t & 63)
 				stack = append(stack, t)
 			}
 		}
 	}
-	return set
+	return stack
 }

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -158,117 +159,73 @@ func TrivialMVD(m MVD, u AttrSet) bool {
 // DependencyBasis computes the dependency basis of X over the universe
 // U under the given FDs and MVDs (Beeri's algorithm): the unique
 // partition of U − X such that X →→ Y holds iff Y is a union of blocks
-// (together with subsets of X). FDs contribute X → A as X →→ A.
+// (together with subsets of X). FDs contribute X → A as X →→ A. The
+// blocks are sorted by their rendering. It runs on the column-mask
+// kernel, so U together with every other attribute X and the
+// dependencies name may hold at most 64 attributes; a larger universe
+// panics.
 func DependencyBasis(x AttrSet, u AttrSet, fds []FD, mvds []MVD) []AttrSet {
-	// Start with a single block U − X, refine with the dependencies.
-	rest := u.Minus(x)
-	if len(rest) == 0 {
+	k := newMaskKernel(u.Sorted(), fds, mvds, x)
+	xm := k.mask(x)
+	blocks := k.basis(xm, k.closure(xm), k.mask(u))
+	if len(blocks) == 0 {
 		return nil
 	}
-	blocks := []AttrSet{rest.Clone()}
-	deps := append([]MVD{}, mvds...)
-	for _, f := range fds {
-		// An FD X' → Y is the MVD X' →→ A for each A ∈ Y, and also
-		// splits singletons; treating it as an MVD is sound for the
-		// basis computation.
-		deps = append(deps, MVD{LHS: f.LHS.Clone(), RHS: f.RHS.Clone()})
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, d := range deps {
-			// Standard refinement: if some block B intersects both
-			// d.RHS' and its complement where d applies, split it.
-			// d applies to a block B when d.LHS ∩ B = ∅ is not required
-			// in general; we use the textbook condition: if
-			// B ∩ d.LHS = ∅ and B intersects both d.RHS and U − d.LHS − d.RHS,
-			// replace B by B ∩ W and B − W where W = d.RHS.
-			var next []AttrSet
-			for _, b := range blocks {
-				inter := b.Intersect(d.LHS)
-				if len(inter) != 0 {
-					next = append(next, b)
-					continue
-				}
-				in := b.Intersect(d.RHS)
-				outSide := b.Minus(d.RHS)
-				if len(in) > 0 && len(outSide) > 0 {
-					next = append(next, in, outSide)
-					changed = true
-				} else {
-					next = append(next, b)
-				}
-			}
-			blocks = next
-		}
-		// FD singletons: every A with A ∈ Closure(x) − x is its own block.
-		cl := Closure(x, fds).Intersect(u).Minus(x)
-		var next []AttrSet
-		for _, b := range blocks {
-			det := b.Intersect(cl)
-			rest := b.Minus(cl)
-			if len(det) > 0 && (len(rest) > 0 || len(det) > 1) {
-				for _, a := range det.Sorted() {
-					next = append(next, NewAttrSet(a))
-				}
-				if len(rest) > 0 {
-					next = append(next, rest)
-				}
-				changed = changed || len(rest) > 0 || len(det) > 1
-			} else {
-				next = append(next, b)
-			}
-		}
-		blocks = next
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].String() < blocks[j].String() })
-	return blocks
+	return k.sortedSets(blocks)
 }
 
 // ImpliesMVD decides whether X →→ Y follows from the FDs and MVDs over
-// the universe U, via the dependency basis.
+// the universe U, via the dependency basis: it does when it is trivial
+// or Y − X is a union of basis blocks. The universe limit of
+// DependencyBasis applies, with q's attributes counted too.
 func ImpliesMVD(u AttrSet, fds []FD, mvds []MVD, q MVD) bool {
-	if TrivialMVD(q, u) {
-		return true
+	k := newMaskKernel(u.Sorted(), fds, mvds, q.LHS, q.RHS)
+	um, x, y := k.mask(u), k.mask(q.LHS), k.mask(q.RHS)
+	if y&^x == 0 || x|y == um {
+		return true // trivial: Y ⊆ X or X ∪ Y = U, as TrivialMVD
 	}
-	basis := DependencyBasis(q.LHS, u, fds, mvds)
-	target := q.RHS.Minus(q.LHS)
-	covered := AttrSet{}
-	for _, b := range basis {
-		if target.ContainsAll(b) {
-			covered = covered.Union(b)
+	target, covered := y&^x, uint64(0)
+	for _, b := range k.basis(x, k.closure(x), um) {
+		if b&^target == 0 {
+			covered |= b
 		}
 	}
-	return covered.Equal(target)
+	return covered == target
 }
 
 // Is4NF checks fourth normal form: for every non-trivial implied MVD
 // X →→ Y over the schema, X is a superkey. It sweeps attribute subsets
-// by increasing size and skips any subset containing an LHS already
-// found to violate: such an X only repeats its subset's defect. The
-// violations returned are therefore exactly those with an
-// inclusion-minimal LHS, in sweep order; the verdict and the first
-// violation are those of the exhaustive sweep.
+// by increasing size, each size in lexicographic order over the sorted
+// names, and skips any subset containing an LHS already found to
+// violate: such an X only repeats its subset's defect. The violations
+// returned are therefore exactly those with an inclusion-minimal LHS,
+// in sweep order, each subset's blocks sorted by their rendering; the
+// verdict and the first violation are those of the exhaustive sweep.
+//
+// The sweep runs on column masks: the schema's attributes in sorted
+// order, then any other attribute a dependency names, one bit each, so
+// together they may number at most 64; a larger universe panics. A
+// subset that yields no violation allocates nothing.
 func Is4NF(s Schema, fds []FD, mvds []MVD) (bool, []MVD) {
-	var viols []MVD
 	attrs := s.Attrs.Sorted()
-	for size := 1; size < len(attrs); size++ {
-		subsets(attrs, size, func(sub []string) {
-			x := NewAttrSet(sub...)
-			for _, v := range viols {
-				if x.ContainsAll(v.LHS) {
-					return
-				}
+	k := newMaskKernel(attrs, fds, mvds)
+	n := len(attrs)
+	all := k.mask(s.Attrs)
+	bit := make([]uint64, n) // bit[i] is the mask of attrs[i]
+	for i := range bit {
+		bit[i] = 1 << i
+	}
+	var viols []MVD
+	var bad []uint64 // the violating LHSs found so far
+	for size := 1; size < n; size++ {
+		subsets(bit, size, func(sub []uint64) {
+			x := uint64(0)
+			for _, b := range sub {
+				x |= b
 			}
-			if IsSuperkey(x, s, fds) {
-				return
-			}
-			for _, b := range DependencyBasis(x, s.Attrs, fds, mvds) {
-				m := MVD{LHS: x, RHS: b}
-				if TrivialMVD(m, s.Attrs) {
-					continue
-				}
-				viols = append(viols, m)
+			if v := k.violations(x, all, bad); v != nil {
+				viols = append(viols, v...)
+				bad = append(bad, x)
 			}
 		})
 	}
@@ -278,6 +235,8 @@ func Is4NF(s Schema, fds []FD, mvds []MVD) (bool, []MVD) {
 // Decompose4NF splits on 4NF-violating MVDs until every fragment is in
 // 4NF (with dependencies projected naively: FDs via Project, MVDs kept
 // when their attributes survive — the standard textbook treatment).
+// Each split is Is4NF's first violation, so Is4NF's limit of 64
+// attributes applies.
 func Decompose4NF(s Schema, fds []FD, mvds []MVD) []Schema {
 	ok, viols := Is4NF(s, fds, mvds)
 	if ok || len(s.Attrs) <= 2 {
@@ -298,5 +257,192 @@ func Decompose4NF(s Schema, fds []FD, mvds []MVD) []Schema {
 	var out []Schema
 	out = append(out, Decompose4NF(left, Project(fds, left.Attrs), projectMVDs(left.Attrs))...)
 	out = append(out, Decompose4NF(right, Project(fds, right.Attrs), projectMVDs(right.Attrs))...)
+	return out
+}
+
+// maxMaskAttrs is the most attributes the 4NF kernel can number: one
+// bit of a uint64 column mask each.
+const maxMaskAttrs = 64
+
+// maskDep is a dependency compiled to column masks.
+type maskDep struct{ lhs, rhs uint64 }
+
+// maskKernel runs the 4NF sweep and the dependency basis on column
+// masks over one numbered universe. Its block buffers are reused from
+// one basis to the next, so one kernel serves one goroutine.
+type maskKernel struct {
+	names []string       // bit i is attribute names[i]
+	bit   map[string]int // the inverse of names
+	fds   []maskDep      // the FDs, for closures
+	deps  []maskDep      // the MVDs, then the FDs: the refinement order
+	// blocks and next hold a basis under refinement; at most 64 blocks
+	// each, so they never grow.
+	blocks, next []uint64
+}
+
+// newMaskKernel numbers first (sorted names) as bits 0, 1, …, then
+// every other attribute the dependencies or more name, sorted, and
+// compiles each FD and MVD to one mask pair. It panics when the
+// universe exceeds maxMaskAttrs.
+func newMaskKernel(first []string, fds []FD, mvds []MVD, more ...AttrSet) *maskKernel {
+	k := &maskKernel{names: first, bit: make(map[string]int, len(first))}
+	for i, a := range first {
+		k.bit[a] = i
+	}
+	others := AttrSet{}
+	note := func(s AttrSet) {
+		for a := range s {
+			if _, ok := k.bit[a]; !ok {
+				others[a] = true
+			}
+		}
+	}
+	for _, f := range fds {
+		note(f.LHS)
+		note(f.RHS)
+	}
+	for _, m := range mvds {
+		note(m.LHS)
+		note(m.RHS)
+	}
+	for _, s := range more {
+		note(s)
+	}
+	if n := len(first) + len(others); n > maxMaskAttrs {
+		panic(fmt.Sprintf("relational: %d attributes exceed the 4NF kernel's limit of %d (one bit of a uint64 each)", n, maxMaskAttrs))
+	}
+	k.names = append(k.names[:len(first):len(first)], others.Sorted()...)
+	for i, a := range k.names[len(first):] {
+		k.bit[a] = len(first) + i
+	}
+	for _, m := range mvds {
+		k.deps = append(k.deps, maskDep{k.mask(m.LHS), k.mask(m.RHS)})
+	}
+	for _, f := range fds {
+		d := maskDep{k.mask(f.LHS), k.mask(f.RHS)}
+		k.fds = append(k.fds, d)
+		k.deps = append(k.deps, d)
+	}
+	k.blocks = make([]uint64, 0, maxMaskAttrs)
+	k.next = make([]uint64, 0, maxMaskAttrs)
+	return k
+}
+
+// mask returns the bits of a set's attributes, which must be numbered.
+func (k *maskKernel) mask(s AttrSet) uint64 {
+	m := uint64(0)
+	for a := range s {
+		m |= 1 << k.bit[a]
+	}
+	return m
+}
+
+// set returns the attributes of a mask.
+func (k *maskKernel) set(m uint64) AttrSet {
+	s := make(AttrSet, bits.OnesCount64(m))
+	for ; m != 0; m &= m - 1 {
+		s[k.names[bits.TrailingZeros64(m)]] = true
+	}
+	return s
+}
+
+// sortedSets converts basis blocks to attribute sets sorted by their
+// rendering.
+func (k *maskKernel) sortedSets(blocks []uint64) []AttrSet {
+	out := make([]AttrSet, len(blocks))
+	for i, b := range blocks {
+		out[i] = k.set(b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	return out
+}
+
+// closure computes X⁺ under the FDs (the standard fixpoint).
+func (k *maskKernel) closure(x uint64) uint64 {
+	for changed := true; changed; {
+		changed = false
+		for _, f := range k.fds {
+			if x&f.lhs == f.lhs && x&f.rhs != f.rhs {
+				x |= f.rhs
+				changed = true
+			}
+		}
+	}
+	return x
+}
+
+// basis refines U − X into the dependency basis of X, whose closure
+// X⁺ is xplus, and returns its blocks in refinement order, in a buffer
+// the next call reuses. Each
+// pass splits, dependency by dependency, every block B with
+// B ∩ LHS = ∅ that the RHS cuts into B ∩ RHS and B − RHS; then every
+// attribute of X⁺ − X becomes a singleton block, in sorted order ahead
+// of its block's rest. Passes repeat until one changes nothing.
+func (k *maskKernel) basis(x, xplus, u uint64) []uint64 {
+	rest := u &^ x
+	if rest == 0 {
+		return nil
+	}
+	det := xplus & rest
+	blocks, next := append(k.blocks[:0], rest), k.next
+	for changed := true; changed; {
+		changed = false
+		for _, d := range k.deps {
+			next = next[:0]
+			for _, b := range blocks {
+				in, out := b&d.rhs, b&^d.rhs
+				if b&d.lhs == 0 && in != 0 && out != 0 {
+					next = append(next, in, out)
+					changed = true
+				} else {
+					next = append(next, b)
+				}
+			}
+			blocks, next = next, blocks
+		}
+		next = next[:0]
+		for _, b := range blocks {
+			fd, rest := b&det, b&^det
+			if fd == 0 || (rest == 0 && fd&(fd-1) == 0) {
+				next = append(next, b)
+				continue
+			}
+			for ; fd != 0; fd &= fd - 1 {
+				next = append(next, fd&-fd)
+			}
+			if rest != 0 {
+				next = append(next, rest)
+			}
+			changed = true
+		}
+		blocks, next = next, blocks
+	}
+	k.blocks, k.next = blocks, next
+	return blocks
+}
+
+// violations decides one subset X of the sweep over the schema all:
+// nil when X contains a violating LHS in bad, is a superkey, or has
+// only the trivial basis block all − X; otherwise the violations
+// X →→ B, one per basis block, sorted by rendering.
+func (k *maskKernel) violations(x, all uint64, bad []uint64) []MVD {
+	for _, v := range bad {
+		if x&v == v {
+			return nil
+		}
+	}
+	xplus := k.closure(x)
+	if xplus&all == all {
+		return nil // superkey
+	}
+	blocks := k.basis(x, xplus, all)
+	if len(blocks) < 2 {
+		return nil // one block, all − X: trivial
+	}
+	lhs := k.set(x)
+	out := make([]MVD, 0, len(blocks))
+	for _, b := range k.sortedSets(blocks) {
+		out = append(out, MVD{LHS: lhs, RHS: b})
+	}
 	return out
 }

@@ -186,17 +186,18 @@ func Keys(s Schema, fds []FD) []AttrSet {
 	return keys
 }
 
-// subsets calls fn for each size-k subset of attrs.
-func subsets(attrs []string, k int, fn func([]string)) {
-	sub := make([]string, 0, k)
+// subsets calls fn for each size-k subset of items, in lexicographic
+// order over their positions, reusing one slice for every subset.
+func subsets[T any](items []T, k int, fn func([]T)) {
+	sub := make([]T, 0, k)
 	var rec func(start int)
 	rec = func(start int) {
 		if len(sub) == k {
 			fn(sub)
 			return
 		}
-		for i := start; i < len(attrs); i++ {
-			sub = append(sub, attrs[i])
+		for i := start; i < len(items); i++ {
+			sub = append(sub, items[i])
 			rec(i + 1)
 			sub = sub[:len(sub)-1]
 		}

@@ -55,11 +55,13 @@ func (c *Conformer) ConformsUnordered(t *Tree) error { return c.check(t, true) }
 
 // check walks the tree top-down and returns the first violation; the
 // two conformance notions differ only in how a child sequence is
-// matched against its content model.
+// matched against its content model. Every node's child labels go
+// through one buffer, filled and matched before the walk descends.
 func (c *Conformer) check(t *Tree, unordered bool) error {
 	if t.Root.Label != c.d.Root() {
 		return fmt.Errorf("xmltree: root is <%s>, DTD root is <%s>", t.Root.Label, c.d.Root())
 	}
+	var labels []string
 	var check func(n *Node) error
 	check = func(n *Node) error {
 		e := c.d.Element(n.Label)
@@ -91,9 +93,9 @@ func (c *Conformer) check(t *Tree, unordered bool) error {
 				return fmt.Errorf("xmltree: <%s> has string content but element content was declared", n.Label)
 			}
 			m := c.matchers[n.Label]
-			labels := make([]string, len(n.Children))
-			for i, kid := range n.Children {
-				labels[i] = kid.Label
+			labels = labels[:0]
+			for _, kid := range n.Children {
+				labels = append(labels, kid.Label)
 			}
 			if unordered {
 				if !matchAnyPermutation(m, labels) {

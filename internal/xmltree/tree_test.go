@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -204,6 +205,39 @@ func TestConformsUnordered(t *testing.T) {
 	tree2 := MustParseString(`<courses><course cno="1"><taken_by/></course></courses>`)
 	if err := ConformsUnordered(tree2, d); err == nil {
 		t.Error("unordered conformance should fail for missing title")
+	}
+}
+
+// TestConformsUnorderedAllocs: an unordered conformance check passes
+// every node's child labels through one buffer and matches them without
+// allocating, so its allocations do not grow with the number of nodes:
+// courses documents of 16 courses with 2 and with 16 students each
+// (145 and 817 elements; the widest child list has 16 labels in both)
+// cost the same.
+func TestConformsUnorderedAllocs(t *testing.T) {
+	c := NewConformer(loadDTD(t, "courses.dtd"))
+	doc := func(courses, students int) *Tree {
+		var b strings.Builder
+		b.WriteString("<courses>")
+		for i := 0; i < courses; i++ {
+			fmt.Fprintf(&b, `<course cno="c%d"><title>t</title><taken_by>`, i)
+			for j := 0; j < students; j++ {
+				fmt.Fprintf(&b, `<student sno="s%d"><name>n</name><grade>A</grade></student>`, j)
+			}
+			b.WriteString("</taken_by></course>")
+		}
+		b.WriteString("</courses>")
+		return MustParseString(b.String())
+	}
+	allocs := func(tree *Tree) float64 {
+		if err := c.ConformsUnordered(tree); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { _ = c.ConformsUnordered(tree) })
+	}
+	small, large := allocs(doc(16, 2)), allocs(doc(16, 16))
+	if large > small {
+		t.Errorf("ConformsUnordered allocates %.0f objects on 16 courses of 16 students, %.0f on 16 of 2; want no growth", large, small)
 	}
 }
 
