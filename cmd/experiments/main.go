@@ -5,14 +5,14 @@
 //
 // Usage:
 //
-//	experiments [-parallel N] [-cache=BOOL]            run everything
-//	experiments [-parallel N] [-cache=BOOL] E6 E9      run selected experiments
+//	experiments [-parallel N]            run everything
+//	experiments [-parallel N] E6 E9      run selected experiments
 //
 // -parallel sets the implication-engine worker count (0 = GOMAXPROCS;
-// a negative count is an error) and -cache toggles its closure cache;
-// both feed the engine-backed experiments E6–E9 and E16. The process
-// exits nonzero when any table reports a MISMATCH between the paper's
-// claim and the measured outcome, so CI can gate on the suite.
+// a negative count is an error) of the engine-backed experiments
+// E6–E9 and E16. The process exits nonzero when any table reports a
+// MISMATCH between the paper's claim and the measured outcome, so CI
+// can gate on the suite.
 package main
 
 import (
@@ -39,14 +39,13 @@ func main() {
 func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	parallel := fs.Int("parallel", 0, "engine worker count (0 = GOMAXPROCS)")
-	cache := fs.Bool("cache", true, "enable the engine's implication cache")
 	if err := fs.Parse(args); err != nil {
 		return 1, err
 	}
 	if *parallel < 0 {
 		return 1, fmt.Errorf("-parallel %d: the worker count must be 0 (GOMAXPROCS) or positive", *parallel)
 	}
-	opts := bench.Options{Engine: engine.Options{Workers: *parallel, NoCache: !*cache}}
+	opts := bench.Options{Engine: engine.Options{Workers: *parallel}}
 	tables, err := bench.Run(fs.Args(), opts)
 	if err != nil {
 		return 1, err

@@ -45,9 +45,8 @@ func captureBoth(t *testing.T, fn func() error) (stdout, stderr string, err erro
 // answers, whose counterexample documents number their values in the
 // closure's pre-order of paths(D): stdout, stderr
 // and the negative-result signal must match the recorded golden files
-// byte for byte, in the default configuration and across the
-// -parallel/-cache matrix (the engine's knobs must never change
-// answers or output).
+// byte for byte, in the default configuration and at -parallel 1, 4
+// and 8 (the worker count must never change answers or output).
 func TestGoldenOutput(t *testing.T) {
 	cases := []struct {
 		golden   string
@@ -72,10 +71,10 @@ func TestGoldenOutput(t *testing.T) {
 			"db.conf.issue.inproceedings.@key -> db.conf.issue.inproceedings.@year"}, false},
 	}
 	configs := [][]string{
-		nil,                                // defaults: GOMAXPROCS workers, cache on
-		{"-parallel", "1", "-cache=false"}, // the seed's sequential path
+		nil, // defaults: GOMAXPROCS workers
+		{"-parallel", "1"},
 		{"-parallel", "8"},
-		{"-parallel", "4", "-cache=false"},
+		{"-parallel", "4"},
 	}
 	for _, c := range cases {
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden))

@@ -34,17 +34,15 @@
 // nesting of streamed input (hostile deeply-nested documents fail with
 // a typed error).
 //
-// Global flags (before the subcommand) tune the implication engine:
+// A global flag (before the subcommand) tunes the implication engine:
 //
-//	xnf [-parallel N] [-cache=BOOL] <command> ...
+//	xnf [-parallel N] <command> ...
 //
-// -parallel sets the worker goroutines (0 = GOMAXPROCS, 1 =
-// sequential): batched implication queries and sharded document checks
-// fan out over them, and above 1 "analyze" runs its report's four
-// parts concurrently; -cache toggles answer memoization
-// (default on). Both default to the fastest setting; the sequential
-// uncached path (-parallel=1 -cache=false) produces identical output
-// and exists for measurement and differential testing.
+// -parallel sets the worker goroutines (0 = GOMAXPROCS, the default; 1
+// = sequential): batched implication queries and sharded document
+// checks fan out over them, and above 1 "analyze" runs its report's
+// four parts concurrently. Every worker count produces identical
+// output.
 //
 // # Exit status
 //
@@ -109,24 +107,23 @@ func exitCode(err error) int {
 var errNegative = errors.New("negative result")
 
 func usage() error {
-	return fmt.Errorf("usage: xnf [-parallel N] [-cache=BOOL] <check|analyze|normalize|implies|classify|tuples|redundancy|transform|validate|cover|watch|serve> ...")
+	return fmt.Errorf("usage: xnf [-parallel N] <check|analyze|normalize|implies|classify|tuples|redundancy|transform|validate|cover|watch|serve> ...")
 }
 
 // engOpts is the engine configuration shared by all subcommands, set
-// from the global -parallel/-cache flags.
+// from the global -parallel flag.
 var engOpts xmlnorm.EngineOptions
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("xnf", flag.ContinueOnError)
 	parallel := fs.Int("parallel", 0, "worker goroutines for batched implication queries and sharded checks; above 1, analyze runs its four report parts concurrently (0 = GOMAXPROCS, 1 = sequential)")
-	cache := fs.Bool("cache", true, "memoize implication answers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel %d: the worker count must be 0 (GOMAXPROCS) or positive", *parallel)
 	}
-	engOpts = xmlnorm.EngineOptions{Workers: *parallel, NoCache: !*cache}
+	engOpts = xmlnorm.EngineOptions{Workers: *parallel}
 	args = fs.Args()
 	if len(args) < 1 {
 		return usage()
@@ -443,7 +440,7 @@ func cmdImplies(args []string) error {
 	if err != nil {
 		return err
 	}
-	ans, err := xmlnorm.ImpliesOpts(s, q, engOpts)
+	ans, err := xmlnorm.Implies(s, q)
 	if err != nil {
 		return err
 	}

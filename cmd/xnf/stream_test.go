@@ -17,8 +17,8 @@ import (
 )
 
 // TestStreamGolden pins the -stream flag matrix against golden files,
-// across the engine-option matrix (engine options only affect the
-// tree path, but must never change streaming output either).
+// across worker counts (the engine's options only affect the tree
+// path, but must never change streaming output either).
 func TestStreamGolden(t *testing.T) {
 	bad := filepath.Join("testdata", "courses_bad.xml")
 	cases := []struct {
@@ -33,7 +33,7 @@ func TestStreamGolden(t *testing.T) {
 	}
 	configs := [][]string{
 		nil,
-		{"-parallel", "1", "-cache=false"},
+		{"-parallel", "1"},
 		{"-parallel", "8"},
 	}
 	for _, c := range cases {

@@ -20,7 +20,7 @@
 //     deepest goal first behind a refuter of its own (mvd.go).
 //
 // Everything in the report is deterministic: byte-identical output for
-// one input regardless of worker count or cache configuration.
+// one input regardless of worker count.
 package analyze
 
 import (
@@ -37,8 +37,8 @@ const DefaultMaxKeySize = 2
 
 // Options configures Analyze.
 type Options struct {
-	// Engine configures the shared implication engine (worker count,
-	// caching). The zero value is GOMAXPROCS workers with caching on.
+	// Engine configures the shared implication engine (the worker
+	// count). The zero value is GOMAXPROCS workers.
 	Engine engine.Options
 	// MaxKeySize bounds the candidate-key search; 0 means
 	// DefaultMaxKeySize.
@@ -78,10 +78,10 @@ func (r *Report) Negative() bool {
 	return !r.InXNF || !r.FourXNF.Satisfied
 }
 
-// Analyze produces the full report for (D, Σ). One cached engine
-// serves the candidate-key search, the diagnosis and the 4XNF image;
-// the key search and the image each refute from their own cache of
-// verified counterexamples. The cover construction builds its own
+// Analyze produces the full report for (D, Σ). One engine serves the
+// candidate-key search, the diagnosis and the 4XNF image; the key
+// search and the image each refute from their own cache of verified
+// counterexamples. The cover construction builds its own
 // reduced engines, as xnf.MinimalCover requires, all derived from one
 // closure engine so they share its skeleton, conformer and branch
 // assignments. With more than one engine worker the four
@@ -89,8 +89,8 @@ func (r *Report) Negative() bool {
 // one starts at once; with one worker they run in report order on the
 // calling goroutine. Either way the first error in report order is
 // returned, and the report is the same: each part writes its own
-// field, reads the spec only, and shares the engine, whose answers do
-// not depend on which part asks first.
+// field, reads the spec only, and shares the engine, which decides
+// every query afresh, so no answer depends on which part asks first.
 func Analyze(s xnf.Spec, opts Options) (*Report, error) {
 	if err := validate(s, opts.MVDs); err != nil {
 		return nil, err

@@ -81,8 +81,7 @@ func TestAnalyzeCourses(t *testing.T) {
 }
 
 // TestAnalyzeDeterministic: the report is identical across worker
-// counts and cache configurations — the fan-outs only change the
-// wall-clock, never an answer. Above one worker the report's parts
+// counts — the fan-outs only change the wall-clock, never an answer. Above one worker the report's parts
 // share one engine from concurrent goroutines, which makes this the
 // race detector's test of that sharing.
 func TestAnalyzeDeterministic(t *testing.T) {
@@ -95,7 +94,7 @@ func TestAnalyzeDeterministic(t *testing.T) {
 		{Workers: 1},
 		{Workers: 2},
 		{Workers: 8},
-		{Workers: 4, NoCache: true},
+		{Workers: 4},
 	}
 	for name, s := range specs {
 		var base []string
@@ -114,6 +113,72 @@ func TestAnalyzeDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(got, base) {
 				t.Errorf("%s, config %+v: report facts differ:\n got %v\nwant %v", name, eo, got, base)
 			}
+		}
+	}
+}
+
+// TestQueryCounts pins the implication queries the engine-backed
+// parts decide, one closure run each (engine.Stats.Misses); no query
+// is answered without one, so Hits stays 0. The diagnosis path that
+// perfbench traces — the anomaly scan, then each anomaly's
+// minimization, on one worker — decides 174 queries over courses,
+// dblp, chain-7 and chain-18. On chain-18, the key search, the
+// diagnosis and the 4XNF image decide 1,232, 121 and 36 queries at
+// every worker count, though they share one engine in report order as
+// Analyze's parts do: no part's answers come from another's work.
+func TestQueryCounts(t *testing.T) {
+	var traced uint64
+	for _, name := range []string{"courses.spec", "dblp.spec", "chain7.spec", "chain18.spec"} {
+		s := loadSpec(t, name)
+		eng, err := engine.New(s.DTD, s.FDs, engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		anomalies, err := xnf.AnomaliesWith(eng, s.FDs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range anomalies {
+			if _, err := xnf.MinimizeAnomaly(eng, a.FD); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := eng.Stats()
+		if st.Hits != 0 {
+			t.Errorf("%s: traced diagnosis path: stats %+v, want no hits", name, st)
+		}
+		traced += st.Misses
+	}
+	if traced != 174 {
+		t.Errorf("traced diagnosis path decides %d queries, want 174", traced)
+	}
+
+	s := loadSpec(t, "chain18.spec")
+	parts := []struct {
+		name string
+		want uint64
+		run  func(*engine.Engine) error
+	}{
+		{"key search", 1232, func(eng *engine.Engine) error { _, err := candidateKeysWith(eng, DefaultMaxKeySize); return err }},
+		{"diagnosis", 121, func(eng *engine.Engine) error { _, err := diagnoseWith(eng, s); return err }},
+		{"image", 36, func(eng *engine.Engine) error { _, err := check4XNFWith(eng, s, nil); return err }},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		eng, err := engine.New(s.DTD, s.FDs, engine.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before engine.Stats
+		for _, p := range parts {
+			if err := p.run(eng); err != nil {
+				t.Fatal(err)
+			}
+			after := eng.Stats()
+			got := engine.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
+			if want := (engine.Stats{Misses: p.want}); got != want {
+				t.Errorf("chain-18 %s, Workers %d: stats %+v, want %+v", p.name, workers, got, want)
+			}
+			before = after
 		}
 	}
 }

@@ -51,9 +51,8 @@ func Diagnose(s xnf.Spec, opts Options) ([]Diagnosis, error) {
 	return diagnoseWith(eng, s)
 }
 
-// diagnoseWith runs the diagnosis over a caller-supplied engine, whose
-// cache the anomaly scan, the minimizations and the repair probes all
-// share.
+// diagnoseWith runs the diagnosis over a caller-supplied engine, which
+// the anomaly scan, the minimizations and the repair probes all share.
 func diagnoseWith(eng *engine.Engine, s xnf.Spec) ([]Diagnosis, error) {
 	anomalies, err := xnf.AnomaliesWith(eng, s.FDs)
 	if err != nil {

@@ -43,19 +43,17 @@ const maxRefuteDocs = 32
 // key search and the 4XNF image each own one, so what a part caches —
 // and so the closure runs it saves — follows from its own query order
 // alone, not from the worker count or the schedule. A refuter belongs
-// to one goroutine: refutes reuses one group map and key buffer.
+// to one goroutine: add grows its tables unsynchronized.
 type refuter struct {
 	ids    []paths.ID        // paths(D), interned, in paths(D) order
 	pr     *tuples.Projector // projection onto all of paths(D), built once
 	tables [][]tuples.Tuple  // tuples_D(T) of each cached counterexample
-	groups map[string]tuples.Tuple
-	key    []byte
 }
 
 // newRefuter builds an empty refuter over paths(D), given in paths(D)
 // order and interned in u.
 func newRefuter(u *paths.Universe, ps []dtd.Path) (*refuter, error) {
-	r := &refuter{ids: make([]paths.ID, len(ps)), groups: map[string]tuples.Tuple{}}
+	r := &refuter{ids: make([]paths.ID, len(ps))}
 	var err error
 	for i, p := range ps {
 		if r.ids[i], err = lookup(u, p); err != nil {
@@ -87,31 +85,47 @@ func (r *refuter) add(ans implication.Answer) {
 // agree on lhs (all values known and equal — the Atzeni–Morfuni LHS
 // rule) yet differ on one path of rhs (where ⊥ = ⊥ counts as
 // agreement). Such a pair violates lhs → rhs on a document that
-// conforms to D and satisfies Σ, so (D, Σ) does not imply it.
+// conforms to D and satisfies Σ, so (D, Σ) does not imply it. Both
+// agreements are equivalences, so comparing every pair of rows decides
+// what grouping the rows by their lhs values would; a realized
+// counterexample's table holds two rows, so this is one comparison.
 func (r *refuter) refutes(lhs, rhs []paths.ID) bool {
 	for _, rows := range r.tables {
-		clear(r.groups)
-		for _, row := range rows {
-			var known bool
-			r.key, known = appendProjKey(row, lhs, r.key[:0], true)
-			if !known {
-				continue // a ⊥ on the LHS exempts the tuple
-			}
-			rep, ok := r.groups[string(r.key)]
-			if !ok {
-				r.groups[string(r.key)] = row
-				continue
-			}
-			for _, id := range rhs {
-				av, aok := rep.GetID(id)
-				bv, bok := row.GetID(id)
-				if aok != bok || (aok && !av.Equal(bv)) {
+		for i, a := range rows {
+			for _, b := range rows[i+1:] {
+				if agreeKnown(a, b, lhs) && !agree(a, b, rhs) {
 					return true
 				}
 			}
 		}
 	}
 	return false
+}
+
+// agreeKnown reports whether a and b hold known, equal values at every
+// path of ids.
+func agreeKnown(a, b tuples.Tuple, ids []paths.ID) bool {
+	for _, id := range ids {
+		av, aok := a.GetID(id)
+		bv, bok := b.GetID(id)
+		if !aok || !bok || !av.Equal(bv) {
+			return false
+		}
+	}
+	return true
+}
+
+// agree reports whether a and b agree at every path of ids, a ⊥
+// agreeing with ⊥ only.
+func agree(a, b tuples.Tuple, ids []paths.ID) bool {
+	for _, id := range ids {
+		av, aok := a.GetID(id)
+		bv, bok := b.GetID(id)
+		if aok != bok || aok && !av.Equal(bv) {
+			return false
+		}
+	}
+	return true
 }
 
 // CandidateKeys finds the candidate keys of (D, Σ) up to

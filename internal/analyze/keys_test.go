@@ -9,7 +9,9 @@ import (
 	"xmlnorm/internal/engine"
 	"xmlnorm/internal/gen"
 	"xmlnorm/internal/paths"
+	"xmlnorm/internal/tuples"
 	"xmlnorm/internal/xfd"
+	"xmlnorm/internal/xmltree"
 	"xmlnorm/internal/xnf"
 )
 
@@ -117,9 +119,9 @@ func randomFlatSpecs(t *testing.T) []xnf.Spec {
 
 // TestKeySearchStatsIndependentOfWorkers: the search decides candidates
 // in enumeration order, so every refuter scan sees the same cached
-// counterexamples and the closure runs it makes (engine misses) and
-// the answers it reuses (hits) depend on the spec alone, not on the
-// engine's worker count or the schedule.
+// counterexamples and the closure runs it makes (engine misses)
+// depend on the spec alone, not on the engine's worker count or the
+// schedule.
 func TestKeySearchStatsIndependentOfWorkers(t *testing.T) {
 	d, sigma := gen.ChainDTD(12, 2), gen.ChainFDs(12, 2)
 	var want engine.Stats
@@ -139,6 +141,88 @@ func TestKeySearchStatsIndependentOfWorkers(t *testing.T) {
 		if got != want {
 			t.Errorf("Workers %d: stats %+v, want %+v (Workers 1)", workers, got, want)
 		}
+	}
+}
+
+// mapRefutes is the refuter's former map fold, kept as the oracle of
+// TestRefutesMatchesMapFold: per table, the first row known on lhs
+// stands for its group of equal lhs values, and every later row of the
+// group is compared with it on rhs.
+func mapRefutes(tables [][]tuples.Tuple, lhs, rhs []paths.ID) bool {
+	for _, rows := range tables {
+		groups := map[string]tuples.Tuple{}
+		for _, row := range rows {
+			key, known := xfd.AppendKey(nil, row, lhs)
+			if !known {
+				continue // a ⊥ on the LHS exempts the tuple
+			}
+			rep, ok := groups[string(key)]
+			if !ok {
+				groups[string(key)] = row
+				continue
+			}
+			for _, id := range rhs {
+				av, aok := rep.GetID(id)
+				bv, bok := row.GetID(id)
+				if aok != bok || (aok && !av.Equal(bv)) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestRefutesMatchesMapFold: over seeded tables of 1–8 rows, whose
+// values are two strings, two vertices or ⊥, and random LHS and RHS
+// ID lists (repeats allowed, the LHS possibly empty), the pairwise
+// refuter decides exactly what the map fold does.
+func TestRefutesMatchesMapFold(t *testing.T) {
+	ps := []dtd.Path{{"r", "a"}, {"r", "a", "@k"}, {"r", "a", "@v"}, {"r", "a", "b"}, {"r", "a", "b", "@w"}, {"r", "a", "b", "S"}}
+	u := paths.ForQuery(ps)
+	ids := make([]paths.ID, len(ps))
+	for i, p := range ps {
+		ids[i] = u.MustLookup(p)
+	}
+	randIDs := func(rng *rand.Rand, n int) []paths.ID {
+		out := make([]paths.ID, n)
+		for i := range out {
+			out[i] = ids[rng.Intn(len(ids))]
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(2029))
+	const trials = 20000
+	refuted := 0
+	for trial := 0; trial < trials; trial++ {
+		r := &refuter{}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			rows := make([]tuples.Tuple, 1+rng.Intn(8))
+			for i := range rows {
+				rows[i] = tuples.NewTuple(u)
+				for _, id := range ids {
+					switch rng.Intn(5) {
+					case 0: // ⊥
+					case 1, 2:
+						rows[i].SetID(id, tuples.NodeValue(xmltree.NodeID(rng.Intn(2))))
+					default:
+						rows[i].SetID(id, tuples.StringValue(string(rune('a'+rng.Intn(2)))))
+					}
+				}
+			}
+			r.tables = append(r.tables, rows)
+		}
+		lhs, rhs := randIDs(rng, rng.Intn(3)), randIDs(rng, 1+rng.Intn(3))
+		want := mapRefutes(r.tables, lhs, rhs)
+		if got := r.refutes(lhs, rhs); got != want {
+			t.Fatalf("trial %d: refutes(%v, %v) = %v, the map fold says %v; tables %v", trial, lhs, rhs, got, want, r.tables)
+		}
+		if want {
+			refuted++
+		}
+	}
+	if refuted == 0 || refuted == trials {
+		t.Fatalf("%d of %d trials refuted; the sweep needs both answers", refuted, trials)
 	}
 }
 

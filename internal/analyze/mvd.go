@@ -13,6 +13,7 @@ import (
 	"xmlnorm/internal/relational"
 	"xmlnorm/internal/table"
 	"xmlnorm/internal/tuples"
+	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xmltree"
 	"xmlnorm/internal/xnf"
 )
@@ -168,12 +169,12 @@ func (c *MVDChecker) Satisfies(t *xmltree.Tree) bool {
 	ok := true
 	c.pr.Stream(t, func(tup tuples.Tuple) bool {
 		var known bool
-		xb, known = appendProjKey(tup, c.lhs, xb[:0], true)
+		xb, known = xfd.AppendKey(xb[:0], tup, c.lhs)
 		if !known {
 			return true
 		}
-		yb, _ = appendProjKey(tup, c.mid, yb[:0], false)
-		zb, _ = appendProjKey(tup, c.rest, zb[:0], false)
+		yb, _ = xfd.AppendKey(yb[:0], tup, c.mid)
+		zb, _ = xfd.AppendKey(zb[:0], tup, c.rest)
 		g := groups[string(xb)]
 		if g == nil {
 			g = &group{ys: map[string]bool{}, zs: map[string]bool{}, pairs: map[string]bool{}}
@@ -194,33 +195,6 @@ func (c *MVDChecker) Satisfies(t *xmltree.Tree) bool {
 		}
 	}
 	return ok
-}
-
-// appendProjKey renders a tuple's projection onto ids into dst. With
-// strict set, a ⊥ entry aborts (known=false); otherwise ⊥ is encoded
-// as its own token. Nodes encode by identifier, strings by
-// length-prefixed bytes, so distinct projections never collide.
-func appendProjKey(tup tuples.Tuple, ids []paths.ID, dst []byte, strict bool) (key []byte, known bool) {
-	for _, id := range ids {
-		v, ok := tup.GetID(id)
-		if !ok {
-			if strict {
-				return dst, false
-			}
-			dst = append(dst, 0)
-			continue
-		}
-		if v.IsNode() {
-			dst = append(dst, 1)
-			dst = binary.AppendUvarint(dst, uint64(v.Node()))
-			continue
-		}
-		s := v.Str()
-		dst = append(dst, 2)
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
-	}
-	return dst, true
 }
 
 // maxFlatColumns bounds the 4NF sweep: relational.Is4NF skips only the

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,11 +23,8 @@ import (
 
 // Options configures the experiment suite.
 type Options struct {
-	// Engine sets the worker/caching knobs for the engine-backed
-	// experiments (E6–E9, E16). The complexity-claim tables E6/E7/E9
-	// force caching off for their timed section — a cached rerun would
-	// measure the cache, not the algorithm — but honor the worker
-	// count; E8 and E16 honor both knobs.
+	// Engine sets the worker count of the engine-backed experiments
+	// (E6–E9, E16).
 	Engine engine.Options
 }
 
@@ -367,8 +364,6 @@ func E5BCNF(trials int) (*Table, error) {
 // implication query (Theorem 3: quadratic in |D| + |Σ|). The printed
 // exponent is the local log-log slope of time against path count.
 func E6ImplicationSimple(opts Options) (*Table, error) {
-	eo := opts.Engine
-	eo.NoCache = true // the claim is about the closure, not the cache
 	t := &Table{
 		ID:     "E6",
 		Title:  "Theorem 3: FD implication over simple DTDs",
@@ -389,7 +384,7 @@ func E6ImplicationSimple(opts Options) (*Table, error) {
 			LHS: []dtd.Path{level.Child(fmt.Sprintf("@a%d_0", depth))},
 			RHS: []dtd.Path{level.Child(fmt.Sprintf("@a%d_1", depth))},
 		}
-		eng, err := engine.New(d, sigma, eo)
+		eng, err := engine.New(d, sigma, opts.Engine)
 		if err != nil {
 			return nil, err
 		}
@@ -418,8 +413,6 @@ func E6ImplicationSimple(opts Options) (*Table, error) {
 // exponentially in the group count but polynomially when N_D is
 // bounded.
 func E7Disjunctive(opts Options) (*Table, error) {
-	eo := opts.Engine
-	eo.NoCache = true // measure the assignment enumeration, not the cache
 	t := &Table{
 		ID:     "E7",
 		Title:  "Theorem 4: implication over disjunctive DTDs",
@@ -440,7 +433,7 @@ func E7Disjunctive(opts Options) (*Table, error) {
 			LHS: []dtd.Path{{"r", "p", "@k"}},
 			RHS: []dtd.Path{{"r", "p", "b0_0", "@v"}},
 		}
-		eng, err := engine.New(d, sigma, eo)
+		eng, err := engine.New(d, sigma, opts.Engine)
 		if err != nil {
 			return nil, err
 		}
@@ -523,8 +516,6 @@ func E8BruteVsClosure(opts Options) (*Table, error) {
 // E9XNFCheck sweeps the XNF test cost (Corollary 1: cubic for simple
 // DTDs).
 func E9XNFCheck(opts Options) (*Table, error) {
-	eo := opts.Engine
-	eo.NoCache = true // measure the Corollary 1 test, not the cache
 	t := &Table{
 		ID:     "E9",
 		Title:  "Corollary 1: XNF test over simple DTDs",
@@ -542,7 +533,7 @@ func E9XNFCheck(opts Options) (*Table, error) {
 		}
 		spec := xnf.Spec{DTD: d, FDs: sigma}
 		dur, err := timeIt(func() error {
-			_, _, err := xnf.CheckOpts(spec, eo)
+			_, _, err := xnf.CheckOpts(spec, opts.Engine)
 			return err
 		})
 		if err != nil {
@@ -794,47 +785,31 @@ func E14Redundancy() (*Table, error) {
 	return t, nil
 }
 
-// E16EngineAblation ablates the engine's two knobs — the closure cache
-// and the worker fan-out — on the suite's heavy workloads. Three
-// configurations run each workload: the pre-engine baseline (one
-// worker, caching off), cache only (one worker), and cache plus the
-// configured worker pool (-parallel, default GOMAXPROCS). The implied
-// bits must agree everywhere; the cached columns reuse one engine
-// across repetitions, so they report the amortized repeated-query cost
-// that the XNF check and the normalization loop actually pay.
+// E16EngineAblation runs the suite's heavy workloads on one worker and
+// on the configured worker pool (-parallel, default GOMAXPROCS). The
+// implied bits, verdicts and normalized schemas must agree between
+// the two: the fan-out changes wall time, never an answer.
 func E16EngineAblation(opts Options) (*Table, error) {
-	w := opts.Engine.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	seqOpts := engine.Options{Workers: 1, NoCache: true}
-	cacheOpts := engine.Options{Workers: 1}
-	parOpts := engine.Options{Workers: w}
+	w := opts.Engine.WorkerCount()
+	configs := [2]engine.Options{{Workers: 1}, {Workers: w}}
 	t := &Table{
 		ID:     "E16",
-		Title:  "Engine ablation: closure cache and worker fan-out",
-		Claim:  fmt.Sprintf("identical answers in every configuration; repeated and batched queries get cheaper (workers: %d)", w),
-		Header: Row{"workload", "seq ms", "cached ms", "par+cached ms", "speedup", "agree"},
+		Title:  "Engine ablation: worker fan-out",
+		Claim:  fmt.Sprintf("identical answers at 1 and at %d workers", w),
+		Header: Row{"workload", "1 worker ms", fmt.Sprintf("%d workers ms", w), "speedup", "agree"},
 	}
-	add := func(name string, seqT, cacheT, parT time.Duration, agree bool) {
-		best := seqT
-		if cacheT < best {
-			best = cacheT
-		}
-		if parT < best {
-			best = parT
-		}
+	add := func(name string, times [2]time.Duration, agree bool) {
 		speed := "-"
-		if best > 0 {
-			speed = fmt.Sprintf("%.1fx", float64(seqT)/float64(best))
+		if times[1] > 0 {
+			speed = fmt.Sprintf("%.1fx", float64(times[0])/float64(times[1]))
 		}
 		t.Expect(agree, "E16 %s: configurations disagree", name)
-		t.Rows = append(t.Rows, Row{name, ms(seqT), ms(cacheT), ms(parT), speed, fmt.Sprint(agree)})
+		t.Rows = append(t.Rows, Row{name, ms(times[0]), ms(times[1]), speed, fmt.Sprint(agree)})
 	}
 
 	// Workload 1: the anomaly-scan implication batch on a deep chain —
 	// every σ ∈ Σ plus its parent-element target, as the XNF check
-	// issues them.
+	// issues them, fanned across the engine's pool.
 	{
 		const depth = 32
 		d := gen.ChainDTD(depth, 2)
@@ -845,45 +820,31 @@ func E16EngineAblation(opts Options) (*Table, error) {
 				qs = append(qs, s, xfd.FD{LHS: s.LHS, RHS: []dtd.Path{s.RHS[0].Parent()}})
 			}
 		}
-		var answers [3][]implication.Answer
-		var times [3]time.Duration
-		for i, eo := range []engine.Options{seqOpts, cacheOpts, parOpts} {
+		var answers [2][]bool
+		var times [2]time.Duration
+		for i, eo := range configs {
 			eng, err := engine.New(d, sigma, eo)
 			if err != nil {
 				return nil, err
 			}
-			if !eo.NoCache {
-				// Prewarm: the cached columns report the steady-state
-				// cost of re-issuing a batch the engine has seen, which
-				// is what the normalization loop pays after iteration 1.
-				if _, err := eng.ImpliesBatch(qs); err != nil {
-					return nil, err
-				}
-			}
+			answers[i] = make([]bool, len(qs))
 			times[i], err = timeIt(func() error {
-				var err error
-				answers[i], err = eng.ImpliesBatch(qs)
-				return err
+				return eng.ForEach(len(qs), func(j int) error {
+					var err error
+					answers[i][j], err = eng.Implied(qs[j])
+					return err
+				})
 			})
 			if err != nil {
 				return nil, err
 			}
 		}
-		agree := true
-		for _, ans := range answers[1:] {
-			for j := range ans {
-				if ans[j].Implied != answers[0][j].Implied {
-					agree = false
-				}
-			}
-		}
 		add(fmt.Sprintf("implication batch ×%d (chain %d)", len(qs), depth),
-			times[0], times[1], times[2], agree)
+			times, slices.Equal(answers[0], answers[1]))
 	}
 
 	// Workload 2: the bounded semantic checker on the widest E8 spec —
-	// the per-shape searches fan across the pool; the cached column
-	// reuses one engine, so repetitions answer from the cache.
+	// the per-shape searches fan across the pool.
 	{
 		d := gen.WideDTD(3, 2)
 		sigma := []xfd.FD{{
@@ -895,68 +856,51 @@ func E16EngineAblation(opts Options) (*Table, error) {
 			RHS: []dtd.Path{{"r", "c0", "@a0_0"}},
 		}
 		bounds := implication.Bounds{MaxValuePositions: 12, MaxTrees: 5000000}
-		var seqAns, cacheAns, parAns implication.Answer
-		seqT, err := timeIt(func() error {
+		var answers [2]implication.Answer
+		var times [2]time.Duration
+		for i, eo := range configs {
 			var err error
-			seqAns, err = implication.BruteForceParallel(d, sigma, q, bounds, 1)
-			return err
-		})
-		if err != nil {
-			return nil, err
+			times[i], err = timeIt(func() error {
+				var err error
+				answers[i], err = implication.BruteForceParallel(d, sigma, q, bounds, eo.Workers)
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
 		}
-		cacheEng, err := engine.New(d, sigma, cacheOpts)
-		if err != nil {
-			return nil, err
-		}
-		cacheT, err := timeIt(func() error {
-			var err error
-			cacheAns, err = cacheEng.BruteForce(q, bounds)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		parT, err := timeIt(func() error {
-			var err error
-			parAns, err = implication.BruteForceParallel(d, sigma, q, bounds, w)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		agree := seqAns.Implied == cacheAns.Implied && seqAns.Implied == parAns.Implied
-		add("brute force (wide 3)", seqT, cacheT, parT, agree)
+		add("brute force (wide 3)", times, answers[0].Implied == answers[1].Implied)
 	}
 
-	// Workload 3: a full XNF check. CheckOpts builds a fresh engine per
-	// call, so the cached column shows the within-check win alone.
+	// Workload 3: a full XNF check, whose anomaly scan fans across the
+	// pool.
 	{
 		const depth = 16
 		spec := xnf.Spec{DTD: gen.ChainDTD(depth, 2), FDs: gen.ChainFDs(depth, 2)}
-		var oks [3]bool
-		var times [3]time.Duration
-		for i, eo := range []engine.Options{seqOpts, cacheOpts, parOpts} {
-			eo := eo
-			times[i], _ = timeIt(func() error {
-				ok, _, err := xnf.CheckOpts(spec, eo)
-				oks[i] = ok
+		var oks [2]bool
+		var times [2]time.Duration
+		for i, eo := range configs {
+			var err error
+			times[i], err = timeIt(func() error {
+				var err error
+				oks[i], _, err = xnf.CheckOpts(spec, eo)
 				return err
 			})
+			if err != nil {
+				return nil, err
+			}
 		}
-		add(fmt.Sprintf("XNF check (chain %d)", depth),
-			times[0], times[1], times[2], oks[0] == oks[1] && oks[0] == oks[2])
+		add(fmt.Sprintf("XNF check (chain %d)", depth), times, oks[0] == oks[1])
 	}
 
-	// Workload 4: the full decomposition algorithm, whose minimization
-	// probes overlap heavily across anomalies.
+	// Workload 4: the full decomposition algorithm.
 	{
 		const depth = 8
 		spec := xnf.Spec{DTD: gen.ChainDTD(depth, 2), FDs: gen.ChainFDs(depth, 2)}
-		var outs [3]xnf.Spec
-		var nsteps [3]int
-		var times [3]time.Duration
-		for i, eo := range []engine.Options{seqOpts, cacheOpts, parOpts} {
-			eo := eo
+		var outs [2]xnf.Spec
+		var nsteps [2]int
+		var times [2]time.Duration
+		for i, eo := range configs {
 			var err error
 			times[i], err = timeIt(func() error {
 				out, steps, err := xnf.Normalize(spec, xnf.Options{Engine: eo})
@@ -967,11 +911,8 @@ func E16EngineAblation(opts Options) (*Table, error) {
 				return nil, err
 			}
 		}
-		agree := nsteps[0] == nsteps[1] && nsteps[0] == nsteps[2] &&
-			dtd.EquivalentModels(outs[0].DTD, outs[1].DTD) &&
-			dtd.EquivalentModels(outs[0].DTD, outs[2].DTD)
-		add(fmt.Sprintf("normalize (chain %d)", depth),
-			times[0], times[1], times[2], agree)
+		add(fmt.Sprintf("normalize (chain %d)", depth), times,
+			nsteps[0] == nsteps[1] && dtd.EquivalentModels(outs[0].DTD, outs[1].DTD))
 	}
 	return t, nil
 }

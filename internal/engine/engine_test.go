@@ -31,90 +31,9 @@ func chainQuery(depth int) xfd.FD {
 	}
 }
 
-func TestCacheCounters(t *testing.T) {
-	e := chainEngine(t, 6, Options{})
-	q := chainQuery(6)
-	first, err := e.Implies(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.Implies(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Implied != second.Implied {
-		t.Errorf("cached answer flipped: %v then %v", first.Implied, second.Implied)
-	}
-	if s := e.Stats(); s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("stats = %+v, want 1 miss and 1 hit", s)
-	}
-}
-
-// TestImpliedSharesCache: every form of one query — Implies and
-// Implied, and by path ID ImpliesIDs and ImpliedIDs — answers from one
-// cache entry: whichever asks first takes the one miss, every later
-// call of any form is a hit, an entry Implied computed still serves
-// Implies its counterexample, and an ImpliesIDs refutation hands out a
-// clone of its own. Trivial and TrivialIDs share a key space of their
-// own: the same query misses there once.
-func TestImpliedSharesCache(t *testing.T) {
-	e := chainEngine(t, 4, Options{})
-	u := e.Universe()
-	lhs := gen.ChainPaths(4)[2].Child("@a2_0")
-	rhs := gen.ChainPaths(4)[4].Child("@a4_0")
-	refuted := xfd.FD{LHS: []dtd.Path{lhs}, RHS: []dtd.Path{rhs}}
-	implied, err := e.Implied(refuted)
-	if err != nil || implied {
-		t.Fatalf("Implied(%s) = %v, %v; want false", refuted, implied, err)
-	}
-	ans, err := e.Implies(refuted)
-	if err != nil || ans.Implied || ans.Counterexample == nil {
-		t.Fatalf("Implies(%s) after Implied = %+v, %v; want a counterexample", refuted, ans, err)
-	}
-	if s := e.Stats(); s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("after Implied then Implies: stats = %+v, want 1 miss and 1 hit", s)
-	}
-	lhsIDs, rhsID := u.SetOf(u.MustLookup(lhs)), u.MustLookup(rhs)
-	byID, err := e.ImpliesIDs(lhsIDs, rhsID)
-	if err != nil || byID.Implied || byID.Counterexample == nil {
-		t.Fatalf("ImpliesIDs(%s) = %+v, %v; want a counterexample", refuted, byID, err)
-	}
-	if byID.Counterexample == ans.Counterexample || !xmltree.Isomorphic(byID.Counterexample, ans.Counterexample) {
-		t.Error("ImpliesIDs's counterexample is not a clone of its own")
-	}
-	if implied, err := e.ImpliedIDs(lhsIDs, rhsID); err != nil || implied {
-		t.Fatalf("ImpliedIDs(%s) = %v, %v; want false", refuted, implied, err)
-	}
-	if s := e.Stats(); s.Misses != 1 || s.Hits != 3 {
-		t.Errorf("after ImpliesIDs and ImpliedIDs: stats = %+v, want 1 miss and 3 hits", s)
-	}
-	if triv, err := e.TrivialIDs(lhsIDs, rhsID); err != nil || triv {
-		t.Fatalf("TrivialIDs(%s) = %v, %v; want false", refuted, triv, err)
-	}
-	if triv, err := e.Trivial(refuted); err != nil || triv {
-		t.Fatalf("Trivial(%s) = %v, %v; want false", refuted, triv, err)
-	}
-	if s := e.Stats(); s.Misses != 2 || s.Hits != 4 {
-		t.Errorf("after TrivialIDs and Trivial: stats = %+v, want 2 misses and 4 hits", s)
-	}
-	q := chainQuery(4)
-	want, err := e.Implies(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if got, err := e.Implied(q); err != nil || got != want.Implied {
-			t.Fatalf("Implied(%s) = %v, %v; Implies said %v", q, got, err, want.Implied)
-		}
-	}
-	if s := e.Stats(); s.Misses != 3 || s.Hits != 6 {
-		t.Errorf("after Implies then Implied twice: stats = %+v, want 3 misses and 6 hits", s)
-	}
-}
-
 // TestOutsideUniverseFails: an FD naming a path outside paths(D) fails
 // every FD form with the closure's error text, LHS or RHS alike, and
-// never reaches the cache.
+// decides nothing.
 func TestOutsideUniverseFails(t *testing.T) {
 	e := chainEngine(t, 3, Options{})
 	bad := xfd.MustParse("r.nope -> r")
@@ -126,8 +45,6 @@ func TestOutsideUniverseFails(t *testing.T) {
 		{"Implies", func(q xfd.FD) error { _, err := e.Implies(q); return err }},
 		{"Implied", func(q xfd.FD) error { _, err := e.Implied(q); return err }},
 		{"Trivial", func(q xfd.FD) error { _, err := e.Trivial(q); return err }},
-		{"BruteForce", func(q xfd.FD) error { _, err := e.BruteForce(q, implication.Bounds{}); return err }},
-		{"ImpliesBatch", func(q xfd.FD) error { _, err := e.ImpliesBatch([]xfd.FD{q}); return err }},
 	} {
 		for _, q := range []struct {
 			fd   xfd.FD
@@ -144,65 +61,79 @@ func TestOutsideUniverseFails(t *testing.T) {
 		}
 	}
 	if s := e.Stats(); s != (Stats{}) {
-		t.Errorf("stats = %+v, want none: a failed resolution must not touch the cache", s)
+		t.Errorf("stats = %+v, want none: a failed resolution decides nothing", s)
 	}
 }
 
-func TestNoCacheBypassesCounters(t *testing.T) {
-	e := chainEngine(t, 6, Options{NoCache: true})
-	q := chainQuery(6)
-	for i := 0; i < 3; i++ {
-		if _, err := e.Implies(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := e.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("stats = %+v, want all zero with NoCache", s)
-	}
-}
-
-// TestCanonicalization: the cache key treats the LHS as a set, so
-// reordered and duplicated left-hand sides share one slot.
+// TestCanonicalization: the LHS is a set, so reordered and repeated
+// left-hand sides get one answer, counterexample included.
 func TestCanonicalization(t *testing.T) {
 	e := chainEngine(t, 6, Options{})
-	q := chainQuery(6)
 	extra := gen.ChainPaths(6)[3].Child("@a3_0")
-	a := xfd.FD{LHS: []dtd.Path{q.LHS[0], extra}, RHS: q.RHS}
-	b := xfd.FD{LHS: []dtd.Path{extra, q.LHS[0], extra}, RHS: q.RHS}
-	if _, err := e.Implies(a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Implies(b); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("stats = %+v, want the reordered query to hit", s)
+	for _, q := range []xfd.FD{
+		chainQuery(6),
+		{LHS: []dtd.Path{gen.ChainPaths(6)[5].Child("@a5_0")}, RHS: []dtd.Path{gen.ChainPaths(6)[6].Child("@a6_0")}},
+	} {
+		a, err := e.Implies(xfd.FD{LHS: []dtd.Path{q.LHS[0], extra}, RHS: q.RHS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.Implies(xfd.FD{LHS: []dtd.Path{extra, q.LHS[0], extra}, RHS: q.RHS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Implied != b.Implied || (a.Counterexample == nil) != (b.Counterexample == nil) ||
+			a.Counterexample != nil && !xmltree.Isomorphic(a.Counterexample, b.Counterexample) {
+			t.Errorf("%s: reordered and repeated LHS answer %+v, the set answers %+v", q, b, a)
+		}
 	}
 }
 
-// TestMultiRHSSplit: a two-RHS query caches its single-RHS splits
-// individually, and re-asking one split alone is a pure hit.
+// TestMultiRHSSplit: a query with several RHS paths is implied iff
+// each single-RHS split is, and a refuted one carries the first
+// refuted split's counterexample.
 func TestMultiRHSSplit(t *testing.T) {
 	e := chainEngine(t, 6, Options{})
-	level := gen.ChainPaths(6)[6]
-	q := xfd.FD{
-		LHS: []dtd.Path{level.Child("@a6_0")},
-		RHS: []dtd.Path{level.Child("@a6_1"), level},
+	levels := gen.ChainPaths(6)
+	lhs := []dtd.Path{levels[6].Child("@a6_0")}
+	rhss := []dtd.Path{levels[6].Child("@a6_1"), lhs[0], levels[6], levels[5].Child("@a5_0")}
+	refuted := 0
+	for i := range rhss {
+		for j := range rhss {
+			if i == j {
+				continue
+			}
+			q := xfd.FD{LHS: lhs, RHS: []dtd.Path{rhss[i], rhss[j]}}
+			got, err := e.Implies(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want implication.Answer
+			for _, single := range q.SingleRHS() {
+				if want, err = e.Implies(single); err != nil {
+					t.Fatal(err)
+				}
+				if !want.Implied {
+					break
+				}
+			}
+			if got.Implied != want.Implied || (got.Counterexample == nil) != (want.Counterexample == nil) ||
+				got.Counterexample != nil && !xmltree.Isomorphic(got.Counterexample, want.Counterexample) {
+				t.Errorf("%s = %+v, its splits give %+v", q, got, want)
+			}
+			if !got.Implied {
+				refuted++
+			}
+		}
 	}
-	if _, err := e.Implies(q); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Implies(xfd.FD{LHS: q.LHS, RHS: q.RHS[:1]}); err != nil {
-		t.Fatal(err)
-	}
-	s := e.Stats()
-	if s.Hits != 1 {
-		t.Errorf("stats = %+v, want the split query to hit the cache", s)
+	if refuted == 0 || refuted == len(rhss)*(len(rhss)-1) {
+		t.Errorf("%d of %d two-RHS queries refuted; the sweep needs both answers", refuted, len(rhss)*(len(rhss)-1))
 	}
 }
 
-// TestIdentityWithImplication: cached and uncached engines agree with
-// the plain implication decider on a sweep of queries.
+// TestIdentityWithImplication: engines at the default and at one
+// worker agree with the plain implication decider on a sweep of
+// queries, asked twice.
 func TestIdentityWithImplication(t *testing.T) {
 	d := gen.ChainDTD(5, 2)
 	sigma := gen.ChainFDs(5, 2)
@@ -210,16 +141,16 @@ func TestIdentityWithImplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := New(d, sigma, Options{})
+	dflt, err := New(d, sigma, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := New(d, sigma, Options{Workers: 1, NoCache: true})
+	one, err := New(d, sigma, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every (LHS, RHS) pair of DTD paths, asked twice against the cached
-	// engine to exercise both the miss and the hit path.
+	// Every (LHS, RHS) pair of DTD paths, asked twice of the default
+	// engine: an answer never depends on what was asked before.
 	for _, lhs := range paths {
 		for _, rhs := range paths {
 			q := xfd.FD{LHS: []dtd.Path{lhs}, RHS: []dtd.Path{rhs}}
@@ -227,7 +158,7 @@ func TestIdentityWithImplication(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range []*Engine{cached, uncached, cached} {
+			for _, e := range []*Engine{dflt, one, dflt} {
 				got, err := e.Implies(q)
 				if err != nil {
 					t.Fatal(err)
@@ -272,10 +203,9 @@ func TestTrivialMatchesImplication(t *testing.T) {
 			}
 		}
 	}
-	// Trivial answers must not pollute the Σ-closure key space: the same
-	// query asked via Implies may answer differently.
-	if s := e.Stats(); s.Misses == 0 {
-		t.Error("trivial queries never reached the cache")
+	// Every Trivial query is one single-RHS query decided.
+	if s, want := e.Stats(), uint64(len(paths)*len(paths)); s.Misses != want {
+		t.Errorf("stats = %+v, want %d queries decided", s, want)
 	}
 }
 
@@ -301,13 +231,16 @@ func TestCounterexampleNotAliased(t *testing.T) {
 		t.Fatal(err)
 	}
 	if second.Counterexample == nil || !xmltree.Isomorphic(second.Counterexample, pristine) {
-		t.Error("cached counterexample absorbed a caller's mutation")
+		t.Error("a later answer absorbed a caller's mutation")
 	}
 	if second.Counterexample == first.Counterexample {
 		t.Error("two callers share one counterexample tree")
 	}
 }
 
+// TestBruteForceMatchesClosure: the engine's closure answers agree
+// with the bounded brute-force decider run at the engine's worker
+// count.
 func TestBruteForceMatchesClosure(t *testing.T) {
 	d := gen.WideDTD(2, 2)
 	sigma := []xfd.FD{{
@@ -327,44 +260,13 @@ func TestBruteForceMatchesClosure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := e.BruteForce(q, bounds)
+		slow, err := implication.BruteForceParallel(d, sigma, q, bounds, e.Workers())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fast.Implied != slow.Implied {
 			t.Errorf("%s: closure %v, brute force %v", q, fast.Implied, slow.Implied)
 		}
-		// Second ask is a cache hit with the same answer.
-		again, err := e.BruteForce(q, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.Implied != slow.Implied {
-			t.Errorf("%s: cached brute-force answer flipped", q)
-		}
-	}
-}
-
-// TestBruteForceErrorCached: a bounds-exceeded error is cached and
-// returned to every later caller of the same (query, bounds).
-func TestBruteForceErrorCached(t *testing.T) {
-	d := gen.WideDTD(2, 2)
-	e, err := New(d, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := xfd.FD{
-		LHS: []dtd.Path{{"r", "c0", "@a0_0"}},
-		RHS: []dtd.Path{{"r", "c0", "@a0_1"}},
-	}
-	tiny := implication.Bounds{MaxTrees: 1, MaxValuePositions: 12}
-	for i := 0; i < 2; i++ {
-		if _, err := e.BruteForce(q, tiny); !errors.Is(err, implication.ErrBoundsExceeded) {
-			t.Fatalf("ask %d: err = %v, want ErrBoundsExceeded", i+1, err)
-		}
-	}
-	if s := e.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Errorf("stats = %+v, want the error to be served from the cache", s)
 	}
 }
 
@@ -389,6 +291,8 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
+// TestImpliesBatchOrder: a batch of queries fanned across the worker
+// pool by ForEach lands every answer at its own index.
 func TestImpliesBatchOrder(t *testing.T) {
 	depth := 5
 	d := gen.ChainDTD(depth, 2)
@@ -409,17 +313,18 @@ func TestImpliesBatchOrder(t *testing.T) {
 		}
 		want = append(want, ans.Implied)
 	}
-	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, NoCache: true}} {
+	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {}} {
 		e, err := New(d, sigma, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.ImpliesBatch(qs)
-		if err != nil {
+		got := make([]implication.Answer, len(qs))
+		if err := e.ForEach(len(qs), func(i int) error {
+			var err error
+			got[i], err = e.Implies(qs[i])
+			return err
+		}); err != nil {
 			t.Fatal(err)
-		}
-		if len(got) != len(qs) {
-			t.Fatalf("opts %+v: %d answers for %d queries", opts, len(got), len(qs))
 		}
 		for i := range got {
 			if got[i].Implied != want[i] {

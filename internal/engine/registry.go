@@ -1,60 +1,35 @@
 package engine
 
-// The process-global registry: one shared Engine per specification and
-// one shared CheckerSet per FD set, so a server hosting many documents
-// under the same spec pays for compilation and implication closure
-// exactly once, and every hosted document's queries land in the same
-// memoization cache. Both Engine and CheckerSet are safe for
-// concurrent use after construction, which is what makes handing one
-// instance to every caller sound; construction itself is single-flight
-// (concurrent first requests for one key build once and share).
+// The process-global registry: one shared CheckerSet per FD set, so a
+// server hosting many documents under the same Σ, a corpus sweep and
+// the distributed checker pay for compilation exactly once. A
+// CheckerSet is safe for concurrent use after construction, which is
+// what makes handing one instance to every caller sound; construction
+// itself is single-flight (concurrent first requests for one Σ build
+// once and share).
 //
-// Keys are canonical texts: the DTD's rendering plus Σ in Σ order.
-// Order is deliberately significant — a CheckerSet's reports are in Σ
-// order and an Engine's counterexamples can depend on iteration order,
-// so only byte-identical specs share state; two permutations of one Σ
-// get separate (still correct) instances.
+// Keys are canonical texts: Σ in Σ order. Order is deliberately
+// significant — a CheckerSet's reports are in Σ order, so only
+// byte-identical FD lists share state; two permutations of one Σ get
+// separate (still correct) instances.
 
 import (
-	"strconv"
 	"strings"
 	"sync"
 
-	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/xfd"
 )
 
-// registry is the singleton store behind Shared and SharedCheckers.
+// registry is the singleton store behind SharedCheckers.
 var registry struct {
 	mu       sync.Mutex
-	engines  map[string]*engineEntry
 	checkers map[string]*checkerEntry
-}
-
-type engineEntry struct {
-	once sync.Once
-	eng  *Engine
-	err  error
 }
 
 type checkerEntry struct {
 	once sync.Once
 	cs   *xfd.CheckerSet
 	err  error
-}
-
-// specKey canonicalizes (D, Σ, opts) into the engine registry key.
-func specKey(d *dtd.DTD, sigma []xfd.FD, opts Options) string {
-	var b strings.Builder
-	b.WriteString(d.String())
-	b.WriteByte('\x00')
-	b.WriteString(sigmaKey(sigma))
-	b.WriteByte('\x00')
-	b.WriteString(strconv.Itoa(opts.Workers))
-	if opts.NoCache {
-		b.WriteString(";nocache")
-	}
-	return b.String()
 }
 
 // sigmaKey canonicalizes an FD list, order preserved.
@@ -65,26 +40,6 @@ func sigmaKey(sigma []xfd.FD) string {
 		b.WriteByte('\x1f')
 	}
 	return b.String()
-}
-
-// Shared returns the process-global Engine for (D, Σ) under the given
-// options, building it on first use. Concurrent callers with the same
-// canonical spec share one instance — and therefore one implication
-// cache; see the package registry comment for the keying rules.
-func Shared(d *dtd.DTD, sigma []xfd.FD, opts Options) (*Engine, error) {
-	key := specKey(d, sigma, opts)
-	registry.mu.Lock()
-	if registry.engines == nil {
-		registry.engines = map[string]*engineEntry{}
-	}
-	ent, ok := registry.engines[key]
-	if !ok {
-		ent = &engineEntry{}
-		registry.engines[key] = ent
-	}
-	registry.mu.Unlock()
-	ent.once.Do(func() { ent.eng, ent.err = New(d, sigma, opts) })
-	return ent.eng, ent.err
 }
 
 // SharedCheckers returns the process-global compiled CheckerSet for Σ,
@@ -105,22 +60,4 @@ func SharedCheckers(sigma []xfd.FD) (*xfd.CheckerSet, error) {
 	registry.mu.Unlock()
 	ent.once.Do(func() { ent.cs, ent.err = xfd.NewCheckerSetFor(sigma) })
 	return ent.cs, ent.err
-}
-
-// RegistryLen reports how many engines and checker sets the registry
-// holds — observability for tests and server stats.
-func RegistryLen() (engines, checkers int) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	return len(registry.engines), len(registry.checkers)
-}
-
-// PurgeRegistry empties the registry (entries mid-construction finish
-// against their old entry and are dropped). Intended for tests and for
-// long-lived processes that cycle through many specs.
-func PurgeRegistry() {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	registry.engines = nil
-	registry.checkers = nil
 }

@@ -4,79 +4,36 @@ import (
 	"sync"
 	"testing"
 
-	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/xfd"
 )
 
-const regDTD = `<!ELEMENT courses (course*)>
-<!ELEMENT course (title)>
-<!ATTLIST course cno CDATA #REQUIRED>
-<!ELEMENT title (#PCDATA)>`
-
-func regSpec(t *testing.T) (*dtd.DTD, []xfd.FD) {
+func regSigma(t *testing.T) []xfd.FD {
 	t.Helper()
-	d, err := dtd.Parse(regDTD)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sigma, err := xfd.ParseSet("courses.course.@cno -> courses.course")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, sigma
+	return sigma
 }
 
-func TestSharedReturnsOneInstancePerSpec(t *testing.T) {
-	PurgeRegistry()
-	d, sigma := regSpec(t)
-	a, err := Shared(d, sigma, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Shared(d, sigma, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("same canonical spec must share one engine")
-	}
-	// Different options are different instances: a NoCache engine must
-	// never serve cached answers to callers that asked for caching.
-	c, err := Shared(d, sigma, Options{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Fatal("NoCache engine aliases the caching one")
-	}
-	if ne, _ := RegistryLen(); ne != 2 {
-		t.Fatalf("registry holds %d engines, want 2", ne)
-	}
-	// The shared engine answers like a private one.
-	q, err := xfd.Parse("courses.course.@cno -> courses.course.title.S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := a.Implies(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priv, err := New(d, sigma, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := priv.Implies(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Implied != want.Implied {
-		t.Fatalf("shared engine answers %v, private %v", ans.Implied, want.Implied)
-	}
+// resetRegistry empties the registry, so a test starts with no
+// compiled set.
+func resetRegistry() {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	registry.checkers = nil
+}
+
+// registryLen reports how many checker sets the registry holds.
+func registryLen() int {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	return len(registry.checkers)
 }
 
 func TestSharedCheckersSingleFlight(t *testing.T) {
-	PurgeRegistry()
-	_, sigma := regSpec(t)
+	resetRegistry()
+	sigma := regSigma(t)
 	const callers = 32
 	got := make([]*xfd.CheckerSet, callers)
 	var wg sync.WaitGroup
@@ -98,7 +55,7 @@ func TestSharedCheckersSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d got a different CheckerSet", i)
 		}
 	}
-	if _, nc := RegistryLen(); nc != 1 {
+	if nc := registryLen(); nc != 1 {
 		t.Fatalf("registry holds %d checker sets, want 1", nc)
 	}
 	// A different Σ (even a permutation) is a different compiled set.
@@ -118,17 +75,28 @@ courses.course.@cno -> courses.course.title.S
 	}
 }
 
+// TestPurgeRegistry: once the registry is emptied, SharedCheckers
+// builds the set again, a new instance, and the registry holds that
+// one alone.
 func TestPurgeRegistry(t *testing.T) {
-	PurgeRegistry()
-	d, sigma := regSpec(t)
-	if _, err := Shared(d, sigma, Options{}); err != nil {
+	resetRegistry()
+	sigma := regSigma(t)
+	before, err := SharedCheckers(sigma)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SharedCheckers(sigma); err != nil {
+	resetRegistry()
+	if nc := registryLen(); nc != 0 {
+		t.Fatalf("after purge: %d checker sets", nc)
+	}
+	after, err := SharedCheckers(sigma)
+	if err != nil {
 		t.Fatal(err)
 	}
-	PurgeRegistry()
-	if ne, nc := RegistryLen(); ne != 0 || nc != 0 {
-		t.Fatalf("after purge: %d engines, %d checker sets", ne, nc)
+	if after == before {
+		t.Fatal("a purged registry served the old CheckerSet")
+	}
+	if nc := registryLen(); nc != 1 {
+		t.Fatalf("after rebuilding: %d checker sets, want 1", nc)
 	}
 }

@@ -2,7 +2,7 @@ package engine
 
 // Concurrency stress tests: many goroutines hammer one engine with
 // overlapping queries and every answer is checked against a reference
-// computed on the sequential, uncached path. All query schedules come
+// computed by the plain sequential decider. All query schedules come
 // from seeded PRNGs, so runs are reproducible; nothing here asserts on
 // wall-clock time. These tests are the ones `go test -race` is aimed
 // at in CI.
@@ -84,14 +84,13 @@ func reference(t *testing.T, d *dtd.DTD, sigma []xfd.FD, qs []xfd.FD) []implicat
 
 // TestStressImplies: 32 goroutines ask overlapping queries from the
 // pool in goroutine-specific seeded orders; every answer must be
-// identical to the sequential uncached reference, counterexamples
-// included.
+// identical to the sequential reference, counterexamples included.
 func TestStressImplies(t *testing.T) {
 	for _, sp := range stressSpecs(t) {
-		for _, opts := range []Options{{}, {Workers: 1}, {Workers: 4, NoCache: true}} {
+		for _, opts := range []Options{{}, {Workers: 1}, {Workers: 4}} {
 			opts := opts
 			sp := sp
-			t.Run(fmt.Sprintf("%s/workers=%d,nocache=%v", sp.name, opts.Workers, opts.NoCache), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/workers=%d", sp.name, opts.Workers), func(t *testing.T) {
 				qs := queryPool(t, sp.d, 48, sp.seed)
 				want := reference(t, sp.d, sp.sigma, qs)
 				e, err := New(sp.d, sp.sigma, opts)
@@ -142,17 +141,17 @@ func TestStressImplies(t *testing.T) {
 
 // TestStressImplied: goroutines interleave the verdict-only Implied and
 // ImpliedIDs with Implies and ImpliesIDs over the stress suite's query
-// pools; all four must return the sequential uncached reference's
-// verdict, and a refutation must still hand Implies and ImpliesIDs
-// callers a counterexample, whichever form computed the shared cache
-// entry. An ImpliesIDs counterexample must match the reference's and be
-// the caller's private clone: each caller scribbles on its own.
+// pools; all four must return the sequential reference's verdict, and
+// a refutation must hand Implies and ImpliesIDs callers a
+// counterexample. An ImpliesIDs counterexample must match the
+// reference's and be the caller's own tree: each caller scribbles on
+// its own.
 func TestStressImplied(t *testing.T) {
 	for _, sp := range stressSpecs(t) {
-		for _, opts := range []Options{{}, {Workers: 4, NoCache: true}} {
+		for _, opts := range []Options{{}, {Workers: 4}} {
 			opts := opts
 			sp := sp
-			t.Run(fmt.Sprintf("%s/nocache=%v", sp.name, opts.NoCache), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/workers=%d", sp.name, opts.Workers), func(t *testing.T) {
 				qs := queryPool(t, sp.d, 48, sp.seed)
 				want := reference(t, sp.d, sp.sigma, qs)
 				e, err := New(sp.d, sp.sigma, opts)
@@ -203,7 +202,7 @@ func TestStressImplied(t *testing.T) {
 								return
 							}
 							if cx != nil {
-								cx.Root.Children = nil // the caller's own copy
+								cx.Root.Children = nil // the caller's own tree
 							}
 						}
 					}(g)
@@ -219,7 +218,8 @@ func TestStressImplied(t *testing.T) {
 }
 
 // TestStressImpliesBatch: concurrent batches over goroutine-specific
-// shuffles of one pool; answers must land at the right indices.
+// shuffles of one pool, each fanned across the worker pool by ForEach;
+// answers must land at the right indices.
 func TestStressImpliesBatch(t *testing.T) {
 	sp := stressSpecs(t)[1] // chain7, the largest pool
 	qs := queryPool(t, sp.d, 64, sp.seed)
@@ -240,8 +240,12 @@ func TestStressImpliesBatch(t *testing.T) {
 			for i, j := range perm {
 				batch[i] = qs[j]
 			}
-			got, err := e.ImpliesBatch(batch)
-			if err != nil {
+			got := make([]implication.Answer, len(batch))
+			if err := e.ForEach(len(batch), func(i int) error {
+				var err error
+				got[i], err = e.Implies(batch[i])
+				return err
+			}); err != nil {
 				errs <- fmt.Errorf("goroutine %d: %v", g, err)
 				return
 			}
@@ -262,10 +266,11 @@ func TestStressImpliesBatch(t *testing.T) {
 }
 
 // TestStressMixed: goroutines interleave Implies, Trivial and
-// BruteForce on one engine; each operation is checked against its own
+// TrivialIDs on one engine, whose (D, ∅) closure engine the first
+// Trivial call builds; each operation is checked against its own
 // sequential reference.
 func TestStressMixed(t *testing.T) {
-	sp := stressSpecs(t)[2] // wide2: small enough for brute force
+	sp := stressSpecs(t)[2] // wide2
 	qs := queryPool(t, sp.d, 24, sp.seed)
 	want := reference(t, sp.d, sp.sigma, qs)
 	wantTriv := make([]bool, len(qs))
@@ -276,18 +281,17 @@ func TestStressMixed(t *testing.T) {
 		}
 		wantTriv[i] = triv
 	}
-	bounds := implication.Bounds{MaxValuePositions: 12, MaxTrees: 5000000}
-	wantBrute := make([]implication.Answer, len(qs))
-	for i, q := range qs {
-		ans, err := implication.BruteForce(sp.d, sp.sigma, q, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBrute[i] = ans
-	}
 	e, err := New(sp.d, sp.sigma, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	u := e.Universe()
+	lhss, rhss := make([]paths.Set, len(qs)), make([]paths.ID, len(qs))
+	for i, q := range qs {
+		lhss[i], rhss[i] = u.NewSet(), u.MustLookup(q.RHS[0])
+		for _, p := range q.LHS {
+			lhss[i].Add(u.MustLookup(p))
+		}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, stressGoroutines)
@@ -320,13 +324,13 @@ func TestStressMixed(t *testing.T) {
 						return
 					}
 				case 2:
-					got, err := e.BruteForce(qs[i], bounds)
+					got, err := e.TrivialIDs(lhss[i], rhss[i])
 					if err != nil {
 						errs <- err
 						return
 					}
-					if got.Implied != wantBrute[i].Implied {
-						errs <- fmt.Errorf("goroutine %d: BruteForce(%s) = %v, want %v", g, qs[i], got.Implied, wantBrute[i].Implied)
+					if got != wantTriv[i] {
+						errs <- fmt.Errorf("goroutine %d: TrivialIDs(%s) = %v, want %v", g, qs[i], got, wantTriv[i])
 						return
 					}
 				}

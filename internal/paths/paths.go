@@ -1,6 +1,6 @@
 // Package paths interns paths(D) into a dense integer universe. Every
 // layer above the DTD — tuple extraction, FD checking, the closure
-// decider, XNF search, the engine cache — keys its hot structures by
+// decider, XNF search — keys its hot structures by
 // paths; re-joining []string step slices on each lookup dominates those
 // inner loops. A Universe assigns each path of a finalized DTD a dense
 // ID with precomputed parent, depth, kind and multiplicity, so the rest

@@ -140,7 +140,7 @@ func (s Set) IDs() []ID {
 // AppendWords appends the set's words to dst in little-endian byte
 // order, dropping trailing zero words first so that equal sets always
 // serialize identically regardless of allocation length. Used to build
-// binary cache keys.
+// binary tuple keys (tuples.Tuple.AppendKey).
 func (s Set) AppendWords(dst []byte) []byte {
 	n := len(s)
 	for n > 0 && s[n-1] == 0 {

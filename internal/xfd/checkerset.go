@@ -443,6 +443,14 @@ func appendKey(dst []byte, tup tuples.Tuple, ids []paths.ID, addrs map[xmltree.N
 	return dst, complete
 }
 
+// AppendKey is appendKey's NodeID form, for callers that group the
+// tuples of one tree by their values at ids outside a fold: a vertex
+// encodes as its NodeID, a string behind its length, a ⊥ as tag 0.
+// complete is false when some value is ⊥.
+func AppendKey(dst []byte, tup tuples.Tuple, ids []paths.ID) (key []byte, complete bool) {
+	return appendKey(dst, tup, ids, nil)
+}
+
 // appendFoldKeys computes the FD's keys for one tuple through
 // appendKey: the LHS key it groups by and an RHS key that is equal
 // between two tuples exactly when their RHS values agree, each value

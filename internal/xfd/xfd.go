@@ -30,8 +30,8 @@ import (
 // FD is a functional dependency S1 → S2 over the paths of a DTD: its
 // two sides as parsed paths, and nothing else. A path's interned
 // paths.ID is its name between parsing and printing, and each compiler
-// (CheckerSet, the closure engine, the engine's cache key) looks the
-// FD's paths up once in its own universe.
+// (CheckerSet, the closure engine) looks the FD's paths up once in its
+// own universe.
 type FD struct {
 	LHS []dtd.Path
 	RHS []dtd.Path

@@ -7,6 +7,7 @@ import (
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/paths"
 	"xmlnorm/internal/tuples"
+	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xmltree"
 )
 
@@ -155,7 +156,7 @@ func (c *CreateStep) Apply(t *xmltree.Tree) error {
 		// The transformation is only information-preserving on documents
 		// that satisfy the anomalous FD; detect violations instead of
 		// silently splitting one determinant across two groups.
-		if key, ok := lhsValueKey(tup, detIDs, keyBuf[:0]); ok {
+		if key, ok := xfd.AppendKey(keyBuf[:0], tup, detIDs); ok {
 			keyBuf = key
 			if prev, dup := seenLHS[string(key)]; dup && prev != vKey {
 				return fmt.Errorf("xnf: document violates the guarding FD: one determinant maps to %q and %q", prev, vKey)

@@ -57,9 +57,9 @@ type Options struct {
 	// Costs one extra XNF analysis per step; intended for tests and
 	// paranoid pipelines.
 	VerifySteps bool
-	// Engine configures the implication engine (worker count, caching)
+	// Engine configures the implication engine (the worker count)
 	// shared by the anomaly scan, minimization and move search of each
-	// iteration. The zero value uses GOMAXPROCS workers with caching on.
+	// iteration. The zero value uses GOMAXPROCS workers.
 	Engine engine.Options
 }
 
@@ -81,9 +81,9 @@ func Normalize(s Spec, opts Options) (Spec, []Step, error) {
 		if err := cur.Validate(); err != nil {
 			return Spec{}, steps, err
 		}
-		// One cached engine serves this whole iteration: the anomaly
-		// scan, every minimization probe, and the move search all query
-		// the same (D, Σ) and overlap heavily.
+		// One engine serves this whole iteration: the anomaly scan,
+		// every minimization probe, and the move search all query the
+		// same (D, Σ), so its closure engines are built once.
 		eng, err := engine.New(cur.DTD, cur.FDs, opts.Engine)
 		if err != nil {
 			return Spec{}, steps, err
@@ -205,8 +205,7 @@ func MinimizeAnomaly(eng *engine.Engine, f xfd.FD) (xfd.FD, error) {
 
 // minimize refines an anomalous FD to a (D, Σ)-minimal one: while some
 // strictly smaller anomalous FD exists over the definition's candidate
-// paths, switch to it (Section 6). The engine's cache pays off here:
-// different anomalies of one spec probe overlapping candidate subsets.
+// paths, switch to it (Section 6).
 func minimize(eng *engine.Engine, f xfd.FD) (xfd.FD, error) {
 	cur := f
 	for depth := 0; depth < 20; depth++ {

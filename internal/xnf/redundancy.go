@@ -1,11 +1,10 @@
 package xnf
 
 import (
-	"encoding/binary"
-
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/paths"
 	"xmlnorm/internal/tuples"
+	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xmltree"
 )
 
@@ -68,7 +67,7 @@ func MeasureRedundancy(s Spec, t *xmltree.Tree) (RedundancyReport, error) {
 			if _, ok := tup.GetID(rhsID); !ok {
 				return true
 			}
-			key, ok := lhsValueKey(tup, lhsIDs, buf[:0])
+			key, ok := xfd.AppendKey(buf[:0], tup, lhsIDs)
 			buf = key
 			if !ok {
 				return true
@@ -89,28 +88,4 @@ func MeasureRedundancy(s Spec, t *xmltree.Tree) (RedundancyReport, error) {
 		rep.Redundant += r.Redundant
 	}
 	return rep, nil
-}
-
-// lhsValueKey appends a self-delimiting binary rendering of the tuple's
-// LHS values to dst: node values by vertex id, string values
-// length-prefixed, each behind a type tag. Distinct value combinations
-// get distinct keys (unlike a separator-joined string, which a value
-// containing the separator could forge).
-func lhsValueKey(t tuples.Tuple, lhs []paths.ID, dst []byte) ([]byte, bool) {
-	for _, id := range lhs {
-		v, ok := t.GetID(id)
-		if !ok {
-			return dst, false
-		}
-		if v.IsNode() {
-			dst = append(dst, 1)
-			dst = binary.AppendUvarint(dst, uint64(v.Node()))
-		} else {
-			s := v.Str()
-			dst = append(dst, 2)
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		}
-	}
-	return dst, true
 }

@@ -65,8 +65,8 @@ func Check(s Spec) (bool, []Anomaly, error) {
 	return CheckOpts(s, engine.Options{})
 }
 
-// CheckOpts is Check with explicit engine options (worker count,
-// caching) for the underlying implication engine.
+// CheckOpts is Check with explicit engine options (the worker count)
+// for the underlying implication engine.
 func CheckOpts(s Spec, eo engine.Options) (bool, []Anomaly, error) {
 	anomalies, err := AnomaliesOpts(s, eo)
 	if err != nil {
@@ -94,9 +94,9 @@ func AnomaliesOpts(s Spec, eo engine.Options) ([]Anomaly, error) {
 
 // AnomaliesWith lists the anomalous FDs among (the single-RHS splits
 // of) fds, answering through a caller-supplied engine. The analysis
-// subsystem uses it to share one cached engine between the anomaly
-// scan, anomaly minimization and the repair-step search; the engine
-// must be built over the spec the FDs belong to.
+// subsystem uses it to share one engine between the anomaly scan,
+// anomaly minimization and the repair-step search; the engine must be
+// built over the spec the FDs belong to.
 func AnomaliesWith(eng *engine.Engine, fds []xfd.FD) ([]Anomaly, error) {
 	return anomaliesWith(eng, fds)
 }
@@ -135,7 +135,7 @@ func anomaliesWith(eng *engine.Engine, fds []xfd.FD) ([]Anomaly, error) {
 
 // anomalous decides whether a single-RHS FD is anomalous over (D, Σ);
 // the engine answers both the (D, Σ) query and the triviality query
-// (D, ∅) from its cache.
+// over (D, ∅).
 func anomalous(eng *engine.Engine, single xfd.FD) (Anomaly, bool, error) {
 	rhs := single.RHS[0]
 	if rhs.IsElem() {

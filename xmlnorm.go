@@ -66,14 +66,15 @@ type (
 	NormalizeOptions = xnf.Options
 	// ImplicationAnswer is the result of an implication test.
 	ImplicationAnswer = implication.Answer
-	// Engine is a concurrency-safe, memoizing implication engine over
-	// one specification; see NewEngine.
+	// Engine is a concurrency-safe implication engine over one
+	// specification; see NewEngine.
 	Engine = engine.Engine
-	// EngineOptions configures workers and caching for an Engine and
-	// for the Opts variants of the spec-level operations. The zero
-	// value means GOMAXPROCS workers with caching on.
+	// EngineOptions sets the worker count of an Engine and of the Opts
+	// variants of the spec-level operations. The zero value means
+	// GOMAXPROCS workers.
 	EngineOptions = engine.Options
-	// EngineStats reports an engine's cache hit/miss counters.
+	// EngineStats counts the queries an engine decided (Misses); Hits
+	// is always 0.
 	EngineStats = engine.Stats
 	// RedundancyReport quantifies update-anomaly-causing redundancy.
 	RedundancyReport = xnf.RedundancyReport
@@ -204,9 +205,10 @@ func CheckXNFOpts(s Spec, eo EngineOptions) (bool, []Anomaly, error) {
 }
 
 // NewEngine builds a reusable implication engine for the
-// specification: answers are memoized per canonicalized query and
-// batch operations fan out across the configured workers. All engine
-// methods are safe for concurrent use.
+// specification: the closure engines for (D, Σ) and (D, ∅) are built
+// once, every query is decided by the closure, and batch operations
+// fan out across the configured workers. All engine methods are safe
+// for concurrent use.
 func NewEngine(s Spec, eo EngineOptions) (*Engine, error) {
 	return engine.New(s.DTD, s.FDs, eo)
 }
@@ -244,7 +246,7 @@ func MinimalCover(s Spec) ([]FD, error) { return xnf.MinimalCover(s) }
 // per-FD classification of Σ (essential / weakened / redundant), a
 // diagnosis of every XNF anomaly with witness and repair step, and the
 // 4XNF (4NF-of-the-flat-image) verdict. The report is deterministic
-// across worker counts and cache settings.
+// across worker counts.
 func Analyze(s Spec, opts AnalyzeOptions) (*AnalysisReport, error) {
 	return analyze.Analyze(s, opts)
 }
@@ -256,17 +258,6 @@ func ParseTreeMVD(text string) (TreeMVD, error) { return analyze.ParseTreeMVD(te
 // Implies decides (D, Σ) ⊢ q.
 func Implies(s Spec, q FD) (ImplicationAnswer, error) {
 	return implication.Implies(s.DTD, s.FDs, q)
-}
-
-// ImpliesOpts decides (D, Σ) ⊢ q through a fresh engine with the given
-// options; for one-shot queries it matches Implies, while callers with
-// many queries should keep an Engine from NewEngine instead.
-func ImpliesOpts(s Spec, q FD, eo EngineOptions) (ImplicationAnswer, error) {
-	eng, err := engine.New(s.DTD, s.FDs, eo)
-	if err != nil {
-		return ImplicationAnswer{}, err
-	}
-	return eng.Implies(q)
 }
 
 // Trivial decides whether q follows from the DTD alone.
