@@ -61,6 +61,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -288,16 +289,21 @@ func checkDocument(s xmlnorm.Spec, docPath string, out checkOutput) error {
 	if err := xmlnorm.ConformsUnordered(doc, s.DTD); err != nil {
 		return fmt.Errorf("document does not conform to the spec: %v", err)
 	}
-	return printCheckVerdict(xmlnorm.ViolationsOpts(doc, s.FDs, engOpts), len(s.FDs), out)
+	violated, err := xmlnorm.ViolationsCtx(context.Background(), doc, s.FDs, engOpts)
+	if err != nil {
+		return err
+	}
+	return printCheckVerdict(violated, len(s.FDs), out)
 }
 
-// fragmentCheckDocument is the -fragments mode of "xnf check": the
-// document is split at a top-level sibling group into up to k
-// fragments whose per-FD fold states are computed independently and
-// merged associatively into the whole-document verdict (the
-// distributed-checking substrate, exercised end to end). Witnesses are
-// re-derived for the violated FDs only, so the output is identical to
-// the whole-document modes at every k.
+// fragmentCheckDocument is the -fragments mode of "xnf check" without
+// -workers: the in-process sharded check at k workers, the same check
+// as -parallel k. The document is split at a top-level sibling group
+// into up to k fragments whose per-FD fold states are computed
+// independently and merged associatively into the whole-document
+// verdict (the distributed-checking substrate, exercised end to end).
+// Witnesses are re-derived for the violated FDs only, so the output is
+// identical to the whole-document modes at every k.
 func fragmentCheckDocument(s xmlnorm.Spec, docPath string, out checkOutput, k int) error {
 	doc, err := loadDoc(docPath)
 	if err != nil {
@@ -306,7 +312,7 @@ func fragmentCheckDocument(s xmlnorm.Spec, docPath string, out checkOutput, k in
 	if err := xmlnorm.ConformsUnordered(doc, s.DTD); err != nil {
 		return fmt.Errorf("document does not conform to the spec: %v", err)
 	}
-	violated, err := xmlnorm.ViolationsFragmented(doc, s.FDs, k)
+	violated, err := xmlnorm.ViolationsCtx(context.Background(), doc, s.FDs, xmlnorm.EngineOptions{Workers: k})
 	if err != nil {
 		return err
 	}
@@ -605,8 +611,12 @@ func cmdValidate(args []string) error {
 		return fmt.Errorf("conformance: %v", err)
 	}
 	// One streaming walk over the document decides all of Σ.
+	report, err := xmlnorm.ViolationsCtx(context.Background(), doc, s.FDs, engOpts)
+	if err != nil {
+		return err
+	}
 	var violated []string
-	for _, v := range xmlnorm.ViolationsOpts(doc, s.FDs, engOpts) {
+	for _, v := range report {
 		violated = append(violated, v.FD.String())
 	}
 	if len(violated) > 0 {

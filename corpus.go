@@ -44,25 +44,3 @@ func CheckCorpus(ctx context.Context, sigma []FD, dir string, opts CorpusOptions
 	}
 	return corpus.Check(ctx, cs, dir, opts, emit)
 }
-
-// ViolationsFragmented is Violations computed the distributed way: the
-// document is split at a top-level sibling group into up to k
-// fragments (xfd.CheckerSet.SplitFragments), each fragment's per-FD
-// fold state is computed independently — here in parallel on up to k
-// workers; on a cluster, each state could be computed on its own node
-// and shipped as bytes (xfd.FoldState) — and the states are merged
-// associatively into the whole-document verdict. Witnesses are then
-// re-derived for the violated FDs only, so the report is bit-identical
-// to Violations' for every k. k < 2 degenerates to the sequential
-// check. It is xfd.CheckerSet.ViolationsShardedCtx with k as the
-// worker count.
-func ViolationsFragmented(t *Tree, sigma []FD, k int) ([]Violated, error) {
-	if len(sigma) == 0 {
-		return nil, nil
-	}
-	cs, err := engine.SharedCheckers(sigma)
-	if err != nil {
-		return nil, err
-	}
-	return cs.ViolationsShardedCtx(context.TODO(), t, k)
-}

@@ -98,11 +98,11 @@ func repairStep(eng *engine.Engine, min xfd.FD) (xnf.StepKind, string, error) {
 			if !q.IsElem() {
 				continue
 			}
-			implied, err := eng.Implied(xfd.FD{LHS: []dtd.Path{q}, RHS: min.LHS})
+			ans, err := eng.Implies(xfd.FD{LHS: []dtd.Path{q}, RHS: min.LHS})
 			if err != nil {
 				return 0, "", err
 			}
-			if implied {
+			if ans.Implied {
 				return xnf.StepMoveAttribute,
 					fmt.Sprintf("move %s to a fresh attribute of %s", min.RHS[0], q), nil
 			}

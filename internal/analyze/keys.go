@@ -272,10 +272,7 @@ func (a *keySearch) superkey(sub []int) (bool, error) {
 	}
 	lhs := a.eng.Universe().SetOf(a.lhs...)
 	for _, rhs := range a.rest {
-		ans, err := a.eng.ImpliesIDs(lhs, rhs)
-		if err != nil {
-			return false, err
-		}
+		ans := a.eng.ImpliesIDs(lhs, rhs)
 		if ans.Implied {
 			continue
 		}

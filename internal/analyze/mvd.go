@@ -349,10 +349,7 @@ func check4XNFWith(eng *engine.Engine, s xnf.Spec, mvds []TreeMVD) (FourXNF, err
 			if in.Has(vids[qi]) || ref.refutes(lhs.ids, vids[qi:qi+1]) {
 				continue
 			}
-			ans, err := eng.ImpliesIDs(in, vids[qi])
-			if err != nil {
-				return FourXNF{}, err
-			}
+			ans := eng.ImpliesIDs(in, vids[qi])
 			implied[qi] = ans.Implied
 			if !ans.Implied {
 				ref.add(ans)

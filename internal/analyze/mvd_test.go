@@ -356,11 +356,11 @@ func perQueryImage(t *testing.T, s xnf.Spec) []string {
 				if lhs[q.String()] {
 					continue
 				}
-				implied, err := eng.Implied(xfd.FD{LHS: split.LHS, RHS: []dtd.Path{q}})
+				ans, err := eng.Implies(xfd.FD{LHS: split.LHS, RHS: []dtd.Path{q}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if implied {
+				if ans.Implied {
 					out = append(out, relational.FD{LHS: lhs, RHS: relational.NewAttrSet(q.String())}.String())
 				}
 			}

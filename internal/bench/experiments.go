@@ -830,8 +830,8 @@ func E16EngineAblation(opts Options) (*Table, error) {
 			answers[i] = make([]bool, len(qs))
 			times[i], err = timeIt(func() error {
 				return eng.ForEach(len(qs), func(j int) error {
-					var err error
-					answers[i][j], err = eng.Implied(qs[j])
+					ans, err := eng.Implies(qs[j])
+					answers[i][j] = ans.Implied
 					return err
 				})
 			})

@@ -43,7 +43,6 @@ func TestOutsideUniverseFails(t *testing.T) {
 		ask  func(xfd.FD) error
 	}{
 		{"Implies", func(q xfd.FD) error { _, err := e.Implies(q); return err }},
-		{"Implied", func(q xfd.FD) error { _, err := e.Implied(q); return err }},
 		{"Trivial", func(q xfd.FD) error { _, err := e.Trivial(q); return err }},
 	} {
 		for _, q := range []struct {

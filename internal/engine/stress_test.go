@@ -139,10 +139,9 @@ func TestStressImplies(t *testing.T) {
 	}
 }
 
-// TestStressImplied: goroutines interleave the verdict-only Implied and
-// ImpliedIDs with Implies and ImpliesIDs over the stress suite's query
-// pools; all four must return the sequential reference's verdict, and
-// a refutation must hand Implies and ImpliesIDs callers a
+// TestStressImplied: goroutines interleave Implies and ImpliesIDs over
+// the stress suite's query pools; both must return the sequential
+// reference's verdict, and a refutation must hand the caller a
 // counterexample. An ImpliesIDs counterexample must match the
 // reference's and be the caller's own tree: each caller scribbles on
 // its own.
@@ -175,30 +174,22 @@ func TestStressImplied(t *testing.T) {
 						rng := rand.New(rand.NewSource(sp.seed<<9 + int64(g)))
 						for k := 0; k < 2*len(qs); k++ {
 							i := rng.Intn(len(qs))
-							var implied bool
-							var cx *xmltree.Tree
+							var ans implication.Answer
 							var err error
-							switch (g + k) % 4 {
+							switch (g + k) % 2 {
 							case 0:
-								implied, err = e.Implied(qs[i])
-							case 1:
-								implied, err = e.ImpliedIDs(lhss[i], rhss[i])
-							case 2:
-								var ans implication.Answer
 								ans, err = e.Implies(qs[i])
-								implied, cx = ans.Implied, ans.Counterexample
-							case 3:
-								var ans implication.Answer
-								ans, err = e.ImpliesIDs(lhss[i], rhss[i])
-								implied, cx = ans.Implied, ans.Counterexample
-								if cx != nil && !xmltree.Isomorphic(cx, want[i].Counterexample) {
+							case 1:
+								ans = e.ImpliesIDs(lhss[i], rhss[i])
+								if ans.Counterexample != nil && !xmltree.Isomorphic(ans.Counterexample, want[i].Counterexample) {
 									errs <- fmt.Errorf("goroutine %d: ImpliesIDs(%s): counterexample differs from the reference", g, qs[i])
 									return
 								}
 							}
-							if err != nil || implied != want[i].Implied || (g+k)%4 >= 2 && (cx == nil) != implied {
+							implied, cx := ans.Implied, ans.Counterexample
+							if err != nil || implied != want[i].Implied || (cx == nil) != implied {
 								errs <- fmt.Errorf("goroutine %d, form %d: %s = %v (counterexample %v), %v; want %v",
-									g, (g+k)%4, qs[i], implied, cx != nil, err, want[i].Implied)
+									g, (g+k)%2, qs[i], implied, cx != nil, err, want[i].Implied)
 								return
 							}
 							if cx != nil {
@@ -266,9 +257,10 @@ func TestStressImpliesBatch(t *testing.T) {
 }
 
 // TestStressMixed: goroutines interleave Implies, Trivial and
-// TrivialIDs on one engine, whose (D, ∅) closure engine the first
-// Trivial call builds; each operation is checked against its own
-// sequential reference.
+// TrivialIDs on one engine, which asks its (D, ∅) questions of the
+// (D, ∅) engine it built with itself and counts every decision on one
+// counter; each operation is checked against its own sequential
+// reference, and the counter against the operations run.
 func TestStressMixed(t *testing.T) {
 	sp := stressSpecs(t)[2] // wide2
 	qs := queryPool(t, sp.d, 24, sp.seed)
@@ -324,12 +316,7 @@ func TestStressMixed(t *testing.T) {
 						return
 					}
 				case 2:
-					got, err := e.TrivialIDs(lhss[i], rhss[i])
-					if err != nil {
-						errs <- err
-						return
-					}
-					if got != wantTriv[i] {
+					if got := e.TrivialIDs(lhss[i], rhss[i]); got != wantTriv[i] {
 						errs <- fmt.Errorf("goroutine %d: TrivialIDs(%s) = %v, want %v", g, qs[i], got, wantTriv[i])
 						return
 					}
@@ -341,6 +328,11 @@ func TestStressMixed(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	// Every pool query has one RHS path, so each operation is one
+	// decision.
+	if got, want := e.Queries(), uint64(stressGoroutines*2*len(qs)); !t.Failed() && got != want {
+		t.Errorf("Queries() = %d after %d single-RHS operations", got, want)
 	}
 }
 

@@ -22,6 +22,7 @@ package implication
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/paths"
@@ -62,26 +63,41 @@ func Implies(d *dtd.DTD, sigma []xfd.FD, q xfd.FD) (Answer, error) {
 // them). Σ is compiled twice, once for the closure and once as an
 // xfd.CheckerSet over the skeleton's universe, and D's content models
 // are compiled once into an xmltree.Conformer; the last two certify
-// every refutation. An Engine is read-only after construction, so
-// concurrent queries (internal/engine's worker pool) share all of it.
+// every refutation. An Engine is read-only after construction, except
+// for its query counter, so concurrent queries (the worker pool of
+// internal/engine) share all of it.
 //
 // The skeleton, the conformer and the branch assignments depend on D
-// alone. WithSigma derives an engine for another Σ over the same DTD
-// that shares exactly these read-only parts and compiles only its own
-// Σ, which is what lets a caller testing many reduced FD sets
-// (xnf.MinimalCover) build the DTD's half once.
+// alone. They form the engine's Σ-independent half, together with the
+// (D, ∅) engine that answers Trivial and the counter behind Queries.
+// WithSigma derives an engine for another Σ over the same DTD that
+// shares exactly this half and compiles only its own Σ, which is what
+// lets a caller testing many reduced FD sets (xnf.MinimalCover) build
+// the DTD's half once. Every engine of one half asks (D, ∅) questions
+// of the same (D, ∅) engine and counts its decisions on the same
+// counter.
 //
-// A query is asked by path ID in the engine's universe (ImpliesIDs):
-// an LHS set and an RHS path. Implies resolves an xfd.FD query into
-// that form first (Resolve).
+// A query is asked by path ID in the engine's universe (ImpliesIDs,
+// TrivialIDs): an LHS set and an RHS path. Implies and Trivial resolve
+// an xfd.FD query into that form first (Resolve).
 type Engine struct {
-	// Σ-independent, shared with every engine WithSigma derives.
-	sk      *skeleton
-	conform *xmltree.Conformer
-	asgs    []assignment
+	*half
 	// Σ, compiled for the closure and for certifying refutations.
 	compiled []compiledFD
 	sigma    *xfd.CheckerSet
+}
+
+// half is the Σ-independent part of an engine, shared by every engine
+// WithSigma derives from it.
+type half struct {
+	sk      *skeleton
+	conform *xmltree.Conformer
+	asgs    []assignment
+	// triv is the (D, ∅) engine over this half.
+	triv *Engine
+	// queries counts the single-RHS closure decisions made over this
+	// half, by any of its engines.
+	queries atomic.Uint64
 }
 
 // NewEngine builds an engine. The DTD must be non-recursive and
@@ -97,9 +113,10 @@ func NewEngine(d *dtd.DTD, sigma []xfd.FD) (*Engine, error) {
 }
 
 // newEngine builds the Σ-independent half of an engine over a built
-// skeleton, whose universe sk.u interns every skeleton path, then
-// compiles Σ through WithSigma. NewEngine and the one-shot deciders
-// (Implies, ImpliesBounded) all build their engine here.
+// skeleton, whose universe sk.u interns every skeleton path, with its
+// (D, ∅) engine, then compiles Σ through WithSigma. NewEngine and the
+// one-shot deciders (Implies, ImpliesBounded) all build their engine
+// here.
 func newEngine(sk *skeleton, sigma []xfd.FD) (*Engine, error) {
 	total := 1
 	for _, g := range sk.groups {
@@ -112,17 +129,26 @@ func newEngine(sk *skeleton, sigma []xfd.FD) (*Engine, error) {
 			return nil, fmt.Errorf("implication: more than %d branch assignments (N_D too large); use BruteForce", MaxAssignments)
 		}
 	}
-	base := &Engine{sk: sk, conform: xmltree.NewConformer(sk.d), asgs: enumerateAssignments(sk)}
-	return base.WithSigma(sigma)
+	h := &half{sk: sk, conform: xmltree.NewConformer(sk.d), asgs: enumerateAssignments(sk)}
+	empty, err := xfd.NewCheckerSet(sk.u, nil)
+	if err != nil {
+		return nil, err // unreachable: an empty Σ looks nothing up
+	}
+	h.triv = &Engine{half: h, sigma: empty}
+	return h.triv.WithSigma(sigma)
 }
 
 // WithSigma returns an engine for (D, sigma) over e's DTD. It shares
-// e's skeleton, conformer and branch assignments, all read-only, and
+// e's Σ-independent half, read-only but for the query counter, and
 // compiles only sigma, for the closure and as a CheckerSet, each
-// looking its paths up in the skeleton's universe. The result answers
-// every query exactly as NewEngine(D, sigma) would, and e is left
-// unchanged, so both stay safe for concurrent use.
+// looking its paths up in the skeleton's universe; an empty sigma
+// gives the half's (D, ∅) engine itself. The result answers every
+// query exactly as NewEngine(D, sigma) would, and e is left unchanged,
+// so both stay safe for concurrent use.
 func (e *Engine) WithSigma(sigma []xfd.FD) (*Engine, error) {
+	if len(sigma) == 0 {
+		return e.triv, nil
+	}
 	compiled, err := compileFDs(e.sk, sigma)
 	if err != nil {
 		return nil, err
@@ -131,8 +157,17 @@ func (e *Engine) WithSigma(sigma []xfd.FD) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{sk: e.sk, conform: e.conform, asgs: e.asgs, compiled: compiled, sigma: check}, nil
+	return &Engine{half: e.half, compiled: compiled, sigma: check}, nil
 }
+
+// DTD returns the engine's DTD.
+func (e *Engine) DTD() *dtd.DTD { return e.sk.d }
+
+// Queries returns the number of single-RHS closure decisions made over
+// the engine's half: by this engine, by the engines WithSigma derives
+// from the half, and by its (D, ∅) engine. A query that fails to
+// resolve decides nothing.
+func (e *Engine) Queries() uint64 { return e.queries.Load() }
 
 // Universe returns the interned path universe of the engine's DTD.
 func (e *Engine) Universe() *paths.Universe { return e.sk.u }
@@ -151,6 +186,19 @@ func (e *Engine) Implies(q xfd.FD) (Answer, error) {
 		}
 	}
 	return Answer{Implied: true}, nil
+}
+
+// Trivial decides whether q follows from the DTD alone: (D, ∅) ⊢ q,
+// asked of the half's (D, ∅) engine exactly as Implies asks.
+func (e *Engine) Trivial(q xfd.FD) (bool, error) {
+	ans, err := e.triv.Implies(q)
+	return ans.Implied, err
+}
+
+// TrivialIDs decides (D, ∅) ⊢ lhs → rhs for paths of the engine's
+// universe. lhs is only read.
+func (e *Engine) TrivialIDs(lhs paths.Set, rhs paths.ID) bool {
+	return e.triv.ImpliesIDs(lhs, rhs).Implied
 }
 
 // Resolve looks the paths of a single-RHS query up in the engine's
@@ -227,8 +275,10 @@ func compileFDs(sk *skeleton, sigma []xfd.FD) ([]compiledFD, error) {
 // closure_test.go, but keeps negative answers trustworthy by
 // construction). lhs is only read. The query builds one closure state
 // and resets it for each assignment; a realized counterexample is a
-// fresh tree that shares nothing with it.
+// fresh tree that shares nothing with it. Each call is one decision on
+// the half's query counter.
 func (e *Engine) ImpliesIDs(lhs paths.Set, rhs paths.ID) Answer {
+	e.queries.Add(1)
 	st := newState(e.sk, e.compiled)
 	for _, asg := range e.asgs {
 		st.reset(asg, lhs, rhs)

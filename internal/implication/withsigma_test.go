@@ -142,7 +142,9 @@ func TestWithSigmaMatchesNewEngine(t *testing.T) {
 	}
 
 	// 32 goroutines derive engines for four Σ′ from one shared base and
-	// query them; every verdict must match the sequential NewEngine's.
+	// query them; every verdict must match the sequential NewEngine's,
+	// and every (D, ∅) verdict, which all of them ask of the base's one
+	// (D, ∅) engine, the one-shot Trivial's.
 	c := withSigmaDTDs(t)[3]
 	ps, err := c.d.Paths()
 	if err != nil {
@@ -152,6 +154,12 @@ func TestWithSigmaMatchesNewEngine(t *testing.T) {
 	base, err := NewEngine(c.d, c.sigma)
 	if err != nil {
 		t.Fatal(err)
+	}
+	wantTriv := make([]bool, len(qs))
+	for qi, q := range qs {
+		if wantTriv[qi], err = Trivial(c.d, q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sigmas := make([][]xfd.FD, 4)
 	want := make([][]bool, len(sigmas))
@@ -192,6 +200,15 @@ func TestWithSigmaMatchesNewEngine(t *testing.T) {
 						g, sigmas[i], q, ans.Implied, ans.Verified, want[i][qi])
 					return
 				}
+				triv, err := derived.Trivial(q)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if triv != wantTriv[qi] {
+					errs <- fmt.Errorf("goroutine %d: Σ′ = %v, Trivial(%s) = %v, want %v", g, sigmas[i], q, triv, wantTriv[qi])
+					return
+				}
 			}
 		}(g)
 	}
@@ -199,6 +216,70 @@ func TestWithSigmaMatchesNewEngine(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestTrivialSharedAcrossFamily: every engine over one DTD half asks
+// its (D, ∅) questions of the half's one (D, ∅) engine and counts its
+// decisions on the half's one counter. On the DTDs of
+// TestWithSigmaMatchesNewEngine, Trivial and TrivialIDs agree with the
+// one-shot Trivial on a base engine, on an engine WithSigma derives
+// from it, and on the (D, ∅) engine WithSigma(nil) returns; after a
+// known mix of Implies, ImpliesIDs, Trivial and TrivialIDs spread over
+// the three, each of them reads the total as its Queries.
+func TestTrivialSharedAcrossFamily(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, c := range withSigmaDTDs(t) {
+		ps, err := c.d.Paths()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := NewEngine(c.d, c.sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		derived, err := base.WithSigma(randomSigma(rng, ps, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty, err := base.WithSigma(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		family := []*Engine{base, derived, empty}
+		var decided uint64
+		for i, q := range singleQueries(ps) {
+			want, err := Trivial(c.d, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := family[i%len(family)]
+			got, err := e.Trivial(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lhs, rhs, err := e.Resolve(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotIDs := e.TrivialIDs(lhs, rhs); got != want || gotIDs != want {
+				t.Fatalf("%s: engine %d: Trivial(%s) = %v, TrivialIDs = %v; one-shot Trivial says %v",
+					c.name, i%len(family), q, got, gotIDs, want)
+			}
+			// The same query asked over the engine's own Σ, on the next
+			// member, in both forms.
+			e = family[(i+1)%len(family)]
+			if _, err := e.Implies(q); err != nil {
+				t.Fatal(err)
+			}
+			e.ImpliesIDs(lhs, rhs)
+			decided += 4
+		}
+		for i, e := range family {
+			if got := e.Queries(); got != decided {
+				t.Errorf("%s: engine %d reads %d queries, want the family's %d", c.name, i, got, decided)
+			}
+		}
 	}
 }
 

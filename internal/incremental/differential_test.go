@@ -13,6 +13,7 @@ package incremental_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -123,15 +124,19 @@ func randomEdit(t *testing.T, ed editor, rng *rand.Rand) bool {
 
 // checkStep compares the session against from-scratch passes on the
 // current tree: sequential and sharded at 1, 2 and 4 workers.
-func checkStep(t *testing.T, cs *xfd.CheckerSet, s *incremental.Session, context string) {
+func checkStep(t *testing.T, cs *xfd.CheckerSet, s *incremental.Session, where string) {
 	t.Helper()
 	want := cs.Violations(s.Tree())
-	sameReports(t, want, s.Report(), context+" (incremental)")
+	sameReports(t, want, s.Report(), where+" (incremental)")
 	if s.Satisfied() != (len(want) == 0) {
-		t.Fatalf("%s: Satisfied() = %v with %d violations", context, s.Satisfied(), len(want))
+		t.Fatalf("%s: Satisfied() = %v with %d violations", where, s.Satisfied(), len(want))
 	}
 	for _, workers := range []int{1, 2, 4} {
-		sameReports(t, want, cs.ViolationsSharded(s.Tree(), workers), context+" (sharded)")
+		sharded, err := cs.ViolationsShardedCtx(context.Background(), s.Tree(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReports(t, want, sharded, where+" (sharded)")
 	}
 }
 

@@ -518,12 +518,6 @@ func (cs *CheckerSet) report(witnesses map[int][2]tuples.Tuple) []Violated {
 	return out
 }
 
-// ViolationsSharded is ViolationsShardedCtx without a deadline.
-func (cs *CheckerSet) ViolationsSharded(t *xmltree.Tree, workers int) []Violated {
-	out, _ := cs.ViolationsShardedCtx(context.Background(), t, workers)
-	return out
-}
-
 // ViolationsShardedCtx is Violations with the verdict fold fanned out
 // over up to workers goroutines: SplitFragments cuts the document into
 // up to workers fragments, each folds into its own FoldState on the

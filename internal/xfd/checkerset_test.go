@@ -107,6 +107,17 @@ func sameReports(t *testing.T, seq, shard []xfd.Violated, context string) {
 	}
 }
 
+// shardedReport is the sharded check at the given worker count, under
+// a context that is never cancelled.
+func shardedReport(t *testing.T, cs *xfd.CheckerSet, doc *xmltree.Tree, workers int) []xfd.Violated {
+	t.Helper()
+	out, err := cs.ViolationsShardedCtx(context.Background(), doc, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestCheckerSetDifferential runs ≥1000 random (DTD, document, σ)
 // instances and checks, per instance:
 //
@@ -191,7 +202,7 @@ func TestCheckerSetDifferential(t *testing.T) {
 			ri++
 		}
 
-		sharded := cs.ViolationsSharded(doc, 4)
+		sharded := shardedReport(t, cs, doc, 4)
 		if got := len(sharded) == 0; got != allOK {
 			t.Fatalf("instance %d: sharded verdict = %v, reference %v\nDTD:\n%s\ndoc:\n%s", instances, got, allOK, d, doc)
 		}
@@ -224,7 +235,7 @@ func TestCheckerSetTrivialCases(t *testing.T) {
 	if !cs.SatisfiesAll(doc) || cs.Violations(doc) != nil {
 		t.Fatal("a foreign-root FD should be vacuously satisfied on this document")
 	}
-	if cs.ViolationsSharded(doc, 4) != nil {
+	if shardedReport(t, cs, doc, 4) != nil {
 		t.Fatal("sharded verdict must agree on the vacuous case")
 	}
 }
@@ -260,9 +271,9 @@ func TestCheckerSetShardedWideFanOut(t *testing.T) {
 	}
 	checkWitness(t, seq[0], "wide fan-out")
 	for _, workers := range []int{2, 4, 16} {
-		sharded := cs.ViolationsSharded(doc, workers)
+		sharded := shardedReport(t, cs, doc, workers)
 		if len(sharded) == 0 {
-			t.Fatalf("ViolationsSharded(%d workers) reports nothing on a violated document", workers)
+			t.Fatalf("ViolationsShardedCtx(%d workers) reports nothing on a violated document", workers)
 		}
 		sameReports(t, seq, sharded, "wide fan-out")
 	}
@@ -325,8 +336,8 @@ func TestCheckerSetPastTupleCap(t *testing.T) {
 	if !cs.SatisfiesAll(doc) {
 		t.Error("SatisfiesAll: the chained Σ holds on the constant-value document")
 	}
-	if vs := cs.ViolationsSharded(doc, 2); len(vs) != 0 {
-		t.Errorf("ViolationsSharded(2 workers) reports %d violations on a satisfied document", len(vs))
+	if vs := shardedReport(t, cs, doc, 2); len(vs) != 0 {
+		t.Errorf("ViolationsShardedCtx(2 workers) reports %d violations on a satisfied document", len(vs))
 	}
 }
 

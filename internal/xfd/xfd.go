@@ -10,7 +10,7 @@
 // group's first tuple and yields first-conflict witnesses, on a tree
 // (Violations) or off a byte stream (CheckReader); FoldState keeps one
 // serializable RHS key per group, so fragments of a document fold
-// independently and merge — in process (ViolationsSharded) or across
+// independently and merge — in process (ViolationsShardedCtx) or across
 // processes (internal/distrib). Differential suites pin every frontend
 // bit-identical to the others; ARCHITECTURE.md (layers 3 and 3b) at
 // the repo root maps them out.

@@ -3,6 +3,7 @@ package xmltree
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 )
 
@@ -88,7 +89,7 @@ func writeNode(b *strings.Builder, n *Node, depth int) {
 	for a := range n.Attrs {
 		names = append(names, a)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	for _, a := range names {
 		fmt.Fprintf(b, " %s=\"%s\"", a, attrEscaper.Replace(n.Attrs[a]))
 	}
@@ -114,11 +115,3 @@ var (
 	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
 )
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}

@@ -25,8 +25,9 @@ import (
 // order Σ lists its FDs, as in the relational algorithm: reduction
 // keeps the first of two interchangeable members.)
 //
-// One closure engine is built for (D, Σ); the (D, ∅) engine and the
-// engine of every reduced Σ tested are derived from it
+// One closure engine is built for (D, Σ); it answers the (D, ∅)
+// questions itself (implication.Engine.Trivial), and the engine of
+// every reduced Σ tested is derived from it
 // (implication.Engine.WithSigma), so the skeleton, the compiled content
 // models and the branch assignments are built once per call.
 func MinimalCover(s Spec) ([]xfd.FD, error) {
@@ -37,19 +38,15 @@ func MinimalCover(s Spec) ([]xfd.FD, error) {
 	if err != nil {
 		return nil, err
 	}
-	trivEng, err := fullEng.WithSigma(nil)
-	if err != nil {
-		return nil, err
-	}
 	// Split and drop trivial FDs.
 	var work []xfd.FD
 	for _, f := range s.FDs {
 		for _, single := range f.SingleRHS() {
-			triv, err := trivEng.Implies(single)
+			triv, err := fullEng.Trivial(single)
 			if err != nil {
 				return nil, err
 			}
-			if triv.Implied {
+			if triv {
 				continue
 			}
 			work = append(work, single.Clone())

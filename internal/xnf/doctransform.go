@@ -2,6 +2,7 @@ package xnf
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"xmlnorm/internal/dtd"
@@ -52,7 +53,7 @@ func (m *MoveStep) Apply(t *xmltree.Tree) error {
 			return fmt.Errorf("xnf: %s node has no %s descendant to take @%s from", m.Q, p, l)
 		}
 		if len(values) > 1 {
-			return fmt.Errorf("xnf: %s node has conflicting @%s values %v; the document violates the guarding FD", m.Q, l, keys(values))
+			return fmt.Errorf("xnf: %s node has conflicting @%s values %v; the document violates the guarding FD", m.Q, l, sortedKeys(values))
 		}
 		for v := range values {
 			qn.node.SetAttr(m.M, v)
@@ -216,7 +217,7 @@ func (c *CreateStep) Apply(t *xmltree.Tree) error {
 			tau := xmltree.NewNode(c.Tau)
 			for i, member := range c.Members {
 				li := strings.TrimPrefix(c.LHSAttrs[i].Last(), "@")
-				for _, x := range sortedSet(g.values[i]) {
+				for _, x := range sortedKeys(g.values[i]) {
 					child := xmltree.NewNode(member)
 					child.SetAttr(li, x)
 					tau.Children = append(tau.Children, child)
@@ -470,32 +471,12 @@ func nodeIndex(t *xmltree.Tree) map[xmltree.NodeID]*xmltree.Node {
 	return out
 }
 
-func keys(m map[string]bool) []string {
-	return sortedSet(m)
-}
-
-func sortedSet(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortStrings(out)
-	return out
-}
-
+// sortedKeys returns the keys of m in increasing order.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

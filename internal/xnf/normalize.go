@@ -2,6 +2,7 @@ package xnf
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"xmlnorm/internal/dtd"
@@ -88,7 +89,7 @@ func Normalize(s Spec, opts Options) (Spec, []Step, error) {
 		if err != nil {
 			return Spec{}, steps, err
 		}
-		anomalies, err := anomaliesWith(eng, cur.FDs)
+		anomalies, err := AnomaliesWith(eng, cur.FDs)
 		if err != nil {
 			return Spec{}, steps, err
 		}
@@ -103,7 +104,7 @@ func Normalize(s Spec, opts Options) (Spec, []Step, error) {
 		copy(candidates, anomalies)
 		if !opts.Simplified {
 			for i := range candidates {
-				min, err := minimize(eng, candidates[i].FD)
+				min, err := MinimizeAnomaly(eng, candidates[i].FD)
 				if err != nil {
 					return Spec{}, steps, err
 				}
@@ -169,11 +170,11 @@ func tryMove(s Spec, eng *engine.Engine, anomalies []Anomaly, names Names) (Tran
 			continue
 		}
 		for _, q := range lhsElemPaths(a.FD) {
-			implied, err := eng.Implied(xfd.FD{LHS: []dtd.Path{q}, RHS: a.FD.LHS})
+			ans, err := eng.Implies(xfd.FD{LHS: []dtd.Path{q}, RHS: a.FD.LHS})
 			if err != nil {
 				return TransformResult{}, Step{}, false, err
 			}
-			if !implied {
+			if !ans.Implied {
 				continue
 			}
 			l := strings.TrimPrefix(rhs.Last(), "@")
@@ -196,23 +197,20 @@ func tryMove(s Spec, eng *engine.Engine, anomalies []Anomaly, names Names) (Tran
 
 // MinimizeAnomaly refines an anomalous FD to a (D, Σ)-minimal one —
 // the refinement Normalize applies before choosing a transformation —
-// without performing any rewrite. The analysis subsystem uses it to
-// name the repair step an anomaly would trigger (minimal forms like
-// {q} → p.@l are what make the cheaper move-attribute step apply).
+// without performing any rewrite: while some strictly smaller
+// anomalous FD exists over the definition's candidate paths, it
+// switches to it (Section 6). The analysis subsystem uses it to name
+// the repair step an anomaly would trigger (minimal forms like
+// {q} → p.@l are what make the cheaper move-attribute step apply). An
+// FD naming a path outside the engine's DTD fails with the engine's
+// error.
 func MinimizeAnomaly(eng *engine.Engine, f xfd.FD) (xfd.FD, error) {
-	return minimize(eng, f)
-}
-
-// minimize refines an anomalous FD to a (D, Σ)-minimal one: while some
-// strictly smaller anomalous FD exists over the definition's candidate
-// paths, switch to it (Section 6).
-func minimize(eng *engine.Engine, f xfd.FD) (xfd.FD, error) {
+	if _, _, err := eng.Resolve(f); err != nil {
+		return xfd.FD{}, err
+	}
 	cur := f
 	for depth := 0; depth < 20; depth++ {
-		smaller, found, err := findSmallerAnomalous(eng, cur)
-		if err != nil {
-			return xfd.FD{}, err
-		}
+		smaller, found := findSmallerAnomalous(eng, cur)
 		if !found {
 			return cur, nil
 		}
@@ -229,7 +227,7 @@ func minimize(eng *engine.Engine, f xfd.FD) (xfd.FD, error) {
 // bitsets and asks the engine by ID, rendering a subset back to paths
 // only when it is the answer. The enumeration order is identical to
 // the historical path-slice recursion.
-func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool, error) {
+func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool) {
 	u := eng.Universe()
 	rhs := u.MustLookup(f.RHS[0])
 	attrs := []paths.ID{rhs} // p0.@l0 (the RHS), then the LHS attribute paths
@@ -247,7 +245,7 @@ func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool, error) {
 	candidates = dedupIDs(u, candidates)
 	n := len(attrs) - 1 // number of LHS attribute paths
 	if n < 1 {
-		return xfd.FD{}, false, nil
+		return xfd.FD{}, false
 	}
 	// f's sides as ID sets, to skip f itself among the candidates.
 	fLHS, fRHS := u.NewSet(), u.NewSet()
@@ -288,32 +286,17 @@ func findSmallerAnomalous(eng *engine.Engine, f xfd.FD) (xfd.FD, bool, error) {
 			if spSet.Has(target) || fRHS.Count() == 1 && fRHS.Has(target) && spSet.Equal(fLHS) {
 				continue // trivial, or f itself
 			}
-			implied, err := eng.ImpliedIDs(spSet, target)
-			if err != nil {
-				return xfd.FD{}, false, err
-			}
-			if !implied {
-				continue
-			}
-			trivial, err := eng.TrivialIDs(spSet, target)
-			if err != nil {
-				return xfd.FD{}, false, err
-			}
-			if trivial {
+			if !eng.ImpliesIDs(spSet, target).Implied || eng.TrivialIDs(spSet, target) {
 				continue
 			}
 			// Anomalous: S' must not determine the parent element.
-			parent, err := eng.ImpliedIDs(spSet, u.ParentOf(target))
-			if err != nil {
-				return xfd.FD{}, false, err
-			}
-			if parent {
+			if eng.ImpliesIDs(spSet, u.ParentOf(target)).Implied {
 				continue
 			}
-			return xfd.FD{LHS: idPaths(u, sp), RHS: []dtd.Path{u.PathOf(target)}}, true, nil
+			return xfd.FD{LHS: idPaths(u, sp), RHS: []dtd.Path{u.PathOf(target)}}, true
 		}
 	}
-	return xfd.FD{}, false, nil
+	return xfd.FD{}, false
 }
 
 // dedupIDs keeps the first occurrence of each interned path, tracking
@@ -345,11 +328,6 @@ func renameSummary(renames map[string]string) string {
 	for from, to := range renames {
 		parts = append(parts, fmt.Sprintf("%s → %s", from, to))
 	}
-	// Deterministic order for logs.
-	for i := 1; i < len(parts); i++ {
-		for j := i; j > 0 && parts[j] < parts[j-1]; j-- {
-			parts[j], parts[j-1] = parts[j-1], parts[j]
-		}
-	}
+	sort.Strings(parts) // deterministic order for logs
 	return strings.Join(parts, ", ")
 }

@@ -37,14 +37,11 @@ func (p Preservation) OK() bool { return len(p.Lost) == 0 }
 
 // CheckPreservation rewrites each original FD through the steps'
 // accumulated path renames and tests whether the new specification
-// implies it.
+// implies it; the new specification's engine also decides, through its
+// (D, ∅) engine, which preserved FDs the new DTD implies alone.
 func CheckPreservation(orig, norm Spec, steps []Step) (Preservation, error) {
 	renames := composeRenames(steps)
 	eng, err := implication.NewEngine(norm.DTD, norm.FDs)
-	if err != nil {
-		return Preservation{}, err
-	}
-	trivEng, err := implication.NewEngine(norm.DTD, nil)
 	if err != nil {
 		return Preservation{}, err
 	}
@@ -68,12 +65,12 @@ func CheckPreservation(orig, norm Spec, steps []Step) (Preservation, error) {
 			if !ans.Implied {
 				continue
 			}
-			triv, err := trivEng.Implies(rw)
+			triv, err := eng.Trivial(rw)
 			if err != nil {
 				return Preservation{}, err
 			}
 			rep.Preserved = append(rep.Preserved, PreservedFD{
-				Original: f, Rewritten: rw, Trivial: triv.Implied,
+				Original: f, Rewritten: rw, Trivial: triv,
 			})
 			found = true
 			break

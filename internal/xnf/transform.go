@@ -322,8 +322,18 @@ func allPathsIn(f xfd.FD, set map[string]bool) bool {
 
 // pruneFDs removes duplicates and FDs trivially implied by the DTD
 // alone, mirroring the paper's remark that e.g. issue → issue.@year is
-// not kept after moving the attribute.
+// not kept after moving the attribute. One (D, ∅) engine decides every
+// FD. The first FD is never a duplicate, so a DTD the closure cannot
+// take fails at it, as a per-FD engine would, and an empty list builds
+// no engine.
 func pruneFDs(d *dtd.DTD, fds []xfd.FD) ([]xfd.FD, error) {
+	if len(fds) == 0 {
+		return nil, nil
+	}
+	eng, err := implication.NewEngine(d, nil)
+	if err != nil {
+		return nil, err
+	}
 	var out []xfd.FD
 	for _, f := range fds {
 		dup := false
@@ -336,7 +346,7 @@ func pruneFDs(d *dtd.DTD, fds []xfd.FD) ([]xfd.FD, error) {
 		if dup {
 			continue
 		}
-		trivial, err := implication.Trivial(d, f)
+		trivial, err := eng.Trivial(f)
 		if err != nil {
 			return nil, err
 		}

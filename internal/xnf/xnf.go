@@ -89,23 +89,18 @@ func AnomaliesOpts(s Spec, eo engine.Options) ([]Anomaly, error) {
 	if err != nil {
 		return nil, err
 	}
-	return anomaliesWith(eng, s.FDs)
+	return AnomaliesWith(eng, s.FDs)
 }
 
 // AnomaliesWith lists the anomalous FDs among (the single-RHS splits
-// of) fds, answering through a caller-supplied engine. The analysis
-// subsystem uses it to share one engine between the anomaly scan,
-// anomaly minimization and the repair-step search; the engine must be
-// built over the spec the FDs belong to.
+// of) fds, answering through a caller-supplied engine, which must be
+// built over the spec the FDs belong to. Normalize and the analysis
+// subsystem use it to share one engine between the anomaly scan,
+// anomaly minimization and the move or repair-step search. The splits
+// are scanned across the engine's worker pool; results keep the
+// sequential order, since each goroutine writes only its own index and
+// the engine answers identically at every worker count.
 func AnomaliesWith(eng *engine.Engine, fds []xfd.FD) ([]Anomaly, error) {
-	return anomaliesWith(eng, fds)
-}
-
-// anomaliesWith scans the single-RHS splits of fds for anomalies across
-// the engine's worker pool. Results keep the sequential order: each
-// goroutine writes only its own index, and the fan-out engine answers
-// identically to the sequential path.
-func anomaliesWith(eng *engine.Engine, fds []xfd.FD) ([]Anomaly, error) {
 	var singles []xfd.FD
 	for _, f := range fds {
 		singles = append(singles, f.SingleRHS()...)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xmlnorm/internal/dtd"
+	"xmlnorm/internal/engine"
 	"xmlnorm/internal/xfd"
 	"xmlnorm/internal/xmltree"
 )
@@ -357,6 +358,26 @@ func TestVerifySteps(t *testing.T) {
 	for _, s := range []Spec{coursesSpec(t), dblpSpec(t)} {
 		if _, _, err := Normalize(s, Options{VerifySteps: true}); err != nil {
 			t.Errorf("VerifySteps failed: %v", err)
+		}
+	}
+}
+
+// TestMinimizeAnomalyOutsideDTD: an FD naming a path outside the
+// engine's DTD fails MinimizeAnomaly with the engine's error text
+// instead of panicking in the candidate enumeration.
+func TestMinimizeAnomalyOutsideDTD(t *testing.T) {
+	s := coursesSpec(t)
+	eng, err := engine.New(s.DTD, s.FDs, engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ fd, want string }{
+		{"courses.course.@nope -> courses.course.title.S", `implication: query courses.course.@nope -> courses.course.title.S: "courses.course.@nope" is not a path of the DTD`},
+		{"courses.course.@cno -> courses.course.@nope", `implication: query courses.course.@cno -> courses.course.@nope: "courses.course.@nope" is not a path of the DTD`},
+	} {
+		_, err := MinimizeAnomaly(eng, xfd.MustParse(c.fd))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("MinimizeAnomaly(%s): err = %v, want %q", c.fd, err, c.want)
 		}
 	}
 }

@@ -66,12 +66,14 @@ type (
 	NormalizeOptions = xnf.Options
 	// ImplicationAnswer is the result of an implication test.
 	ImplicationAnswer = implication.Answer
-	// Engine is a concurrency-safe implication engine over one
-	// specification; see NewEngine.
+	// Engine is the concurrency-safe implication engine over one
+	// specification, which decides and counts (D, Σ) and (D, ∅)
+	// queries alike, with the worker count its batches fan out over;
+	// see NewEngine.
 	Engine = engine.Engine
-	// EngineOptions sets the worker count of an Engine and of the Opts
-	// variants of the spec-level operations. The zero value means
-	// GOMAXPROCS workers.
+	// EngineOptions sets the worker count of an Engine, of the Opts
+	// variants of the spec-level operations and of ViolationsCtx. The
+	// zero value means GOMAXPROCS workers.
 	EngineOptions = engine.Options
 	// EngineStats counts the queries an engine decided (Misses); Hits
 	// is always 0.
@@ -205,10 +207,10 @@ func CheckXNFOpts(s Spec, eo EngineOptions) (bool, []Anomaly, error) {
 }
 
 // NewEngine builds a reusable implication engine for the
-// specification: the closure engines for (D, Σ) and (D, ∅) are built
-// once, every query is decided by the closure, and batch operations
-// fan out across the configured workers. All engine methods are safe
-// for concurrent use.
+// specification: one closure engine for (D, Σ), which builds its
+// (D, ∅) engine with itself, decides and counts every query, and fans
+// batch operations out across the configured workers. All engine
+// methods are safe for concurrent use.
 func NewEngine(s Spec, eo EngineOptions) (*Engine, error) {
 	return engine.New(s.DTD, s.FDs, eo)
 }
@@ -282,29 +284,17 @@ func Violations(t *Tree, sigma []FD) []Violated {
 	return xfd.ViolationReport(t, sigma)
 }
 
-// ViolationsOpts is Violations with the verdict pass sharded across
-// the engine options' worker count (see
-// xfd.CheckerSet.ViolationsShardedCtx): the document splits into one
-// fragment per worker, the fragments' fold states are computed on a
-// worker pool and merged, and witnesses are re-derived sequentially
-// for the violated FDs only, so the report is identical to Violations'
-// regardless of worker count.
-func ViolationsOpts(t *Tree, sigma []FD, eo EngineOptions) []Violated {
-	if len(sigma) == 0 {
-		return nil
-	}
-	cs, err := xfd.NewCheckerSetFor(sigma)
-	if err != nil {
-		return nil // unreachable: the query universe interns all of Σ's paths
-	}
-	return cs.ViolationsSharded(t, eo.WorkerCount())
-}
-
-// ViolationsCtx is ViolationsOpts under a context: cancellation or a
-// deadline aborts the in-flight sharded fold promptly and returns the
-// context's error — how a server bounds a from-scratch verdict pass by
-// the request's lifetime. The compiled checker comes from the
-// process-global registry, so repeated calls over one Σ compile once.
+// ViolationsCtx is Violations with the verdict pass sharded across
+// the engine options' worker count (xfd.CheckerSet.ViolationsShardedCtx):
+// the document splits into up to one fragment per worker, the
+// fragments' fold states are computed on a worker pool and merged, and
+// witnesses are re-derived sequentially for the violated FDs only, so
+// the report is identical to Violations' regardless of worker count.
+// Cancellation or a deadline aborts the in-flight fold promptly and
+// returns the context's error — how a server bounds a from-scratch
+// verdict pass by the request's lifetime. The compiled checker comes
+// from the process-global registry, so repeated calls over one Σ
+// compile once.
 func ViolationsCtx(ctx context.Context, t *Tree, sigma []FD, eo EngineOptions) ([]Violated, error) {
 	if len(sigma) == 0 {
 		return nil, ctx.Err()
